@@ -22,6 +22,11 @@
 //!
 //! The raw-hardened path (no sanitizer, events straight into the
 //! dispatcher) is replayed too: the handler's own guards must hold alone.
+//!
+//! The toolkit's `GestureHandler` and serve's `SessionPipeline` are two
+//! front ends over one interaction machine; the agreement test feeds both
+//! the same clean, corrupted and dwell-hold streams and requires them to
+//! report every interaction identically.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -30,9 +35,11 @@ use grandma::core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma::events::{
     Button, DwellDetector, EventScript, EventSanitizer, InputEvent, SanitizerConfig,
 };
+use grandma::serve::{run_events_inproc, OutcomeKind, PipelineConfig, ServerFrame};
 use grandma::synth::{datasets, FaultInjector, FaultInjectorConfig, SynthRng};
 use grandma::toolkit::{
-    GestureClass, GestureHandler, GestureHandlerConfig, HandlerRef, InteractionOutcome, Interface,
+    GestureClass, GestureHandler, GestureHandlerConfig, HandlerRef, InteractionOutcome,
+    InteractionTrace, Interface, PhaseTransition,
 };
 
 fn recognizer() -> Rc<EagerRecognizer> {
@@ -44,11 +51,18 @@ fn recognizer() -> Rc<EagerRecognizer> {
 }
 
 fn fresh_interface(recognizer: &Rc<EagerRecognizer>) -> (Interface, Rc<RefCell<GestureHandler>>) {
+    fresh_interface_with(recognizer, GestureHandlerConfig::default())
+}
+
+fn fresh_interface_with(
+    recognizer: &Rc<EagerRecognizer>,
+    config: GestureHandlerConfig,
+) -> (Interface, Rc<RefCell<GestureHandler>>) {
     let names = ["dr", "dl", "rd", "ld", "ru", "lu", "ur", "ul"];
     let gh = Rc::new(RefCell::new(GestureHandler::new(
         recognizer.clone(),
         names.iter().map(|n| GestureClass::named(n)).collect(),
-        GestureHandlerConfig::default(),
+        config,
     )));
     let mut interface = Interface::new();
     let gh_dyn: HandlerRef = gh.clone();
@@ -75,9 +89,26 @@ fn replay_sanitized(
     recognizer: &Rc<EagerRecognizer>,
     corrupted: &[InputEvent],
 ) -> Vec<InteractionOutcome> {
-    let (mut interface, gh) = fresh_interface(recognizer);
+    replay_sanitized_traces(recognizer, GestureHandlerConfig::default(), corrupted)
+        .0
+        .iter()
+        .map(|t| t.outcome)
+        .collect()
+}
+
+/// The sanitized replay, returning the handler's traces and the stream a
+/// served session must be fed to see the same input: the raw events with
+/// the dwell detector's timeouts spliced in front of the raw event that
+/// revealed them (a served session has no dwell detector of its own).
+fn replay_sanitized_traces(
+    recognizer: &Rc<EagerRecognizer>,
+    config: GestureHandlerConfig,
+    corrupted: &[InputEvent],
+) -> (Vec<InteractionTrace>, Vec<InputEvent>) {
+    let (mut interface, gh) = fresh_interface_with(recognizer, config);
     let mut sanitizer = EventSanitizer::with_config(SanitizerConfig::default());
     let mut dwell = DwellDetector::paper_default();
+    let mut served = Vec::with_capacity(corrupted.len());
     for &raw in corrupted {
         let cleaned = sanitizer.process(raw);
         let faults = sanitizer.take_faults();
@@ -85,12 +116,18 @@ fn replay_sanitized(
         for clean in cleaned {
             for timeout in dwell.process(&clean) {
                 interface.dispatch(&timeout);
+                served.push(timeout);
             }
             interface.dispatch(&clean);
         }
+        served.push(raw);
     }
-    // Stream over: close any dangling interaction.
-    for closing in sanitizer.finish() {
+    // Stream over: close any dangling interaction, charging the
+    // synthesized grab break's fault to it like every other repair.
+    let closing = sanitizer.finish();
+    let faults = sanitizer.take_faults();
+    gh.borrow_mut().note_faults(&faults);
+    for closing in closing {
         interface.dispatch(&closing);
     }
     let gh = gh.borrow();
@@ -98,7 +135,7 @@ fn replay_sanitized(
         !gh.interaction_in_progress(),
         "handler must terminate in the idle state"
     );
-    gh.traces().iter().map(|t| t.outcome).collect()
+    (gh.traces().to_vec(), served)
 }
 
 /// The raw-hardened path: no sanitizer, corrupted events straight in.
@@ -281,4 +318,119 @@ fn uncorrupted_sessions_still_recognize_through_the_sanitized_pipeline() {
         o,
         InteractionOutcome::Recognized | InteractionOutcome::Manipulated
     )));
+}
+
+/// One finished interaction as both front ends report it.
+#[derive(Debug, PartialEq)]
+struct Summary {
+    outcome: InteractionOutcome,
+    class: Option<usize>,
+    total_points: usize,
+    faults: usize,
+    /// Points collected at an accepted eager or timeout commit.
+    committed_at: Option<usize>,
+}
+
+fn handler_summary(t: &InteractionTrace) -> Summary {
+    let mid_gesture = matches!(t.transition, PhaseTransition::Eager | PhaseTransition::Timeout);
+    Summary {
+        outcome: t.outcome,
+        class: t.class,
+        total_points: t.total_points,
+        faults: t.faults.len(),
+        committed_at: (mid_gesture && t.class.is_some()).then_some(t.points_at_recognition),
+    }
+}
+
+/// Runs `stream` through a served session and summarizes its frames.
+fn served_summaries(
+    recognizer: &EagerRecognizer,
+    config: &PipelineConfig,
+    stream: &[InputEvent],
+) -> Vec<Summary> {
+    let events: Vec<(u32, InputEvent)> = stream
+        .iter()
+        .enumerate()
+        .map(|(i, &e)| (i as u32, e))
+        .collect();
+    let frames = run_events_inproc(recognizer, 1, config, &events, events.len() as u32);
+    let mut out = Vec::new();
+    let mut committed_at = None;
+    for frame in frames {
+        match frame {
+            ServerFrame::Recognized { points, .. } => committed_at = Some(points as usize),
+            ServerFrame::Outcome {
+                outcome,
+                class,
+                total_points,
+                faults,
+                ..
+            } => {
+                let outcome = match outcome {
+                    OutcomeKind::Recognized => InteractionOutcome::Recognized,
+                    OutcomeKind::Manipulated => InteractionOutcome::Manipulated,
+                    OutcomeKind::Cancelled => InteractionOutcome::Cancelled,
+                    OutcomeKind::Rejected => InteractionOutcome::Rejected,
+                    OutcomeKind::Closed => continue,
+                };
+                out.push(Summary {
+                    outcome,
+                    class: class.map(usize::from),
+                    total_points: total_points as usize,
+                    faults: faults as usize,
+                    committed_at: committed_at.take(),
+                });
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn handler_and_served_session_agree_on_every_interaction() {
+    let recognizer = recognizer();
+    let mut streams: Vec<(bool, Vec<InputEvent>)> = Vec::new();
+    for case in 0..400u64 {
+        let seed = 0xA6EE_0000 + case;
+        let clean = clean_session(seed, 5);
+        let corrupted = FaultInjector::new(seed).corrupt(&clean);
+        streams.push((true, clean));
+        streams.push((true, corrupted));
+    }
+    // Dwell holds past the corner, with eager recognition off so the
+    // 200 ms timeout is what commits.
+    let data = datasets::eight_way(0x7e57, 0, 8);
+    for (i, sample) in data.testing.iter().take(64).enumerate() {
+        let at = (sample.gesture.len() / 2 + i % 3).min(sample.gesture.len() - 1);
+        let hold = EventScript::new()
+            .then_gesture_with_hold(&sample.gesture, Button::Left, at, 300.0)
+            .into_events();
+        streams.push((false, hold));
+    }
+    let (mut interactions, mut eager, mut timeout) = (0, 0, 0);
+    for (i, (eager_on, stream)) in streams.iter().enumerate() {
+        let handler_config = GestureHandlerConfig {
+            eager: *eager_on,
+            ..GestureHandlerConfig::default()
+        };
+        let pipeline_config = PipelineConfig {
+            eager: *eager_on,
+            ..PipelineConfig::default()
+        };
+        let (traces, served) = replay_sanitized_traces(&recognizer, handler_config, stream);
+        let local: Vec<Summary> = traces.iter().map(handler_summary).collect();
+        let remote = served_summaries(&recognizer, &pipeline_config, &served);
+        assert_eq!(local, remote, "stream {i}: handler and served session disagree");
+        interactions += local.len();
+        for t in traces.iter().filter(|t| t.class.is_some()) {
+            match t.transition {
+                PhaseTransition::Eager => eager += 1,
+                PhaseTransition::Timeout => timeout += 1,
+                _ => {}
+            }
+        }
+    }
+    assert!(interactions >= 3_500, "only {interactions} interactions compared");
+    assert!(eager > 0 && timeout > 0, "eager {eager}, timeout {timeout} commits");
 }
