@@ -18,6 +18,11 @@
 //!    5× toward "ambiguous", and tweak complete-class constants until no
 //!    training incomplete subgesture is judged unambiguous.
 //!
+//! On top of them, [`interaction`] is the §3.2 two-phase interaction
+//! machine (collect → phase transition → classify → manipulate) that the
+//! toolkit's gesture handler and the serving layer's session pipeline
+//! both drive.
+//!
 //! # Examples
 //!
 //! Train an eager recognizer and feed it one point at a time:
@@ -68,6 +73,7 @@ pub mod baseline;
 pub mod classifier;
 pub mod eager;
 pub mod features;
+pub mod interaction;
 pub mod multistroke;
 pub mod parallel;
 pub mod persist;
@@ -77,4 +83,7 @@ pub use eager::{
     AucClassKind, EagerConfig, EagerRecognizer, EagerSession, EagerTrainReport, SubgestureRecord,
 };
 pub use features::{FeatureExtractor, FeatureMask, PointFilter, FEATURE_COUNT, FEATURE_NAMES};
+pub use interaction::{
+    Interaction, InteractionConfig, InteractionOutcome, InteractionPhase, PhaseTransition, Step,
+};
 pub use persist::PersistError;

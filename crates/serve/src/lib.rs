@@ -11,12 +11,12 @@
 //! the recognition pipeline into a small network service without taking
 //! on a single dependency: a versioned length-prefixed binary protocol
 //! ([`wire`]), a per-session sanitize→classify→outcome pipeline
-//! ([`SessionPipeline`]) mirroring the toolkit's interaction state
-//! machine, a [`SessionRouter`] that shards sessions across a fixed pool
-//! of worker threads with bounded queues and `Busy` backpressure, two
-//! transports — the in-process [`Duplex`] for deterministic tests and a
-//! `std::net` [`TcpService`] — and lock-free [`ServiceMetrics`]
-//! snapshotted to JSON.
+//! ([`SessionPipeline`]) driving the interaction machine the toolkit's
+//! gesture handler shares, a [`SessionRouter`] that shards sessions
+//! across a fixed pool of worker threads with bounded queues and `Busy`
+//! backpressure, two transports — the in-process [`Duplex`] for
+//! deterministic tests and a `std::net` [`TcpService`] — and lock-free
+//! [`ServiceMetrics`] snapshotted to JSON.
 //!
 //! Wire v2 adds the serve fast path: `EventBatch` frames carry many
 //! events per syscall, decoded zero-copy via [`ClientFrameView`], routed
@@ -87,7 +87,7 @@ pub use router::{
 };
 pub use session::{
     run_events_inproc, PipelineConfig, SessionPipeline, SessionSnapshot, SnapshotError,
-    SnapshotPhase, OUTCOME_KIND_COUNT,
+    OUTCOME_KIND_COUNT,
 };
 pub use tcp::{PollBackend, TcpOptions, TcpService};
 pub use wal::{FsyncPolicy, WalConfig, WalDirLock, WAL_LOCK_FILE};

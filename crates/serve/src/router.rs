@@ -983,7 +983,8 @@ fn shard_worker(
                 // `.close()` here is `SessionPipeline::close`; the
                 // receiver-agnostic method match (DESIGN.md §12) also hits
                 // `Client::close`, whose reconnect backoff sleeps. The
-                // pipeline close only runs the recognizer teardown.
+                // pipeline close only flushes the sanitizer and the
+                // interaction machine.
                 entry.pipeline.close(&recognizer, seq, &mut scratch);
                 metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
                 flush_frames(&metrics, &entry.reply, &mut scratch);

@@ -258,8 +258,20 @@ pub enum OutcomeKind {
     Closed,
 }
 
+impl From<grandma_core::InteractionOutcome> for OutcomeKind {
+    fn from(outcome: grandma_core::InteractionOutcome) -> Self {
+        use grandma_core::InteractionOutcome as O;
+        match outcome {
+            O::Recognized => OutcomeKind::Recognized,
+            O::Manipulated => OutcomeKind::Manipulated,
+            O::Cancelled => OutcomeKind::Cancelled,
+            O::Rejected => OutcomeKind::Rejected,
+        }
+    }
+}
+
 impl OutcomeKind {
-    fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             OutcomeKind::Recognized => 0,
             OutcomeKind::Manipulated => 1,
