@@ -1853,6 +1853,168 @@ mod tests {
     }
 
     #[test]
+    fn replayed_events_and_batches_skip_the_same_seqs_below_the_watermark() {
+        let data = datasets::eight_way(0x7e57, 0, 2);
+        let events: Vec<(u32, InputEvent)> = EventScript::new()
+            .then_gesture(&data.testing[0].gesture, Button::Left)
+            .then_gesture(&data.testing[1].gesture, Button::Left)
+            .into_events()
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| (i as u32 + 1, e))
+            .collect();
+        let close_seq = events.len() as u32 + 1;
+        let split = events.len() / 2;
+        let replay_end = split + (events.len() - split) / 2;
+        assert!(split > 4 && replay_end < events.len());
+
+        // The session cut at `split`: its snapshot's watermark is the
+        // last seq folded in.
+        let snapshot = {
+            let router = SessionRouter::new(recognizer(), ServeConfig::default());
+            let conn = router.new_conn_id();
+            let (tx, _rx) = std::sync::mpsc::channel();
+            router
+                .submit(ShardMsg::Open {
+                    conn,
+                    session: 21,
+                    seq: 0,
+                    reply: tx.clone().into(),
+                })
+                .unwrap();
+            for &(seq, event) in &events[..split] {
+                router
+                    .submit(ShardMsg::Event {
+                        conn,
+                        session: 21,
+                        seq,
+                        event,
+                        reply: tx.clone().into(),
+                    })
+                    .unwrap();
+            }
+            let mut drained = router.drain_sessions();
+            router.shutdown();
+            drained.pop().expect("one drained session")
+        };
+        assert_eq!(snapshot.last_seq, split as u32);
+
+        // Restore the snapshot through the conn-0 Handoff path, replay
+        // `records` as conn-0 traffic (v1 Events or one EventBatch), and
+        // return the replayed state's bytes plus the frames of a live
+        // tail run from that state.
+        let run = |records: &[(u32, InputEvent)], batched: bool| -> (Vec<u8>, Vec<ServerFrame>) {
+            let router = SessionRouter::new(recognizer(), ServeConfig::default());
+            router
+                .submit(ShardMsg::Handoff {
+                    conn: 0,
+                    snapshot: Box::new(snapshot.clone()),
+                    reply: ReplyTx::sink(),
+                })
+                .unwrap();
+            if batched {
+                let mut buf = router.batch_pool().take();
+                buf.extend_from_slice(records);
+                router
+                    .submit(ShardMsg::EventBatch {
+                        conn: 0,
+                        session: 21,
+                        events: buf,
+                        reply: ReplyTx::sink(),
+                    })
+                    .unwrap();
+            } else {
+                for &(seq, event) in records {
+                    router
+                        .submit(ShardMsg::Event {
+                            conn: 0,
+                            session: 21,
+                            seq,
+                            event,
+                            reply: ReplyTx::sink(),
+                        })
+                        .unwrap();
+                }
+            }
+            let mut replayed = router.drain_sessions();
+            assert_eq!(replayed.len(), 1);
+            let state = replayed.pop().expect("one session");
+            let mut state_bytes = Vec::new();
+            state.encode(&mut state_bytes);
+
+            let conn = router.new_conn_id();
+            let (tx, rx) = std::sync::mpsc::channel();
+            router
+                .submit(ShardMsg::Handoff {
+                    conn,
+                    snapshot: Box::new(state),
+                    reply: tx.clone().into(),
+                })
+                .unwrap();
+            router
+                .submit(ShardMsg::Resume {
+                    conn,
+                    session: 21,
+                    reply: tx.clone().into(),
+                })
+                .unwrap();
+            for &(seq, event) in &events[replay_end..] {
+                router
+                    .submit(ShardMsg::Event {
+                        conn,
+                        session: 21,
+                        seq,
+                        event,
+                        reply: tx.clone().into(),
+                    })
+                    .unwrap();
+            }
+            router
+                .submit(ShardMsg::Close {
+                    conn,
+                    session: 21,
+                    seq: close_seq,
+                    reply: tx.into(),
+                })
+                .unwrap();
+            let frames = recv_until_closed(&rx);
+            router.shutdown();
+            (state_bytes, frames)
+        };
+
+        // Replay overlapping the watermark, as the crash window between
+        // snapshot rename and log truncate leaves it. The records at or
+        // below the watermark are poisoned — far-future, displaced
+        // points — so applying any of them would show in the state.
+        let overlapping: Vec<(u32, InputEvent)> = events[split - 4..split]
+            .iter()
+            .map(|&(seq, e)| {
+                let poison =
+                    InputEvent::new(EventKind::MouseMove, e.x + 500.0, e.y - 300.0, e.t + 60_000.0);
+                (seq, poison)
+            })
+            .chain(events[split..replay_end].iter().copied())
+            .collect();
+        let single = run(&overlapping, false);
+        let batched = run(&overlapping, true);
+        assert_eq!(
+            single, batched,
+            "v1 Events and one EventBatch must replay to the same state and frames"
+        );
+        assert_eq!(
+            single.1.get(1),
+            Some(&ServerFrame::Resumed {
+                session: 21,
+                last_seq: replay_end as u32,
+            })
+        );
+        // Skipping is exact: the overlap leaves the same state as a
+        // replay of only the records above the watermark.
+        let above = run(&events[split..replay_end], false);
+        assert_eq!(single, above, "records at or below the watermark must be skipped");
+    }
+
+    #[test]
     fn drain_empties_every_shard_and_sorts_snapshots() {
         let router = SessionRouter::new(recognizer(), ServeConfig {
             shards: 3,

@@ -15,10 +15,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
-use grandma_events::{Button, EventScript, InputEvent};
+use grandma_events::{Button, EventKind, EventScript, InputEvent};
+use grandma_serve::wal::WalShard;
 use grandma_serve::{
-    encode_server, run_events_inproc, ClientFrame, Duplex, FsyncPolicy, PipelineConfig,
-    ServeConfig, ServerFrame, SessionRouter, WalConfig, WIRE_VERSION,
+    encode_client, encode_server, run_events_inproc, ClientFrame, Duplex, FsyncPolicy,
+    PipelineConfig, ServeConfig, ServerFrame, SessionRouter, WalConfig, WIRE_VERSION,
 };
 use grandma_synth::{datasets, SynthRng};
 
@@ -312,6 +313,154 @@ fn torn_wal_tail_is_dropped_and_sessions_still_resume() {
             i + 1
         );
     }
+}
+
+#[test]
+fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
+    let rec = recognizer();
+    let session = 1u64;
+    let events = session_stream(session);
+    let close_seq = events.len() as u32 + 1;
+    let cut = events.len() / 3;
+    let end = 2 * events.len() / 3;
+    assert!(cut > 5);
+
+    // A compaction snapshot of the session cut after `cut` events.
+    let snapshot = {
+        let router = SessionRouter::new(rec.clone(), ServeConfig::default());
+        let mut client = Duplex::connect(router.clone());
+        client
+            .send(&ClientFrame::Hello {
+                version: WIRE_VERSION,
+            })
+            .expect("hello");
+        client.send(&ClientFrame::Open { session }).expect("open");
+        for &(seq, event) in &events[..cut] {
+            client
+                .send(&ClientFrame::Event {
+                    session,
+                    seq,
+                    event,
+                })
+                .expect("event");
+        }
+        let mut drained = router.drain_sessions();
+        router.shutdown();
+        drained.pop().expect("one drained session")
+    };
+
+    // The same traffic logged two ways behind that snapshot: one v1
+    // `Event` record per event, or `EventBatch` records. The tail starts
+    // below the snapshot's watermark, as a crash between snapshot rename
+    // and log truncate leaves it; those records are poisoned (far-future,
+    // displaced points), so applying any of them would show.
+    let tail: Vec<(u32, InputEvent)> = events[cut - 5..cut]
+        .iter()
+        .map(|&(seq, e)| {
+            let poison =
+                InputEvent::new(EventKind::MouseMove, e.x + 500.0, e.y - 300.0, e.t + 60_000.0);
+            (seq, poison)
+        })
+        .chain(events[cut..end].iter().copied())
+        .collect();
+    let recover_from = |tag: &str, batched: bool| -> (u64, Vec<u8>) {
+        let dir = tmp_dir(tag);
+        let wal = WalConfig::new(dir.clone(), FsyncPolicy::Async);
+        let mut log = WalShard::open(wal.clone(), 0).expect("open shard log");
+        log.compact(std::slice::from_ref(&snapshot)).expect("write snapshot");
+        let mut bytes = Vec::new();
+        if batched {
+            for chunk in tail.chunks(7) {
+                bytes.clear();
+                encode_client(
+                    &ClientFrame::EventBatch {
+                        session,
+                        events: chunk.to_vec(),
+                    },
+                    &mut bytes,
+                );
+                log.append_frame(&bytes).expect("append batch");
+            }
+        } else {
+            for &(seq, event) in &tail {
+                bytes.clear();
+                encode_client(
+                    &ClientFrame::Event {
+                        session,
+                        seq,
+                        event,
+                    },
+                    &mut bytes,
+                );
+                log.append_frame(&bytes).expect("append event");
+            }
+        }
+        drop(log);
+
+        let router = SessionRouter::new(rec.clone(), ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        });
+        let report = router.recover(&wal).expect("recover");
+        let mut client = Duplex::connect(router.clone());
+        client
+            .send(&ClientFrame::Hello {
+                version: WIRE_VERSION,
+            })
+            .expect("hello");
+        client
+            .send(&ClientFrame::Resume {
+                session,
+                last_seq: 0,
+            })
+            .expect("resume");
+        let mut frames = vec![client
+            .recv_timeout(Duration::from_secs(10))
+            .expect("recv")
+            .expect("resumed frame")];
+        for &(seq, event) in &events[end..] {
+            client
+                .send(&ClientFrame::Event {
+                    session,
+                    seq,
+                    event,
+                })
+                .expect("tail event");
+        }
+        client
+            .send(&ClientFrame::Close {
+                session,
+                seq: close_seq,
+            })
+            .expect("close");
+        frames.extend(
+            client
+                .recv_session_until_closed(session, Duration::from_secs(10))
+                .expect("tail frames"),
+        );
+        router.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        (report.sessions, frames_to_bytes(&frames))
+    };
+
+    let v1 = recover_from("v1-log", false);
+    let batched = recover_from("batch-log", true);
+    assert_eq!(v1.0, 1, "the snapshot restores the one session");
+    assert_eq!(
+        v1, batched,
+        "a v1 Event log must recover byte-identically to an EventBatch log"
+    );
+    // And both match the never-crashed pipeline from the resume on.
+    let mut expected = vec![ServerFrame::Resumed {
+        session,
+        last_seq: events[end - 1].0,
+    }];
+    expected.extend(
+        run_events_inproc(&rec, session, &PipelineConfig::default(), &events, close_seq)
+            .into_iter()
+            .filter(|f| frame_seq(f) > events[end - 1].0),
+    );
+    assert_eq!(v1.1, frames_to_bytes(&expected));
 }
 
 #[test]
