@@ -322,11 +322,10 @@ fn cmd_run(args: &Args) -> ExitCode {
         // there over wire-v4 Handoff frames.
         let _ = remove_node(path, &node_id);
         match drain_and_handoff(&router, path) {
-            Ok((moved, 0)) => eprintln!("serve: handed off {moved} sessions"),
-            Ok((moved, failed)) => eprintln!(
+            (moved, 0) => eprintln!("serve: handed off {moved} sessions"),
+            (moved, failed) => eprintln!(
                 "serve: handed off {moved} sessions, {failed} left for WAL recovery"
             ),
-            Err(e) => eprintln!("serve: handoff skipped: {e}"),
         }
     }
     // Graceful: stop accepting, drain the shards; with a WAL this also
@@ -410,23 +409,26 @@ impl HandoffPeer {
 
 /// Drains every live session off this node and hands each to the node
 /// the (post-deregistration) ring maps it to, one cached connection per
-/// peer. Returns `(moved, failed)`. A session whose handoff is refused
-/// is restored into the local router so the final shutdown seals it
-/// into the WAL snapshot instead of dropping it.
-fn drain_and_handoff(
-    router: &SessionRouter,
-    cluster_file: &std::path::Path,
-) -> Result<(usize, usize), String> {
+/// peer. Returns `(moved, failed)`. A session whose handoff fails is
+/// reinstalled into the local router so the final shutdown seals it
+/// into the WAL snapshot instead of dropping it. The ring is read
+/// before the drain, which seals each shard's WAL empty: an unreadable
+/// discovery file then fails every handoff, and no drained session is
+/// lost to it.
+fn drain_and_handoff(router: &SessionRouter, cluster_file: &std::path::Path) -> (usize, usize) {
+    let view = match read_cluster(cluster_file) {
+        Ok(view) => Some(view),
+        Err(e) => {
+            eprintln!("serve: cluster view unreadable ({e}); keeping sessions for WAL recovery");
+            None
+        }
+    };
     let snapshots = router.drain_sessions();
-    if snapshots.is_empty() {
-        return Ok((0, 0));
-    }
-    let view = read_cluster(cluster_file).map_err(|e| e.to_string())?;
     let mut peers: Vec<(SocketAddr, Option<HandoffPeer>)> = Vec::new();
     let mut moved = 0usize;
     let mut failed = 0usize;
     for snapshot in snapshots {
-        let owner = view.owner_addr(snapshot.session);
+        let owner = view.as_ref().and_then(|v| v.owner_addr(snapshot.session));
         let sent = match owner {
             Some(addr) => {
                 if !peers.iter().any(|(a, _)| *a == addr) {
@@ -443,13 +445,11 @@ fn drain_and_handoff(
         if sent {
             moved += 1;
         } else {
-            let _ = router.submit(grandma_serve::ShardMsg::Restore {
-                snapshot: Box::new(snapshot),
-            });
+            router.reinstall(snapshot);
             failed += 1;
         }
     }
-    Ok((moved, failed))
+    (moved, failed)
 }
 
 /// Blocks until stdin closes (or delivers a line) or a termination

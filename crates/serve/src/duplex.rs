@@ -15,8 +15,9 @@ use std::time::Duration;
 
 use crate::router::{SessionRouter, ShardMsg, SubmitError};
 use crate::wire::{
-    decode_client, decode_server, encode_client, encode_server, ClientFrame, FaultCode,
-    OutcomeKind, ServerFrame, WireError, MIN_WIRE_VERSION, WIRE_VERSION,
+    decode_client_view, decode_server, encode_client, encode_server, ClientFrame,
+    ClientFrameView, FaultCode, OutcomeKind, ServerFrame, WireError, MIN_WIRE_VERSION,
+    WIRE_VERSION,
 };
 
 /// Why a duplex operation failed.
@@ -72,141 +73,57 @@ impl Duplex {
     /// [`ServerFrame::Fault`]s on the receive side, exactly as they do
     /// over TCP; only codec bugs and a dead router are `Err`.
     pub fn send(&mut self, frame: &ClientFrame) -> Result<(), DuplexError> {
-        // The wire round trip: what the TCP transport would do.
+        // The wire round trip: what the TCP transport would do, down to
+        // the zero-copy decode and the pooled batch buffer.
         let mut bytes = Vec::with_capacity(48);
         encode_client(frame, &mut bytes);
-        let decoded = match decode_client(&bytes) {
-            Ok(Some((decoded, _))) => decoded,
+        let view = match decode_client_view(&bytes) {
+            Ok(Some((view, _))) => view,
             Ok(None) => return Err(DuplexError::Codec(WireError::EmptyFrame)),
             Err(e) => return Err(DuplexError::Codec(e)),
         };
-        match decoded {
-            ClientFrame::Hello { version } => {
-                if (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-                    self.hello_ok = true;
-                } else {
-                    let _ = self.reply_tx.send(ServerFrame::Fault {
-                        session: 0,
-                        seq: 0,
-                        code: FaultCode::VersionMismatch,
-                    });
-                }
-                Ok(())
+        if let ClientFrameView::Hello { version } = view {
+            if (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+                self.hello_ok = true;
+            } else {
+                self.connection_fault(FaultCode::VersionMismatch);
             }
-            ClientFrame::Open { session } => self.submit(
-                session,
-                0,
-                ShardMsg::Open {
-                    conn: self.conn,
-                    session,
-                    seq: 0,
-                    reply: self.reply_tx.clone().into(),
-                },
-            ),
-            ClientFrame::Event {
-                session,
-                seq,
-                event,
-            } => self.submit(
-                session,
-                seq,
-                ShardMsg::Event {
-                    conn: self.conn,
-                    session,
-                    seq,
-                    event,
-                    reply: self.reply_tx.clone().into(),
-                },
-            ),
-            ClientFrame::EventBatch { session, events } => {
-                // Mirror the TCP reader: the decoded records land in a
-                // pooled buffer that crosses the shard queue as one
-                // message. A Busy rejection echoes the first record's
-                // seq, and `submit` recycles the rejected buffer.
-                let first_seq = events.first().map(|&(s, _)| s).unwrap_or(0);
-                let mut batch = self.router.batch_pool().take();
-                batch.extend_from_slice(&events);
-                self.submit(
-                    session,
-                    first_seq,
-                    ShardMsg::EventBatch {
-                        conn: self.conn,
-                        session,
-                        events: batch,
-                        reply: self.reply_tx.clone().into(),
-                    },
-                )
-            }
-            ClientFrame::Close { session, seq } => self.submit(
-                session,
-                seq,
-                ShardMsg::Close {
-                    conn: self.conn,
-                    session,
-                    seq,
-                    reply: self.reply_tx.clone().into(),
-                },
-            ),
-            ClientFrame::Resume { session, last_seq } => self.submit(
-                session,
-                last_seq,
-                ShardMsg::Resume {
-                    conn: self.conn,
-                    session,
-                    reply: self.reply_tx.clone().into(),
-                },
-            ),
-            ClientFrame::Handoff { snapshot } => {
-                // Mirror the TCP reader: an undecodable snapshot is a
-                // protocol violation, answered with `BadFrame`; a good
-                // one crosses the shard queue like a peer-driven Restore.
-                match crate::session::SessionSnapshot::decode(&snapshot) {
-                    Ok((snap, _)) => {
-                        let session = snap.session;
-                        self.submit(
-                            session,
-                            0,
-                            ShardMsg::Handoff {
-                                conn: self.conn,
-                                snapshot: Box::new(snap),
-                                reply: self.reply_tx.clone().into(),
-                            },
-                        )
-                    }
-                    Err(_) => {
-                        let _ = self.reply_tx.send(ServerFrame::Fault {
-                            session: 0,
-                            seq: 0,
-                            code: FaultCode::BadFrame,
-                        });
-                        Ok(())
-                    }
-                }
-            }
-        }
-    }
-
-    fn submit(&mut self, session: u64, seq: u32, msg: ShardMsg) -> Result<(), DuplexError> {
-        if !self.hello_ok {
-            let _ = self.reply_tx.send(ServerFrame::Fault {
-                session,
-                seq,
-                code: FaultCode::BadFrame,
-            });
             return Ok(());
         }
+        let reply = self.reply_tx.clone().into();
+        let owned = self.router.batch_pool().own_frame(view);
+        let msg = match ShardMsg::from_client(self.conn, owned, reply) {
+            Ok(Some(msg)) => msg,
+            Ok(None) => return Ok(()),
+            // Mirror the TCP reader: an undecodable handoff snapshot is a
+            // protocol violation, answered with `BadFrame`.
+            Err(_) => {
+                self.connection_fault(FaultCode::BadFrame);
+                return Ok(());
+            }
+        };
+        if !self.hello_ok {
+            let _ = self.reply_tx.send(msg.fault(FaultCode::BadFrame));
+            return Ok(());
+        }
+        let busy = msg.fault(FaultCode::Busy);
         match self.router.submit(msg) {
             Ok(()) => Ok(()),
             Err(SubmitError::Busy) => {
-                let _ = self.reply_tx.send(ServerFrame::Fault {
-                    session,
-                    seq,
-                    code: FaultCode::Busy,
-                });
+                let _ = self.reply_tx.send(busy);
                 Ok(())
             }
             Err(SubmitError::Closed) => Err(DuplexError::Closed),
         }
+    }
+
+    /// A fault about the connection rather than one session.
+    fn connection_fault(&self, code: FaultCode) {
+        let _ = self.reply_tx.send(ServerFrame::Fault {
+            session: 0,
+            seq: 0,
+            code,
+        });
     }
 
     /// Receives the next server frame, waiting up to `timeout`. The frame

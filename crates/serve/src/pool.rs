@@ -21,6 +21,8 @@ use std::sync::Mutex;
 
 use grandma_events::InputEvent;
 
+use crate::wire::{ClientFrame, ClientFrameView};
+
 /// How many idle buffers the pool keeps before dropping returns on the
 /// floor. Sized for a few connections' worth of in-flight batches.
 const MAX_IDLE: usize = 64;
@@ -81,6 +83,23 @@ impl BatchPool {
             idle.push(buf);
         }
         // lint:try-bounded end
+    }
+
+    /// Owns a zero-copy decoded client frame: a batch's records land in
+    /// a pooled buffer, which then crosses the shard queue inside the
+    /// [`crate::ShardMsg`] instead of a fresh allocation.
+    pub(crate) fn own_frame(&self, view: ClientFrameView<'_>) -> ClientFrame {
+        match view {
+            ClientFrameView::EventBatch(batch) => {
+                let mut events = self.take();
+                events.extend(batch.iter());
+                ClientFrame::EventBatch {
+                    session: batch.session(),
+                    events,
+                }
+            }
+            view => view.into_frame(),
+        }
     }
 
     /// Takes a buffer recycled from the pool (`hits`) vs freshly

@@ -25,6 +25,17 @@
 //! disturb another client's sessions. In particular, a connection that
 //! loses an `Open` race (`AlreadyOpen`) cannot tear the winner's session
 //! down by replaying `Close` for the contested id.
+//!
+//! One path in, one path to a session: every client frame becomes a
+//! shard message through `ShardMsg::from_client`, the one translation
+//! the TCP reactor, [`crate::Duplex`] and WAL replay share, so each
+//! transport keeps only its own policy (fence, handshake gate, close
+//! retry). A shard feeds `Event` and `EventBatch` through one ingest
+//! function and installs every snapshot — a peer's handoff, a
+//! compaction snapshot, a journaled handoff, a failed outbound handoff
+//! taken back — through the one `Handoff` path. `Event` stays a message
+//! of its own only so a v1 event crosses the queue without taking a
+//! pooled batch buffer.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -39,7 +50,7 @@ use grandma_events::{EventKind, InputEvent};
 
 use crate::metrics::ServiceMetrics;
 use crate::pool::BatchPool;
-use crate::session::{PipelineConfig, SessionPipeline, SessionSnapshot};
+use crate::session::{PipelineConfig, SessionPipeline, SessionSnapshot, SnapshotError};
 use crate::wal::{WalConfig, WalShard};
 use crate::wire::{encode_client, ClientFrame, FaultCode, ServerFrame};
 
@@ -134,6 +145,10 @@ impl ReplyTx {
         }
     }
 
+    fn is_sink(&self) -> bool {
+        matches!(self.inner, ReplyInner::Sink)
+    }
+
     /// Ships one frame. Infallible by design: failures mean the
     /// connection is gone, and the frame is dropped.
     pub fn send(&self, frame: ServerFrame) {
@@ -178,7 +193,9 @@ pub enum ShardMsg {
         /// Outbound frame path of the owning connection.
         reply: ReplyTx,
     },
-    /// One input event for an open session. Rejected with
+    /// One v1 input event for an open session: ingested exactly like an
+    /// `EventBatch` of one (and journaled as one), but crossing the
+    /// queue without a pooled buffer. Rejected with
     /// `Fault(UnknownSession)` on `reply` unless `conn` owns `session`.
     Event {
         /// The sending connection's id; must match the session's owner.
@@ -195,7 +212,7 @@ pub enum ShardMsg {
     },
     /// A whole batch of input events for one open session, crossing the
     /// shard queue as a single message (wire v2): the shard resolves the
-    /// session once and feeds every record through the pipeline loop.
+    /// session once and feeds every record through the ingest loop.
     /// Rejected with one `Fault(UnknownSession)` (carrying the first
     /// record's seq) unless `conn` owns `session`. The buffer is
     /// recycled through the router's [`BatchPool`] after processing.
@@ -244,23 +261,19 @@ pub enum ShardMsg {
         /// The disconnected connection's id.
         conn: u64,
     },
-    /// Install a recovered session from a WAL compaction snapshot,
-    /// orphaned (owner 0) until a client `Resume`s it. Skipped silently
-    /// if the session id already exists.
-    Restore {
-        /// The decoded snapshot (boxed: snapshots carry point buffers).
-        snapshot: Box<SessionSnapshot>,
-    },
-    /// Install a session transferred from another node (wire v4
-    /// `Handoff`). Like `Restore` the session lands orphaned awaiting
-    /// its client's `Resume`, but the sender is a live peer expecting
-    /// an answer: [`ServerFrame::HandoffAck`] on success, a typed fault
-    /// (`AlreadyOpen`, `SessionLimit`) otherwise. The accepted handoff
-    /// is journaled to the WAL before it is acknowledged.
+    /// Install a session from a snapshot, orphaned (owner 0) until a
+    /// client `Resume`s it. The same admission as `Open` applies:
+    /// `AlreadyOpen`, then `SessionLimit`.
+    ///
+    /// A peer node's transfer (wire v4 `Handoff`) is journaled to the
+    /// WAL and answered with [`ServerFrame::HandoffAck`] or the typed
+    /// fault. Recovery (compaction snapshots and journaled handoffs) and
+    /// [`SessionRouter::reinstall`] use conn 0 and a sink reply: nothing
+    /// is journaled or answered, and the session counts as recovered.
     Handoff {
         /// The submitting connection's id (0 in replay).
         conn: u64,
-        /// The decoded snapshot.
+        /// The decoded snapshot (boxed: snapshots carry point buffers).
         snapshot: Box<SessionSnapshot>,
         /// Outbound frame path of the submitting connection.
         reply: ReplyTx,
@@ -286,6 +299,84 @@ pub enum ShardMsg {
 }
 
 impl ShardMsg {
+    /// Translates one decoded client frame from connection `conn` into
+    /// the message it submits — the one mapping shared by the TCP
+    /// reactor, [`crate::Duplex`] and WAL replay (conn 0, sink reply).
+    /// `Ok(None)` for `Hello`, which never reaches a shard; `Err` when a
+    /// `Handoff` snapshot does not decode. A batch's records move into
+    /// the message as they are, so a frame built on a [`BatchPool`]
+    /// buffer keeps the batch pooled.
+    pub(crate) fn from_client(
+        conn: u64,
+        frame: ClientFrame,
+        reply: ReplyTx,
+    ) -> Result<Option<Self>, SnapshotError> {
+        Ok(Some(match frame {
+            ClientFrame::Hello { .. } => return Ok(None),
+            ClientFrame::Open { session } => ShardMsg::Open {
+                conn,
+                session,
+                seq: 0,
+                reply,
+            },
+            ClientFrame::Event {
+                session,
+                seq,
+                event,
+            } => ShardMsg::Event {
+                conn,
+                session,
+                seq,
+                event,
+                reply,
+            },
+            ClientFrame::EventBatch { session, events } => ShardMsg::EventBatch {
+                conn,
+                session,
+                events,
+                reply,
+            },
+            ClientFrame::Close { session, seq } => ShardMsg::Close {
+                conn,
+                session,
+                seq,
+                reply,
+            },
+            // The server is authoritative about what it processed: the
+            // shard answers `Resumed` with its own `last_seq`, so the
+            // client's advisory one goes no further.
+            ClientFrame::Resume { session, .. } => ShardMsg::Resume {
+                conn,
+                session,
+                reply,
+            },
+            ClientFrame::Handoff { snapshot } => ShardMsg::Handoff {
+                conn,
+                snapshot: Box::new(SessionSnapshot::decode(&snapshot)?.0),
+                reply,
+            },
+        }))
+    }
+
+    /// A fault answering this message with `code`. Every transport
+    /// echoes the same `(session, seq)`: the message's own seq (an
+    /// `Open` off the wire carries 0), a batch's first record's, and 0
+    /// for `Resume` and `Handoff`.
+    pub(crate) fn fault(&self, code: FaultCode) -> ServerFrame {
+        let seq = match self {
+            ShardMsg::Open { seq, .. }
+            | ShardMsg::Event { seq, .. }
+            | ShardMsg::Close { seq, .. } => *seq,
+            ShardMsg::EventBatch { events, .. } => first_seq(events),
+            _ => 0,
+        };
+        ServerFrame::Fault {
+            session: self.session().unwrap_or(0),
+            seq,
+            code,
+        }
+    }
+
     fn session(&self) -> Option<u64> {
         match self {
             ShardMsg::Open { session, .. }
@@ -293,9 +384,7 @@ impl ShardMsg {
             | ShardMsg::EventBatch { session, .. }
             | ShardMsg::Close { session, .. }
             | ShardMsg::Resume { session, .. } => Some(*session),
-            ShardMsg::Restore { snapshot } | ShardMsg::Handoff { snapshot, .. } => {
-                Some(snapshot.session)
-            }
+            ShardMsg::Handoff { snapshot, .. } => Some(snapshot.session),
             ShardMsg::Detach { .. }
             | ShardMsg::Drain { .. }
             | ShardMsg::Checkpoint(_)
@@ -499,29 +588,42 @@ impl SessionRouter {
     /// controlled drains.
     pub fn pause_shard(&self, shard: usize) -> Option<ShardPause> {
         let barrier = Arc::new(Barrier::new(2));
-        let tx = self.shards.get(shard)?;
-        // Same ordering as submit: the worker is idle here, so it will
-        // dequeue (and decrement) the moment the send lands.
-        self.metrics.shard(shard).note_enqueue();
-        if tx.send(ShardMsg::Pause(barrier.clone())).is_err() {
-            self.metrics.shard(shard).note_dequeue();
-            return None;
-        }
-        Some(ShardPause { barrier })
+        self.send_to(shard, ShardMsg::Pause(barrier.clone()))
+            .then_some(ShardPause { barrier })
+    }
+
+    /// Takes a drained session back — orphaned, awaiting `Resume` —
+    /// through the conn-0 `Handoff` path that recovery uses. Blocks
+    /// while the shard queue is full: the snapshot is the session's only
+    /// copy, so waiting is correct and dropping it on `Busy` is not.
+    pub fn reinstall(&self, snapshot: SessionSnapshot) {
+        self.send_blocking(ShardMsg::Handoff {
+            conn: 0,
+            snapshot: Box::new(snapshot),
+            reply: ReplyTx::sink(),
+        });
     }
 
     /// Blocking submit for recovery and teardown paths, where waiting
-    /// out a full queue is correct and `Busy` rejection is not. Keeps
-    /// the same enqueue-before-send metrics discipline as `submit`.
+    /// out a full queue is correct and `Busy` rejection is not.
     fn send_blocking(&self, msg: ShardMsg) {
         let shard = msg.session().map(|s| self.shard_of(s)).unwrap_or(0);
+        self.send_to(shard, msg);
+    }
+
+    /// Blocking send to one shard with the same enqueue-before-send
+    /// metrics discipline as `submit`. Returns whether the worker took
+    /// the message.
+    fn send_to(&self, shard: usize, msg: ShardMsg) -> bool {
         let Some(tx) = self.shards.get(shard) else {
-            return;
+            return false;
         };
         self.metrics.shard(shard).note_enqueue();
-        if tx.send(msg).is_err() {
+        let sent = tx.send(msg).is_ok();
+        if !sent {
             self.metrics.shard(shard).note_dequeue();
         }
+        sent
     }
 
     /// Orphans every session owned by `conn` on every shard (owner reset
@@ -529,11 +631,8 @@ impl SessionRouter {
     /// them. Called by transports on teardown when
     /// [`ServeConfig::detach_on_disconnect`] is set.
     pub fn detach_conn(&self, conn: u64) {
-        for (shard, tx) in self.shards.iter().enumerate() {
-            self.metrics.shard(shard).note_enqueue();
-            if tx.send(ShardMsg::Detach { conn }).is_err() {
-                self.metrics.shard(shard).note_dequeue();
-            }
+        for shard in 0..self.shard_count() {
+            self.send_to(shard, ShardMsg::Detach { conn });
         }
     }
 
@@ -569,15 +668,9 @@ impl SessionRouter {
     /// Blocks until every shard has drained.
     pub fn drain_sessions(&self) -> Vec<SessionSnapshot> {
         let (tx, rx) = std::sync::mpsc::channel();
-        let mut expected = 0usize;
-        for (shard, shard_tx) in self.shards.iter().enumerate() {
-            self.metrics.shard(shard).note_enqueue();
-            if shard_tx.send(ShardMsg::Drain { out: tx.clone() }).is_err() {
-                self.metrics.shard(shard).note_dequeue();
-            } else {
-                expected += 1;
-            }
-        }
+        let expected = (0..self.shard_count())
+            .filter(|&shard| self.send_to(shard, ShardMsg::Drain { out: tx.clone() }))
+            .count();
         drop(tx);
         let mut drained = Vec::new();
         for _ in 0..expected {
@@ -595,16 +688,13 @@ impl SessionRouter {
     /// have done so. A no-op fence on shards without a WAL. Used for the
     /// final snapshot of a graceful shutdown and to seal a recovery.
     pub fn checkpoint_all(&self) {
-        let mut barriers = Vec::new();
-        for (shard, tx) in self.shards.iter().enumerate() {
-            let barrier = Arc::new(Barrier::new(2));
-            self.metrics.shard(shard).note_enqueue();
-            if tx.send(ShardMsg::Checkpoint(barrier.clone())).is_err() {
-                self.metrics.shard(shard).note_dequeue();
-            } else {
-                barriers.push(barrier);
-            }
-        }
+        let barriers: Vec<Arc<Barrier>> = (0..self.shard_count())
+            .filter_map(|shard| {
+                let barrier = Arc::new(Barrier::new(2));
+                self.send_to(shard, ShardMsg::Checkpoint(barrier.clone()))
+                    .then_some(barrier)
+            })
+            .collect();
         for barrier in barriers {
             barrier.wait();
         }
@@ -629,73 +719,28 @@ impl SessionRouter {
             report.bytes += recovery.bytes;
             for snapshot in recovery.snapshots {
                 report.sessions += 1;
-                self.send_blocking(ShardMsg::Restore {
-                    snapshot: Box::new(snapshot),
-                });
+                self.reinstall(snapshot);
             }
             for frame in recovery.frames {
-                let msg = match frame {
-                    // A logged Open is a session the log (re)creates —
-                    // count it alongside the snapshot sessions.
-                    ClientFrame::Open { session } => {
-                        report.sessions += 1;
-                        ShardMsg::Open {
-                            conn: 0,
-                            session,
-                            seq: 0,
-                            reply: ReplyTx::sink(),
+                // Resume frames never reach the log (and Hello translates
+                // to nothing); tolerate them in a hand-edited file.
+                if matches!(frame, ClientFrame::Resume { .. }) {
+                    continue;
+                }
+                match ShardMsg::from_client(0, frame, ReplyTx::sink()) {
+                    Ok(Some(msg)) => {
+                        // A logged Open or a journaled handoff is a
+                        // session the log (re)creates — count it
+                        // alongside the snapshot sessions.
+                        if matches!(msg, ShardMsg::Open { .. } | ShardMsg::Handoff { .. }) {
+                            report.sessions += 1;
                         }
+                        report.frames += 1;
+                        self.send_blocking(msg);
                     }
-                    ClientFrame::Event {
-                        session,
-                        seq,
-                        event,
-                    } => ShardMsg::Event {
-                        conn: 0,
-                        session,
-                        seq,
-                        event,
-                        reply: ReplyTx::sink(),
-                    },
-                    ClientFrame::EventBatch { session, events } => {
-                        let mut buf = self.pool.take();
-                        buf.extend_from_slice(&events);
-                        ShardMsg::EventBatch {
-                            conn: 0,
-                            session,
-                            events: buf,
-                            reply: ReplyTx::sink(),
-                        }
-                    }
-                    ClientFrame::Close { session, seq } => ShardMsg::Close {
-                        conn: 0,
-                        session,
-                        seq,
-                        reply: ReplyTx::sink(),
-                    },
-                    // A journaled handoff is a session this node accepted
-                    // from a peer: reinstall it from the embedded
-                    // snapshot, exactly like a compaction snapshot.
-                    ClientFrame::Handoff { snapshot } => {
-                        match SessionSnapshot::decode(&snapshot) {
-                            Ok((snap, _)) => {
-                                report.sessions += 1;
-                                ShardMsg::Restore {
-                                    snapshot: Box::new(snap),
-                                }
-                            }
-                            Err(_) => {
-                                report.torn = true;
-                                continue;
-                            }
-                        }
-                    }
-                    // Handshake and resume frames never reach the log;
-                    // tolerate them in a hand-edited file by skipping.
-                    ClientFrame::Hello { .. } | ClientFrame::Resume { .. } => continue,
-                };
-                report.frames += 1;
-                self.send_blocking(msg);
+                    Ok(None) => {}
+                    Err(_) => report.torn = true,
+                }
             }
         }
         self.checkpoint_all();
@@ -714,11 +759,8 @@ impl SessionRouter {
         if self.down.swap(true, Ordering::SeqCst) {
             return;
         }
-        for (shard, tx) in self.shards.iter().enumerate() {
-            self.metrics.shard(shard).note_enqueue();
-            if tx.send(ShardMsg::Shutdown).is_err() {
-                self.metrics.shard(shard).note_dequeue();
-            }
+        for shard in 0..self.shard_count() {
+            self.send_to(shard, ShardMsg::Shutdown);
         }
         // lint:try-bounded start — the guard lives for one mem::take; the
         // joins below happen after it is dropped.
@@ -742,92 +784,289 @@ impl Drop for SessionRouter {
 /// Closed pipelines kept per shard for reuse; beyond this they drop.
 const PIPELINE_POOL_MAX: usize = 64;
 
+/// One shard worker's state: the exclusive owner of its sessions'
+/// pipelines and of its shard's WAL.
+struct Shard {
+    index: usize,
+    recognizer: Arc<EagerRecognizer>,
+    metrics: Arc<ServiceMetrics>,
+    max_sessions: usize,
+    pipeline_config: PipelineConfig,
+    sessions: HashMap<u64, SessionEntry>,
+    scratch: Vec<ServerFrame>,
+    /// Closed sessions donate their pipelines (warmed gesture/sanitizer
+    /// buffers) back here; Opens take from it before allocating.
+    pipeline_pool: Vec<SessionPipeline>,
+    /// Appends need no locking and are exactly consistent with the
+    /// pipelines. `None` when durability is off or the WAL failed.
+    wal: Option<WalShard>,
+    /// Reusable wire-encoding buffer for WAL appends.
+    wal_buf: Vec<u8>,
+}
+
+impl Shard {
+    /// Journals one accepted frame ahead of the state change it causes.
+    /// Replay (conn 0) never re-appends.
+    fn journal(&mut self, conn: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+        if conn != 0 && self.wal.is_some() {
+            self.wal_buf.clear();
+            encode(&mut self.wal_buf);
+            wal_append(&mut self.wal, self.index, &self.metrics, &self.wal_buf);
+        }
+    }
+
+    /// The admission check shared by `Open` and `Handoff`.
+    fn admit(&self, session: u64) -> Result<(), FaultCode> {
+        if self.sessions.contains_key(&session) {
+            Err(FaultCode::AlreadyOpen)
+        } else if self.sessions.len() >= self.max_sessions {
+            Err(FaultCode::SessionLimit)
+        } else {
+            Ok(())
+        }
+    }
+
+    fn open_session(&mut self, conn: u64, session: u64, seq: u32, reply: ReplyTx) {
+        if let Err(code) = self.admit(session) {
+            reply.send(ServerFrame::Fault { session, seq, code });
+            return;
+        }
+        let pipeline = match self.pipeline_pool.pop() {
+            Some(mut recycled) => {
+                recycled.recycle(session);
+                recycled
+            }
+            None => SessionPipeline::new(session, self.pipeline_config.clone()),
+        };
+        // Write-ahead: the accepted Open is durable before the session
+        // exists.
+        self.journal(conn, |buf| encode_client(&ClientFrame::Open { session }, buf));
+        self.sessions.insert(
+            session,
+            SessionEntry {
+                conn,
+                restored_watermark: None,
+                pipeline,
+                reply,
+            },
+        );
+        self.metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
+    }
+
+    // lint:hot-path start — the one per-event ingest path: no panics, no allocation
+    /// Feeds `events` — one v1 `Event` or a whole `EventBatch` — through
+    /// `session`'s pipeline. The records are accepted or rejected as a
+    /// unit; returns whether they were accepted.
+    fn ingest(
+        &mut self,
+        conn: u64,
+        session: u64,
+        events: &[(u32, InputEvent)],
+        reply: &ReplyTx,
+    ) -> bool {
+        // Unknown and not-owned are deliberately the same fault: a
+        // foreign connection must not be able to distinguish (or touch)
+        // someone else's session.
+        let Some(entry) = self.sessions.get_mut(&session).filter(|e| e.conn == conn) else {
+            self.metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
+            reply.send(ServerFrame::Fault {
+                session,
+                seq: first_seq(events),
+                code: FaultCode::UnknownSession,
+            });
+            return false;
+        };
+        // Write-ahead: the accepted records are durable, as one
+        // EventBatch record, before the pipeline mutates.
+        if conn != 0 && self.wal.is_some() {
+            self.wal_buf.clear();
+            crate::wire::encode_event_batch(session, events, &mut self.wal_buf);
+            wal_append(&mut self.wal, self.index, &self.metrics, &self.wal_buf);
+        }
+        // Replay dedup: a freshly restored session skips replayed
+        // records already folded into its snapshot (see
+        // `SessionEntry::restored_watermark`).
+        let watermark = if conn == 0 { entry.restored_watermark } else { None };
+        let (mut applied, mut points, mut repairs) = (0u64, 0u64, 0u64);
+        self.scratch.clear();
+        let start = Instant::now();
+        for &(seq, event) in events {
+            if watermark.is_some_and(|w| seq <= w) {
+                continue;
+            }
+            applied += 1;
+            if matches!(event.kind, EventKind::MouseMove) {
+                points += 1;
+            }
+            let fed = entry.pipeline.feed(&self.recognizer, seq, event, &mut self.scratch);
+            repairs += u64::from(fed);
+        }
+        let shard_metrics = self.metrics.shard(self.index);
+        shard_metrics
+            .busy_ns
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.metrics.events_ingested.fetch_add(applied, Ordering::Relaxed);
+        shard_metrics.events.fetch_add(applied, Ordering::Relaxed);
+        if points > 0 {
+            self.metrics.points_ingested.fetch_add(points, Ordering::Relaxed);
+            shard_metrics.points.fetch_add(points, Ordering::Relaxed);
+        }
+        if repairs > 0 {
+            self.metrics.faults_repaired.fetch_add(repairs, Ordering::Relaxed);
+        }
+        flush_frames(&self.metrics, &entry.reply, &mut self.scratch);
+        true
+    }
+    // lint:hot-path end
+
+    fn close_session(&mut self, conn: u64, session: u64, seq: u32, reply: ReplyTx) {
+        let owned = self.sessions.get(&session).is_some_and(|e| e.conn == conn);
+        let entry = if owned { self.sessions.remove(&session) } else { None };
+        let Some(entry) = entry else {
+            self.metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
+            reply.send(ServerFrame::Fault {
+                session,
+                seq,
+                code: FaultCode::UnknownSession,
+            });
+            return;
+        };
+        // Write-ahead: the accepted Close is durable before the session
+        // is finalized, so replay closes it too.
+        self.journal(conn, |buf| encode_client(&ClientFrame::Close { session, seq }, buf));
+        self.finish_session(entry, seq);
+    }
+
+    /// Finalizes a removed session: the pipeline flushes its sanitizer
+    /// and interaction machine, the terminal `Closed` frame goes out,
+    /// and the pipeline is kept for reuse.
+    fn finish_session(&mut self, mut entry: SessionEntry, seq: u32) {
+        self.scratch.clear();
+        // Spelled as an associated call so the lint's call graph resolves
+        // it to the pipeline alone, not to every `close` method.
+        SessionPipeline::close(&mut entry.pipeline, &self.recognizer, seq, &mut self.scratch);
+        self.metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
+        flush_frames(&self.metrics, &entry.reply, &mut self.scratch);
+        if self.pipeline_pool.len() < PIPELINE_POOL_MAX {
+            self.pipeline_pool.push(entry.pipeline);
+        }
+    }
+
+    /// Installs a session from a snapshot, orphaned (owner 0) until a
+    /// client `Resume`s it. A live reply gets `HandoffAck` or the
+    /// admission fault and counts as a handoff; a sink reply (recovery,
+    /// a reinstalled failed handoff) counts as a recovered session.
+    fn install_snapshot(&mut self, conn: u64, snapshot: Box<SessionSnapshot>, reply: ReplyTx) {
+        let session = snapshot.session;
+        if let Err(code) = self.admit(session) {
+            reply.send(ServerFrame::Fault {
+                session,
+                seq: 0,
+                code,
+            });
+            return;
+        }
+        // Write-ahead: journal an accepted peer handoff before the ack,
+        // so a crash right after the sender forgets the session still
+        // recovers it here.
+        self.journal(conn, |buf| {
+            let mut payload = Vec::new();
+            snapshot.encode(&mut payload);
+            encode_client(&ClientFrame::Handoff { snapshot: payload }, buf);
+        });
+        let last_seq = snapshot.last_seq;
+        let entry = SessionEntry {
+            conn: 0,
+            restored_watermark: Some(last_seq),
+            pipeline: SessionPipeline::restore(&snapshot),
+            reply: ReplyTx::sink(),
+        };
+        self.sessions.insert(session, entry);
+        if reply.is_sink() {
+            self.metrics.recovered_sessions.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.metrics.sessions_handed_off.fetch_add(1, Ordering::Relaxed);
+            reply.send(ServerFrame::HandoffAck { session, last_seq });
+        }
+    }
+
+    fn resume(&mut self, conn: u64, session: u64, reply: ReplyTx) {
+        match self.sessions.get_mut(&session) {
+            Some(entry) if entry.conn == 0 || entry.conn == conn => {
+                entry.conn = conn;
+                entry.reply = reply.clone();
+                // The session is live again; any future replay identity
+                // mismatch is caught by ownership.
+                entry.restored_watermark = None;
+                reply.send(ServerFrame::Resumed {
+                    session,
+                    last_seq: entry.pipeline.last_seq(),
+                });
+                self.metrics.sessions_resumed.fetch_add(1, Ordering::Relaxed);
+            }
+            // Unknown, or owned by a *different* live connection: same
+            // opaque fault as any foreign touch.
+            _ => {
+                self.metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
+                reply.send(ServerFrame::Fault {
+                    session,
+                    seq: 0,
+                    code: FaultCode::UnknownSession,
+                });
+            }
+        }
+    }
+}
+
+/// The seq a fault about `events` echoes: the first record's, or 0.
+fn first_seq(events: &[(u32, InputEvent)]) -> u32 {
+    events.first().map_or(0, |&(seq, _)| seq)
+}
+
 /// The shard worker loop: exclusive owner of its sessions' pipelines.
 fn shard_worker(
-    shard: usize,
+    index: usize,
     rx: Receiver<ShardMsg>,
     recognizer: Arc<EagerRecognizer>,
     metrics: Arc<ServiceMetrics>,
     config: ServeConfig,
     pool: Arc<BatchPool>,
 ) {
-    let mut sessions: HashMap<u64, SessionEntry> = HashMap::new();
-    let mut scratch: Vec<ServerFrame> = Vec::with_capacity(16);
-    // Closed sessions donate their pipelines (warmed gesture/sanitizer
-    // buffers) back here; Opens take from it before allocating.
-    let mut pipeline_pool: Vec<SessionPipeline> = Vec::new();
-    // Durability: the worker exclusively owns its shard's log, so
-    // appends need no locking and are exactly consistent with the
-    // pipelines. A failed open degrades to running without a WAL.
-    let mut wal: Option<WalShard> = config.wal.clone().and_then(|wal_config| {
-        match WalShard::open(wal_config, shard) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                eprintln!("serve: shard {shard}: WAL disabled (open failed: {e})");
-                None
-            }
+    // A failed WAL open degrades to running without a WAL.
+    let wal = config.wal.and_then(|wal_config| match WalShard::open(wal_config, index) {
+        Ok(w) => Some(w),
+        Err(e) => {
+            eprintln!("serve: shard {index}: WAL disabled (open failed: {e})");
+            None
         }
     });
-    // Reusable wire-encoding buffer for WAL appends.
-    let mut wal_buf: Vec<u8> = Vec::new();
-    let shard_metrics = metrics.shard(shard);
+    let mut shard = Shard {
+        index,
+        recognizer,
+        metrics,
+        max_sessions: config.max_sessions_per_shard,
+        pipeline_config: config.pipeline,
+        sessions: HashMap::new(),
+        scratch: Vec::with_capacity(16),
+        pipeline_pool: Vec::new(),
+        wal,
+        wal_buf: Vec::new(),
+    };
     while let Ok(msg) = rx.recv() {
         // lint:reactor-loop start(shard-worker) — the per-shard processing
         // body: a blocking call here stalls every session on this shard.
         // The idle `rx.recv()` above is the scheduler, not a stall.
-        shard_metrics.note_dequeue();
+        shard.metrics.shard(index).note_dequeue();
         // Amortized compaction between messages, where the log and the
         // pipelines are exactly consistent.
-        wal_compact_if_due(&mut wal, shard, &sessions, false);
+        wal_compact_if_due(&mut shard.wal, index, &shard.sessions, false);
         match msg {
             ShardMsg::Open {
                 conn,
                 session,
                 seq,
                 reply,
-            } => {
-                if sessions.contains_key(&session) {
-                    reply.send(ServerFrame::Fault {
-                        session,
-                        seq,
-                        code: FaultCode::AlreadyOpen,
-                    });
-                    continue;
-                }
-                if sessions.len() >= config.max_sessions_per_shard {
-                    reply.send(ServerFrame::Fault {
-                        session,
-                        seq,
-                        code: FaultCode::SessionLimit,
-                    });
-                    continue;
-                }
-                let pipeline = match pipeline_pool.pop() {
-                    Some(mut recycled) => {
-                        recycled.recycle(session);
-                        recycled
-                    }
-                    None => SessionPipeline::new(session, config.pipeline.clone()),
-                };
-                // Write-ahead: the accepted Open is durable before the
-                // session exists. Replay (conn 0) never re-appends.
-                if conn != 0 && wal.is_some() {
-                    wal_buf.clear();
-                    encode_client(&ClientFrame::Open { session }, &mut wal_buf);
-                    wal_append(&mut wal, shard, &metrics, &wal_buf);
-                }
-                sessions.insert(
-                    session,
-                    SessionEntry {
-                        conn,
-                        restored_watermark: None,
-                        pipeline,
-                        reply,
-                    },
-                );
-                metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-            }
-            // lint:hot-path start — per-event/per-batch arms: no panics, no allocation
+            } => shard.open_session(conn, session, seq, reply),
             ShardMsg::Event {
                 conn,
                 session,
@@ -835,59 +1074,7 @@ fn shard_worker(
                 event,
                 reply,
             } => {
-                // Unknown and not-owned are deliberately the same fault:
-                // a foreign connection must not be able to distinguish
-                // (or touch) someone else's session.
-                let entry = match sessions.get_mut(&session) {
-                    Some(entry) if entry.conn == conn => entry,
-                    _ => {
-                        metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
-                        reply.send(ServerFrame::Fault {
-                            session,
-                            seq,
-                            code: FaultCode::UnknownSession,
-                        });
-                        continue;
-                    }
-                };
-                // Replay dedup: a freshly restored session skips replayed
-                // events already folded into its snapshot (see
-                // `SessionEntry::restored_watermark`).
-                if conn == 0 && entry.restored_watermark.is_some_and(|w| seq <= w) {
-                    continue;
-                }
-                metrics.events_ingested.fetch_add(1, Ordering::Relaxed);
-                shard_metrics.events.fetch_add(1, Ordering::Relaxed);
-                let is_point = matches!(event.kind, EventKind::MouseMove);
-                if is_point {
-                    metrics.points_ingested.fetch_add(1, Ordering::Relaxed);
-                    shard_metrics.points.fetch_add(1, Ordering::Relaxed);
-                }
-                // Write-ahead: durable before the pipeline mutates.
-                if conn != 0 && wal.is_some() {
-                    wal_buf.clear();
-                    encode_client(
-                        &ClientFrame::Event {
-                            session,
-                            seq,
-                            event,
-                        },
-                        &mut wal_buf,
-                    );
-                    wal_append(&mut wal, shard, &metrics, &wal_buf);
-                }
-                scratch.clear();
-                let start = Instant::now();
-                let repairs = entry.pipeline.feed(&recognizer, seq, event, &mut scratch);
-                shard_metrics
-                    .busy_ns
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if repairs > 0 {
-                    metrics
-                        .faults_repaired
-                        .fetch_add(repairs as u64, Ordering::Relaxed);
-                }
-                flush_frames(&metrics, &entry.reply, &mut scratch);
+                shard.ingest(conn, session, std::slice::from_ref(&(seq, event)), &reply);
             }
             ShardMsg::EventBatch {
                 conn,
@@ -895,194 +1082,34 @@ fn shard_worker(
                 events,
                 reply,
             } => {
-                // Same ownership rule as single events; the whole batch
-                // is accepted or rejected as a unit, and the rejection
-                // fault echoes the first record's seq.
-                let entry = match sessions.get_mut(&session) {
-                    Some(entry) if entry.conn == conn => entry,
-                    _ => {
-                        metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
-                        let seq = events.first().map(|&(s, _)| s).unwrap_or(0);
-                        reply.send(ServerFrame::Fault {
-                            session,
-                            seq,
-                            code: FaultCode::UnknownSession,
-                        });
-                        pool.put(events);
-                        continue;
-                    }
-                };
-                // Session resolved once; every record rides the same
-                // zero-alloc pipeline loop as a single Event would.
-                let count = events.len() as u64;
-                metrics.events_ingested.fetch_add(count, Ordering::Relaxed);
-                metrics.batches_ingested.fetch_add(1, Ordering::Relaxed);
-                shard_metrics.events.fetch_add(count, Ordering::Relaxed);
-                // Write-ahead: the whole accepted batch is durable
-                // before the pipeline mutates.
-                if conn != 0 && wal.is_some() {
-                    wal_buf.clear();
-                    crate::wire::encode_event_batch(session, &events, &mut wal_buf);
-                    wal_append(&mut wal, shard, &metrics, &wal_buf);
+                if shard.ingest(conn, session, &events, &reply) {
+                    shard.metrics.batches_ingested.fetch_add(1, Ordering::Relaxed);
                 }
-                // Replay dedup, per record (see the Event arm).
-                let watermark = if conn == 0 { entry.restored_watermark } else { None };
-                let mut repairs = 0u64;
-                let mut points = 0u64;
-                scratch.clear();
-                let start = Instant::now();
-                for &(seq, event) in &events {
-                    if watermark.is_some_and(|w| seq <= w) {
-                        continue;
-                    }
-                    if matches!(event.kind, EventKind::MouseMove) {
-                        points += 1;
-                    }
-                    repairs += u64::from(entry.pipeline.feed(&recognizer, seq, event, &mut scratch));
-                }
-                shard_metrics
-                    .busy_ns
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if points > 0 {
-                    metrics.points_ingested.fetch_add(points, Ordering::Relaxed);
-                    shard_metrics.points.fetch_add(points, Ordering::Relaxed);
-                }
-                if repairs > 0 {
-                    metrics.faults_repaired.fetch_add(repairs, Ordering::Relaxed);
-                }
-                flush_frames(&metrics, &entry.reply, &mut scratch);
                 pool.put(events);
             }
-            // lint:hot-path end
             ShardMsg::Close {
                 conn,
                 session,
                 seq,
                 reply,
-            } => {
-                let owned = sessions.get(&session).is_some_and(|e| e.conn == conn);
-                let entry = if owned { sessions.remove(&session) } else { None };
-                let Some(mut entry) = entry else {
-                    metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
-                    reply.send(ServerFrame::Fault {
-                        session,
-                        seq,
-                        code: FaultCode::UnknownSession,
-                    });
-                    continue;
-                };
-                // Write-ahead: the accepted Close is durable before the
-                // session is finalized, so replay closes it too.
-                if conn != 0 && wal.is_some() {
-                    wal_buf.clear();
-                    encode_client(&ClientFrame::Close { session, seq }, &mut wal_buf);
-                    wal_append(&mut wal, shard, &metrics, &wal_buf);
-                }
-                scratch.clear();
-                // lint:allow(reactor-blocking-call): resolution artifact —
-                // `.close()` here is `SessionPipeline::close`; the
-                // receiver-agnostic method match (DESIGN.md §12) also hits
-                // `Client::close`, whose reconnect backoff sleeps. The
-                // pipeline close only flushes the sanitizer and the
-                // interaction machine.
-                entry.pipeline.close(&recognizer, seq, &mut scratch);
-                metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-                flush_frames(&metrics, &entry.reply, &mut scratch);
-                if pipeline_pool.len() < PIPELINE_POOL_MAX {
-                    pipeline_pool.push(entry.pipeline);
-                }
-            }
-            ShardMsg::Resume { conn, session, reply } => {
-                match sessions.get_mut(&session) {
-                    Some(entry) if entry.conn == 0 || entry.conn == conn => {
-                        entry.conn = conn;
-                        entry.reply = reply.clone();
-                        // The session is live again; any future replay
-                        // identity mismatch is caught by ownership.
-                        entry.restored_watermark = None;
-                        reply.send(ServerFrame::Resumed {
-                            session,
-                            last_seq: entry.pipeline.last_seq(),
-                        });
-                        metrics.sessions_resumed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Unknown, or owned by a *different* live connection:
-                    // same opaque fault as any foreign touch.
-                    _ => {
-                        metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
-                        reply.send(ServerFrame::Fault {
-                            session,
-                            seq: 0,
-                            code: FaultCode::UnknownSession,
-                        });
-                    }
-                }
-            }
+            } => shard.close_session(conn, session, seq, reply),
+            ShardMsg::Resume { conn, session, reply } => shard.resume(conn, session, reply),
             ShardMsg::Detach { conn } => {
-                for entry in sessions.values_mut() {
+                for entry in shard.sessions.values_mut() {
                     if entry.conn == conn {
                         entry.conn = 0;
                         entry.reply = ReplyTx::sink();
                     }
                 }
             }
-            ShardMsg::Restore { snapshot } => {
-                if sessions.contains_key(&snapshot.session)
-                    || sessions.len() >= config.max_sessions_per_shard
-                {
-                    continue;
-                }
-                let entry = SessionEntry {
-                    conn: 0,
-                    restored_watermark: Some(snapshot.last_seq),
-                    pipeline: SessionPipeline::restore(&snapshot),
-                    reply: ReplyTx::sink(),
-                };
-                sessions.insert(snapshot.session, entry);
-                metrics.recovered_sessions.fetch_add(1, Ordering::Relaxed);
-            }
-            ShardMsg::Handoff { conn, snapshot, reply } => {
-                let session = snapshot.session;
-                if sessions.contains_key(&session) {
-                    reply.send(ServerFrame::Fault {
-                        session,
-                        seq: 0,
-                        code: FaultCode::AlreadyOpen,
-                    });
-                    continue;
-                }
-                if sessions.len() >= config.max_sessions_per_shard {
-                    reply.send(ServerFrame::Fault {
-                        session,
-                        seq: 0,
-                        code: FaultCode::SessionLimit,
-                    });
-                    continue;
-                }
-                // Write-ahead: journal the accepted handoff before the
-                // ack, so a crash right after the sender forgets the
-                // session still recovers it here. Replay (conn 0)
-                // never re-appends.
-                if conn != 0 && wal.is_some() {
-                    let mut payload = Vec::new();
-                    snapshot.encode(&mut payload);
-                    wal_buf.clear();
-                    encode_client(&ClientFrame::Handoff { snapshot: payload }, &mut wal_buf);
-                    wal_append(&mut wal, shard, &metrics, &wal_buf);
-                }
-                let last_seq = snapshot.last_seq;
-                let entry = SessionEntry {
-                    conn: 0,
-                    restored_watermark: Some(last_seq),
-                    pipeline: SessionPipeline::restore(&snapshot),
-                    reply: ReplyTx::sink(),
-                };
-                sessions.insert(session, entry);
-                metrics.sessions_handed_off.fetch_add(1, Ordering::Relaxed);
-                reply.send(ServerFrame::HandoffAck { session, last_seq });
-            }
+            ShardMsg::Handoff {
+                conn,
+                snapshot,
+                reply,
+            } => shard.install_snapshot(conn, snapshot, reply),
             ShardMsg::Drain { out } => {
-                let mut drained: Vec<SessionSnapshot> = sessions
+                let mut drained: Vec<SessionSnapshot> = shard
+                    .sessions
                     .drain()
                     .map(|(_, entry)| entry.pipeline.snapshot())
                     .collect();
@@ -1090,11 +1117,11 @@ fn shard_worker(
                 // The shard is empty now; the forced compaction writes an
                 // empty snapshot set and truncates the log, sealing the
                 // moved sessions out of this node's recovery path.
-                wal_compact_if_due(&mut wal, shard, &sessions, true);
+                wal_compact_if_due(&mut shard.wal, index, &shard.sessions, true);
                 let _ = out.send(drained);
             }
             ShardMsg::Checkpoint(barrier) => {
-                wal_compact_if_due(&mut wal, shard, &sessions, true);
+                wal_compact_if_due(&mut shard.wal, index, &shard.sessions, true);
                 // lint:allow(reactor-blocking-call): the checkpoint
                 // rendezvous — the shard must hold still while the
                 // coordinator captures a consistent cut; blocking here IS
@@ -1112,18 +1139,12 @@ fn shard_worker(
                 // Seal in-flight state first: after a graceful shutdown
                 // the snapshot file holds every live session, so a
                 // restart with `--recover` resumes exactly here.
-                wal_compact_if_due(&mut wal, shard, &sessions, true);
+                wal_compact_if_due(&mut shard.wal, index, &shard.sessions, true);
                 // Then finalize every open session so clients holding
                 // the reply channel see a terminal Closed marker. The
                 // closes deliberately do not touch the sealed WAL.
-                for (_, mut entry) in sessions.drain() {
-                    scratch.clear();
-                    // lint:allow(reactor-blocking-call): resolution
-                    // artifact — `SessionPipeline::close`, not
-                    // `Client::close`; see the close above.
-                    entry.pipeline.close(&recognizer, u32::MAX, &mut scratch);
-                    metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-                    flush_frames(&metrics, &entry.reply, &mut scratch);
+                for entry in std::mem::take(&mut shard.sessions).into_values() {
+                    shard.finish_session(entry, u32::MAX);
                 }
                 break;
             }
@@ -2012,6 +2033,65 @@ mod tests {
         // replay of only the records above the watermark.
         let above = run(&events[split..replay_end], false);
         assert_eq!(single, above, "records at or below the watermark must be skipped");
+    }
+
+    #[test]
+    fn reinstall_waits_out_a_full_queue_instead_of_dropping_sessions() {
+        let router = SessionRouter::new(recognizer(), ServeConfig {
+            shards: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        });
+        let pause = router.pause_shard(0).expect("pause");
+        // Waits (bounded) for the shard's queue depth; the assertions
+        // come after the release, so a miss cannot strand the worker.
+        let depth_reaches = |want: u64| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while router.metrics().snapshot().shards[0].queue_depth != want
+                && Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
+        };
+        // The worker has taken the Pause and parked.
+        depth_reaches(0);
+        let snapshots: Vec<SessionSnapshot> = (1..=4u64)
+            .map(|session| SessionPipeline::new(session, PipelineConfig::default()).snapshot())
+            .collect();
+        // Four snapshots into a queue of one behind a parked worker: the
+        // reinstalling thread must block, not drop three of them.
+        let reinstaller = {
+            let router = router.clone();
+            std::thread::spawn(move || {
+                for snapshot in snapshots {
+                    router.reinstall(snapshot);
+                }
+            })
+        };
+        // One snapshot fills the queue and the next is counted before
+        // its send blocks.
+        depth_reaches(2);
+        pause.release();
+        reinstaller.join().expect("reinstall thread");
+        let ids: Vec<u64> = router.drain_sessions().iter().map(|s| s.session).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4]);
+        let snap = router.metrics().snapshot();
+        assert_eq!(snap.recovered_sessions, 4);
+        assert_eq!(snap.sessions_handed_off, 0);
+        assert_eq!(snap.busy_rejections, 0);
+        router.shutdown();
+    }
+
+    #[test]
+    fn hello_and_undecodable_snapshots_translate_to_no_message() {
+        // The Busy correlation of every other frame kind is pinned over
+        // both transports in tests/backpressure.rs.
+        let hello = ShardMsg::from_client(1, ClientFrame::Hello { version: 1 }, ReplyTx::sink());
+        assert!(matches!(hello, Ok(None)));
+        let torn = ClientFrame::Handoff {
+            snapshot: vec![0xFF; 4],
+        };
+        assert!(ShardMsg::from_client(1, torn, ReplyTx::sink()).is_err());
     }
 
     #[test]

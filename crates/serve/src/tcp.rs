@@ -86,7 +86,6 @@ use std::time::{Duration, Instant};
 
 use crate::metrics::ServiceMetrics;
 use crate::router::{ReplyBridge, ReplyTx, SessionRouter, ShardMsg, SubmitError};
-use crate::session::SessionSnapshot;
 use crate::sys::{Backend, Poller, Ready, Waker, POLLIN, POLLOUT};
 use crate::wire::{
     encode_server, ClientFrameView, FaultCode, FrameBuffer, OutcomeKind, ServerFrame,
@@ -822,192 +821,86 @@ fn dispatch_frames(
             c.closing = true;
             return true;
         }
-        match frame {
-            ClientFrameView::Hello { .. } => {
-                // A second Hello is harmless; ignore it.
-            }
-            ClientFrameView::Open { session } => {
-                // Cluster fence: a session the ring maps elsewhere is
-                // redirected, never admitted here.
-                if let Some(owner) = router.owner_redirect(session) {
-                    metrics.not_owner_redirects.fetch_add(1, Ordering::Relaxed);
-                    queue_frame(c, metrics, &ServerFrame::NotOwner { session, owner });
-                    continue;
-                }
-                let msg = ShardMsg::Open {
-                    conn: conn_id,
-                    session,
-                    seq: 0,
-                    reply: c.reply.clone(),
-                };
-                match router.submit(msg) {
-                    Ok(()) => {
-                        // Optimistic: the shard may still reject the
-                        // Open (AlreadyOpen/SessionLimit). That is
-                        // harmless — the teardown Close carries our
-                        // conn id, so it cannot touch a session some
-                        // other connection owns.
-                        c.open_sessions.insert(session);
-                    }
-                    Err(SubmitError::Busy) => queue_frame(
-                        c,
-                        metrics,
-                        &ServerFrame::Fault {
-                            session,
-                            seq: 0,
-                            code: FaultCode::Busy,
-                        },
-                    ),
-                    Err(SubmitError::Closed) => return false,
-                }
-            }
-            ClientFrameView::Event {
-                session,
-                seq,
-                event,
-            } => match router.submit(ShardMsg::Event {
-                conn: conn_id,
-                session,
-                seq,
-                event,
-                reply: c.reply.clone(),
-            }) {
-                Ok(()) => {}
-                Err(SubmitError::Busy) => queue_frame(
+        let owned = router.batch_pool().own_frame(frame);
+        let msg = match ShardMsg::from_client(conn_id, owned, c.reply.clone()) {
+            Ok(Some(msg)) => msg,
+            // A second Hello is harmless; ignore it.
+            Ok(None) => continue,
+            // An undecodable handoff snapshot is a protocol fault like
+            // any other undecodable frame: fault, flush, close.
+            Err(_) => {
+                metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
+                queue_frame(
                     c,
                     metrics,
                     &ServerFrame::Fault {
-                        session,
-                        seq,
-                        code: FaultCode::Busy,
+                        session: 0,
+                        seq: 0,
+                        code: FaultCode::BadFrame,
                     },
-                ),
-                Err(SubmitError::Closed) => return false,
-            },
-            ClientFrameView::EventBatch(view) => {
-                let session = view.session();
-                let mut events = router.batch_pool().take();
-                events.extend(view.iter());
-                let first_seq = events.first().map(|&(s, _)| s).unwrap_or(0);
-                match router.submit(ShardMsg::EventBatch {
-                    conn: conn_id,
-                    session,
-                    events,
-                    reply: c.reply.clone(),
-                }) {
-                    Ok(()) => {}
-                    // The whole batch is rejected as a unit; submit
-                    // already recycled its buffer.
-                    Err(SubmitError::Busy) => queue_frame(
+                );
+                c.closing = true;
+                return true;
+            }
+        };
+        // This transport's policy around the shared translation.
+        let mut admitted = None;
+        let mut closing = None;
+        match &msg {
+            ShardMsg::Open { session, .. } | ShardMsg::Resume { session, .. } => {
+                // Cluster fence: a session the ring maps elsewhere is
+                // redirected, never admitted or resumed here. Handoffs
+                // are deliberately not fenced: the sender routed the
+                // session here because the ring (as it sees it) maps it
+                // to this node, and a transfer must not bounce between
+                // nodes holding different registry generations.
+                if let Some(owner) = router.owner_redirect(*session) {
+                    metrics.not_owner_redirects.fetch_add(1, Ordering::Relaxed);
+                    queue_frame(
                         c,
                         metrics,
-                        &ServerFrame::Fault {
-                            session,
-                            seq: first_seq,
-                            code: FaultCode::Busy,
+                        &ServerFrame::NotOwner {
+                            session: *session,
+                            owner,
                         },
-                    ),
-                    Err(SubmitError::Closed) => return false,
-                }
-            }
-            ClientFrameView::Close { session, seq } => {
-                c.open_sessions.remove(&session);
-                // The session is now owed a terminal reply; the
-                // half-close drain waits for it.
-                c.draining.insert(session);
-                // A busy Close is retried transport-side instead of
-                // bounced: losing it would leak the session, and the
-                // client is owed its Closed outcome.
-                if !try_close(router, conn_id, session, seq, &c.reply) {
-                    pending_closes.push(PendingClose {
-                        conn: conn_id,
-                        session,
-                        seq,
-                        reply: c.reply.clone(),
-                    });
-                }
-            }
-            ClientFrameView::Resume { session, last_seq: _ } => {
-                // Same fence as Open: after a ring change the session's
-                // new owner — not us — must serve the resume.
-                if let Some(owner) = router.owner_redirect(session) {
-                    metrics.not_owner_redirects.fetch_add(1, Ordering::Relaxed);
-                    queue_frame(c, metrics, &ServerFrame::NotOwner { session, owner });
+                    );
                     continue;
                 }
-                // The server is authoritative about what it processed:
-                // the shard replies `Resumed { last_seq }` from its own
-                // pipeline state and the client re-sends everything
-                // newer. The client's claimed last_seq is advisory and
-                // deliberately ignored.
-                match router.submit(ShardMsg::Resume {
-                    conn: conn_id,
-                    session,
-                    reply: c.reply.clone(),
-                }) {
-                    Ok(()) => {
-                        // Optimistic, like Open: a failed resume faults
-                        // and the teardown Close for a session we never
-                        // owned is rejected harmlessly.
-                        c.open_sessions.insert(session);
-                    }
-                    Err(SubmitError::Busy) => queue_frame(
-                        c,
-                        metrics,
-                        &ServerFrame::Fault {
-                            session,
-                            seq: 0,
-                            code: FaultCode::Busy,
-                        },
-                    ),
-                    Err(SubmitError::Closed) => return false,
+                // Optimistic: the shard may still reject the Open or
+                // Resume. That is harmless — the teardown Close carries
+                // our conn id, so it cannot touch a session some other
+                // connection owns.
+                admitted = Some(*session);
+            }
+            ShardMsg::Close { session, seq, .. } => {
+                c.open_sessions.remove(session);
+                // The session is now owed a terminal reply; the
+                // half-close drain waits for it.
+                c.draining.insert(*session);
+                closing = Some((*session, *seq));
+            }
+            _ => {}
+        }
+        let busy = msg.fault(FaultCode::Busy);
+        match (router.submit(msg), closing) {
+            (Ok(()), _) => {
+                if let Some(session) = admitted {
+                    c.open_sessions.insert(session);
                 }
             }
-            ClientFrameView::Handoff { snapshot } => {
-                // Peer-to-peer session transfer. Deliberately not
-                // fenced: the sender routed the session here because
-                // the ring (as it sees it) maps it to this node, and a
-                // transfer must not bounce between nodes holding
-                // different registry generations. An undecodable
-                // snapshot is a protocol fault like any other
-                // undecodable frame: fault, flush, close.
-                match SessionSnapshot::decode(snapshot) {
-                    Ok((snap, _)) => {
-                        let session = snap.session;
-                        match router.submit(ShardMsg::Handoff {
-                            conn: conn_id,
-                            snapshot: Box::new(snap),
-                            reply: c.reply.clone(),
-                        }) {
-                            Ok(()) => {}
-                            Err(SubmitError::Busy) => queue_frame(
-                                c,
-                                metrics,
-                                &ServerFrame::Fault {
-                                    session,
-                                    seq: 0,
-                                    code: FaultCode::Busy,
-                                },
-                            ),
-                            Err(SubmitError::Closed) => return false,
-                        }
-                    }
-                    Err(_) => {
-                        metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        queue_frame(
-                            c,
-                            metrics,
-                            &ServerFrame::Fault {
-                                session: 0,
-                                seq: 0,
-                                code: FaultCode::BadFrame,
-                            },
-                        );
-                        c.closing = true;
-                        return true;
-                    }
-                }
-            }
+            // A busy Close is retried transport-side instead of bounced:
+            // losing it would leak the session, and the client is owed
+            // its Closed outcome.
+            (Err(SubmitError::Busy), Some((session, seq))) => pending_closes.push(PendingClose {
+                conn: conn_id,
+                session,
+                seq,
+                reply: c.reply.clone(),
+            }),
+            // A rejected batch's buffer was already recycled by submit.
+            (Err(SubmitError::Busy), None) => queue_frame(c, metrics, &busy),
+            (Err(SubmitError::Closed), Some(_)) => {}
+            (Err(SubmitError::Closed), None) => return false,
         }
     }
 }

@@ -11,8 +11,8 @@ use std::time::Duration;
 use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma_events::{Button, EventKind, EventScript, InputEvent};
 use grandma_serve::{
-    encode_client, ClientFrame, Duplex, FaultCode, FrameBuffer, OutcomeKind, ServeConfig,
-    ServerFrame, SessionRouter, TcpService, WIRE_VERSION,
+    encode_client, ClientFrame, Duplex, FaultCode, FrameBuffer, OutcomeKind, PipelineConfig,
+    ServeConfig, ServerFrame, SessionPipeline, SessionRouter, TcpService, WIRE_VERSION,
 };
 use grandma_synth::{datasets, FaultInjector, SynthRng};
 
@@ -278,4 +278,143 @@ fn corrupted_event_streams_over_tcp_never_panic_the_service() {
     let snap = service.metrics().snapshot();
     assert!(snap.decode_errors >= 1, "garbage must be counted: {snap:?}");
     assert_eq!(snap.sessions_opened, snap.sessions_closed, "{snap:?}");
+}
+
+/// One frame of every kind a full queue can bounce, with the
+/// `(session, seq)` its `Fault(Busy)` must echo on every transport.
+fn busy_probes() -> Vec<(ClientFrame, (u64, u32))> {
+    let event = InputEvent::new(EventKind::MouseMove, 1.0, 1.0, 1.0);
+    let mut snapshot = Vec::new();
+    SessionPipeline::new(3, PipelineConfig::default())
+        .snapshot()
+        .encode(&mut snapshot);
+    vec![
+        (ClientFrame::Open { session: 1 }, (1, 0)),
+        (
+            ClientFrame::Event {
+                session: 1,
+                seq: 7,
+                event,
+            },
+            (1, 7),
+        ),
+        (
+            ClientFrame::EventBatch {
+                session: 1,
+                events: vec![(11, event), (12, event)],
+            },
+            (1, 11),
+        ),
+        // The client's last_seq is advisory: never echoed.
+        (
+            ClientFrame::Resume {
+                session: 1,
+                last_seq: 5,
+            },
+            (1, 0),
+        ),
+        (ClientFrame::Handoff { snapshot }, (3, 0)),
+    ]
+}
+
+/// A one-slot shard queue behind a parked worker, with the slot taken:
+/// every further submit is rejected `Busy`.
+fn jammed_router() -> (Arc<SessionRouter>, grandma_serve::router::ShardPause) {
+    let router = SessionRouter::new(recognizer(), ServeConfig {
+        shards: 1,
+        queue_capacity: 1,
+        ..ServeConfig::default()
+    });
+    let pause = router.pause_shard(0).expect("pause");
+    // Bounded wait for the worker to take the Pause off the queue.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while router.metrics().snapshot().shards[0].queue_depth > 0
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::yield_now();
+    }
+    (router, pause)
+}
+
+/// The `(session, seq)` of a Busy fault; any other frame is reported as
+/// itself so the assertion shows it.
+fn busy_key(frame: ServerFrame) -> Result<(u64, u32), ServerFrame> {
+    match frame {
+        ServerFrame::Fault {
+            session,
+            seq,
+            code: FaultCode::Busy,
+        } => Ok((session, seq)),
+        other => Err(other),
+    }
+}
+
+// Both tests collect every reply before releasing the shard and only
+// then assert: a panic while the worker is parked would leave the
+// router's shutdown blocked on the full queue.
+
+#[test]
+fn busy_faults_echo_one_correlation_for_every_frame_kind_over_duplex() {
+    let (router, pause) = jammed_router();
+    let mut client = Duplex::connect(router.clone());
+    client
+        .send(&ClientFrame::Hello {
+            version: WIRE_VERSION,
+        })
+        .expect("hello");
+    client.send(&ClientFrame::Open { session: 999 }).expect("fill the slot");
+    let mut probes = busy_probes();
+    // Duplex bounces a busy Close too (TCP retries it instead).
+    probes.push((ClientFrame::Close { session: 1, seq: 9 }, (1, 9)));
+    let mut got = Vec::new();
+    for (frame, _) in &probes {
+        let reply = client
+            .send(frame)
+            .ok()
+            .and_then(|()| client.recv_timeout(Duration::from_secs(5)).ok().flatten());
+        got.push(reply.map(busy_key));
+    }
+    pause.release();
+    router.shutdown();
+    let want: Vec<_> = probes.iter().map(|&(_, key)| Some(Ok(key))).collect();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn busy_faults_echo_one_correlation_for_every_frame_kind_over_tcp() {
+    let (router, pause) = jammed_router();
+    let mut service = TcpService::start(router.clone(), "127.0.0.1:0").expect("bind");
+    let probes = busy_probes();
+    let mut bytes = Vec::new();
+    encode_client(
+        &ClientFrame::Hello {
+            version: WIRE_VERSION,
+        },
+        &mut bytes,
+    );
+    encode_client(&ClientFrame::Open { session: 999 }, &mut bytes);
+    for (frame, _) in &probes {
+        encode_client(frame, &mut bytes);
+    }
+    let mut got = Vec::new();
+    if let Ok(mut stream) = TcpStream::connect(service.local_addr()) {
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+        let _ = stream.write_all(&bytes);
+        let mut fb = FrameBuffer::new();
+        let mut chunk = [0u8; 1024];
+        while got.len() < probes.len() {
+            match fb.next_server() {
+                Ok(Some(frame)) => got.push(busy_key(frame)),
+                Ok(None) => match stream.read(&mut chunk) {
+                    Ok(n) if n > 0 => fb.extend(&chunk[..n]),
+                    _ => break,
+                },
+                Err(_) => break,
+            }
+        }
+    }
+    pause.release();
+    service.shutdown();
+    let want: Vec<_> = probes.iter().map(|&(_, key)| Ok(key)).collect();
+    assert_eq!(got, want);
 }

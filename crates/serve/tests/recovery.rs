@@ -464,6 +464,76 @@ fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
 }
 
 #[test]
+fn live_v1_events_are_journaled_as_event_batch_records() {
+    let session = 2u64;
+    let events = session_stream(session);
+    let dir = tmp_dir("journal-kind");
+    let wal = WalConfig::new(dir.clone(), FsyncPolicy::Async);
+    let router = SessionRouter::new(recognizer(), ServeConfig {
+        shards: 1,
+        wal: Some(wal.clone()),
+        ..ServeConfig::default()
+    });
+    let mut client = Duplex::connect(router.clone());
+    client
+        .send(&ClientFrame::Hello {
+            version: WIRE_VERSION,
+        })
+        .expect("hello");
+    client.send(&ClientFrame::Open { session }).expect("open");
+    for &(seq, event) in &events {
+        client
+            .send(&ClientFrame::Event {
+                session,
+                seq,
+                event,
+            })
+            .expect("event");
+    }
+    // A Resume on the owning connection fences the shard: every event
+    // ahead of it has been journaled.
+    client
+        .send(&ClientFrame::Resume {
+            session,
+            last_seq: 0,
+        })
+        .expect("resume");
+    let resumed = loop {
+        let frame = client
+            .recv_timeout(Duration::from_secs(10))
+            .expect("recv")
+            .expect("frame");
+        if let ServerFrame::Resumed { .. } = frame {
+            break frame;
+        }
+    };
+    assert_eq!(
+        resumed,
+        ServerFrame::Resumed {
+            session,
+            last_seq: events.len() as u32,
+        }
+    );
+    let logged = grandma_serve::wal::read_shard(&wal, 0).expect("read log");
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(logged.frames.first(), Some(&ClientFrame::Open { session }));
+    let mut journaled = Vec::new();
+    for frame in &logged.frames[1..] {
+        match frame {
+            ClientFrame::EventBatch { session: s, events } => {
+                assert_eq!(*s, session);
+                assert_eq!(events.len(), 1, "one record per v1 event");
+                journaled.extend_from_slice(events);
+            }
+            other => panic!("live events must be journaled as EventBatch records: {other:?}"),
+        }
+    }
+    assert_eq!(journaled, events);
+}
+
+#[test]
 fn graceful_shutdown_seals_sessions_for_recovery() {
     // The other half of durability: no crash at all. A router with live
     // sessions shuts down gracefully; its WAL must hold snapshots that
