@@ -30,24 +30,21 @@
 //! serve_load [--mode both|batched|unbatched] [--batch N] [--window N]
 //!            [--min-duration-s F] [--warmup N] [--smoke]
 //!            [--connections N[,N...]] [--connections-tiers N[,N...]]
-//!            [--chaos] [--kill-after-ms N]
-//!            [--cluster N] [--kill-node]
+//!            [--chaos] [--cluster N] [--kill-node] [--kill-after-ms N]
 //! ```
 //!
 //! `--chaos` replaces the workload with the reconnect harness: an
 //! in-process service with `detach_on_disconnect`, driven by
 //! `ReconnectingClient`s that sever their own connections mid-gesture
 //! and must resume without losing, duplicating, or cross-wiring a
-//! single outcome. `--kill-after-ms N` goes further: it spawns a real
-//! `serve` child with `--wal sync`, SIGKILLs it N ms into the load,
-//! restarts it with `--recover`, and requires every client to finish
-//! through the crash — then measures cold replay of the crash image and
-//! writes a `recovery` section into BENCH_serve.json (unless --smoke).
+//! single outcome. The single-node SIGKILL + `--recover` drill is the
+//! `grandma-serve` test suite `tests/kill_recover.rs`.
 //!
 //! `--cluster N` spawns N real `serve` members sharing one discovery
 //! file and drives every session through a `ClusterClient`, which dials
 //! the consistent-hash ring owner. With `--kill-node` the member owning
-//! the most sessions is SIGKILLed mid-load; a recovery agent replays
+//! the most sessions is SIGKILLed `--kill-after-ms` (default 500) into
+//! the load; a recovery agent replays
 //! its WAL and `Handoff`s the recovered snapshots to their ring
 //! successors, the registry drops the dead member, and every client
 //! must re-route, resume, and finish — sessions on surviving members
@@ -988,11 +985,10 @@ fn sweep_tier(
 }
 
 // ---------------------------------------------------------------------
-// Crash/recovery harness: --chaos (in-process reconnects) and
-// --kill-after-ms (SIGKILL a real serve child, restart with --recover).
+// Reconnect harness: --chaos (in-process forced disconnects).
 // ---------------------------------------------------------------------
 
-/// Sessions driven by the chaos and kill harnesses.
+/// Sessions driven by the chaos harness.
 const CHAOS_SESSIONS: u64 = 12;
 /// A chaos client severs its connection every this many events.
 const CHAOS_DISCONNECT_EVERY: usize = 40;
@@ -1083,15 +1079,14 @@ fn assert_session_invariants(session: u64, frames: &[ServerFrame]) {
 }
 
 /// Drives one session's events through a `ReconnectingClient`,
-/// optionally severing the connection every `disconnect_every` events
-/// and pacing sends so a concurrent kill lands mid-stream. Returns the
-/// received frames and how often the client reconnected.
+/// optionally severing the connection every `disconnect_every` events.
+/// Returns the received frames, how often the client reconnected, and
+/// how many events it re-sent.
 fn drive_chaos_session(
     addr: std::net::SocketAddr,
     session: u64,
     events: &[InputEvent],
     disconnect_every: Option<usize>,
-    pace: Duration,
 ) -> (Vec<ServerFrame>, u64, u64) {
     suppress_this_thread();
     let policy = RetryPolicy {
@@ -1107,9 +1102,6 @@ fn drive_chaos_session(
             client.force_disconnect();
         }
         client.send_event(event).expect("chaos send");
-        if !pace.is_zero() {
-            std::thread::sleep(pace);
-        }
     }
     let frames = client.close().expect("chaos close");
     (frames, client.reconnects(), client.resent_events())
@@ -1143,7 +1135,6 @@ fn run_chaos(rec: &Arc<EagerRecognizer>) -> ExitCode {
                     session,
                     &events,
                     chaotic.then_some(CHAOS_DISCONNECT_EVERY),
-                    Duration::ZERO,
                 );
                 assert_session_invariants(session, &frames);
                 let got = frames_to_wire(&frames);
@@ -1318,208 +1309,19 @@ impl Harness {
     }
 }
 
-/// Copies `shard-*` WAL/snapshot files into a point-in-time image.
-fn copy_wal_image(from: &std::path::Path, to: &std::path::Path) {
-    std::fs::create_dir_all(to).expect("mkdir image");
-    for entry in std::fs::read_dir(from).expect("read wal dir").flatten() {
-        if entry.file_name().to_string_lossy().starts_with("shard-") {
-            std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy wal file");
-        }
-    }
-}
-
-/// `--kill-after-ms`: the full crash drill against a real `serve`
-/// process. See the module docs.
-fn run_kill_recovery(kill_after_ms: u64, smoke: bool) -> ExitCode {
-    let harness = Harness::new("recovery");
-    let (dir, serve_bin, model, rec) = (
-        harness.dir.clone(),
-        harness.serve_bin.clone(),
-        harness.model.clone(),
-        harness.rec.clone(),
-    );
-
-    // A fixed port so clients can redial the restarted server.
-    let addr_str = probe_port();
-    let addr: std::net::SocketAddr = addr_str.parse().expect("addr");
-    let wal_dir = dir.join("wal");
-    let image_dir = dir.join("wal-kill-image");
-    let child = spawn_serve(&serve_bin, &model, &addr_str, &wal_dir, false, None);
-
-    // Pace sends so every session still has events in flight when the
-    // SIGKILL lands and finishes only after recovery.
-    let max_events = (1..=CHAOS_SESSIONS)
-        .map(|s| slot_stream(s).len())
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let pace = Duration::from_micros((kill_after_ms * 2 + 1000) * 1000 / max_events as u64);
-
-    let mut total_reconnects = 0u64;
-    let mut total_resent = 0u64;
-    let killed_at = Instant::now();
-    let second = std::thread::scope(|scope| {
-        let killer = {
-            let serve_bin = &serve_bin;
-            let model = &model;
-            let addr_str = &addr_str;
-            let wal_dir = &wal_dir;
-            let image_dir = &image_dir;
-            scope.spawn(move || {
-                suppress_this_thread();
-                std::thread::sleep(Duration::from_millis(kill_after_ms));
-                let mut child = child;
-                child.kill_now();
-                // Freeze the crash image before the recovering server
-                // compacts the log.
-                copy_wal_image(wal_dir, image_dir);
-                spawn_serve(serve_bin, model, addr_str, wal_dir, true, None)
-            })
-        };
-        let mut joins = Vec::new();
-        for session in 1..=CHAOS_SESSIONS {
-            let rec = rec.clone();
-            joins.push(scope.spawn(move || {
-                let events = slot_stream(session);
-                let (frames, reconnects, resent) =
-                    drive_chaos_session(addr, session, &events, None, pace);
-                assert_session_invariants(session, &frames);
-                assert!(
-                    is_subsequence(&frames_to_wire(&frames), &chaos_baseline(&rec, session, &events)),
-                    "kill session {session}: frames are not a subsequence of the baseline"
-                );
-                (reconnects, resent)
-            }));
-        }
-        for join in joins {
-            let (reconnects, resent) = join.join().expect("kill client");
-            total_reconnects += reconnects;
-            total_resent += resent;
-        }
-        killer.join().expect("killer thread")
-    });
-    let survived_s = killed_at.elapsed().as_secs_f64() - kill_after_ms as f64 / 1e3;
-    assert!(
-        total_reconnects >= 1,
-        "the kill landed after every client finished — raise --kill-after-ms pacing"
-    );
-
-    // Control group: fresh sessions against the *recovered* server must
-    // be byte-identical to the never-crashed pipeline.
-    std::thread::scope(|scope| {
-        let mut joins = Vec::new();
-        for session in 1001..=(1000 + CHAOS_SESSIONS) {
-            let rec = rec.clone();
-            joins.push(scope.spawn(move || {
-                let events = slot_stream(session);
-                let (frames, _, _) =
-                    drive_chaos_session(addr, session, &events, None, Duration::ZERO);
-                assert_session_invariants(session, &frames);
-                assert_eq!(
-                    frames_to_wire(&frames),
-                    chaos_baseline(&rec, session, &events),
-                    "post-recovery session {session}: frames must be byte-identical"
-                );
-            }));
-        }
-        for join in joins {
-            join.join().expect("control client");
-        }
-    });
-
-    // Graceful stop (stdin EOF) — also seals the WAL.
-    let mut second = second;
-    let status = second.stop_gracefully().expect("wait recovered serve");
-    assert!(status.success(), "recovered serve exited {status}");
-
-    // Cold-replay measurement from the frozen crash image.
-    let config = ServeConfig {
-        shards: SHARDS,
-        queue_capacity: 1 << 15,
-        ..ServeConfig::default()
-    };
-    let router = SessionRouter::new(rec.clone(), config);
-    let report = router
-        .recover(&WalConfig::new(image_dir.clone(), FsyncPolicy::Async))
-        .expect("replay crash image");
-    router.shutdown();
-    let frames_per_s = report.frames as f64 / (report.replay_ms / 1e3).max(1e-9);
-    eprintln!(
-        "serve_load: kill-recovery ok ({CHAOS_SESSIONS}+{CHAOS_SESSIONS} sessions, kill at \
-         {kill_after_ms} ms, {total_reconnects} reconnects, {total_resent} events re-sent, \
-         finished {survived_s:.2}s after kill; crash image: {} sessions, {} frames, {} bytes, \
-         replay {:.1} ms = {frames_per_s:.0} frames/s{})",
-        report.sessions,
-        report.frames,
-        report.bytes,
-        report.replay_ms,
-        if report.torn { ", torn tail" } else { "" },
-    );
-
-    if !smoke {
-        let section = format!(
-            "  \"recovery\": {{\n    \"kill_after_ms\": {kill_after_ms},\n    \
-             \"chaos_sessions\": {CHAOS_SESSIONS},\n    \"client_reconnects\": {total_reconnects},\n    \
-             \"events_resent\": {total_resent},\n    \"image_sessions\": {},\n    \
-             \"image_frames\": {},\n    \"image_bytes\": {},\n    \"replay_ms\": {:.3},\n    \
-             \"replay_frames_per_s\": {frames_per_s:.0},\n    \"torn\": {}\n  }}",
-            report.sessions, report.frames, report.bytes, report.replay_ms, report.torn,
-        );
-        write_bench_drill_section("recovery", &section);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    ExitCode::SUCCESS
-}
-
 /// Rewrites BENCH_serve.json with `section` (the bare `"key": {...}`
 /// text, two-space indented, no leading comma) appended after the
-/// workload sections, preserving any *other* drill section already
-/// present — the drills can run in either order without eating each
-/// other's numbers.
+/// workload sections, in place of any earlier `key` section.
 fn write_bench_drill_section(key: &str, section: &str) {
-    const DRILL_KEYS: [&str; 2] = ["recovery", "cluster"];
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    let (base, kept) = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            let mut marks: Vec<(usize, &str)> = DRILL_KEYS
-                .iter()
-                .filter_map(|k| {
-                    existing
-                        .find(&format!(",\n  \"{k}\":"))
-                        .map(|at| (at, *k))
-                })
-                .collect();
-            marks.sort_unstable();
-            let base = match marks.first() {
-                Some(&(at, _)) => existing[..at].to_string(),
-                None => existing
-                    .trim_end()
-                    .trim_end_matches('}')
-                    .trim_end()
-                    .to_string(),
-            };
-            let close_at = existing.trim_end().rfind("\n}").unwrap_or(existing.len());
-            let kept: Vec<String> = marks
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(_, k))| k != key)
-                .map(|(i, &(at, _))| {
-                    let end = marks.get(i + 1).map(|&(a, _)| a).unwrap_or(close_at);
-                    existing[at..end].trim_end().to_string()
-                })
-                .collect();
-            (base, kept)
-        }
-        Err(_) => ("{\n  \"bench\": \"serve_load\"".to_string(), Vec::new()),
+    let base = match std::fs::read_to_string(path) {
+        Ok(existing) => match existing.find(&format!(",\n  \"{key}\":")) {
+            Some(at) => existing[..at].to_string(),
+            None => existing.trim_end().trim_end_matches('}').trim_end().to_string(),
+        },
+        Err(_) => "{\n  \"bench\": \"serve_load\"".to_string(),
     };
-    let mut out = base;
-    for chunk in &kept {
-        // Each kept chunk begins with its own `,\n` separator.
-        out.push_str(chunk);
-    }
-    out.push_str(",\n");
-    out.push_str(section);
-    out.push_str("\n}\n");
+    let out = format!("{base},\n{section}\n}}\n");
     std::fs::write(path, out).expect("write BENCH_serve.json");
     eprintln!("serve_load: updated {path} ({key} section)");
 }
@@ -1924,9 +1726,7 @@ struct Options {
     connections: Option<Vec<usize>>,
     /// Run the in-process reconnect harness instead of the workload.
     chaos: bool,
-    /// Run the SIGKILL-and-recover drill, killing the serve child this
-    /// many ms into the load. Also sets the kill delay for `--cluster
-    /// --kill-node`.
+    /// The kill delay for `--cluster --kill-node`, in ms into the load.
     kill_after_ms: Option<u64>,
     /// Run the multi-node cluster drill with this many members.
     cluster: Option<usize>,
@@ -2011,6 +1811,9 @@ fn parse_args() -> Result<Options, String> {
     if opts.kill_node && opts.cluster.is_none() {
         return Err("--kill-node requires --cluster".into());
     }
+    if opts.kill_after_ms.is_some() && !opts.kill_node {
+        return Err("--kill-after-ms requires --cluster N --kill-node".into());
+    }
     if opts.smoke {
         opts.min_duration_s = 0.0;
         opts.warmup = 0;
@@ -2047,9 +1850,6 @@ fn main() -> ExitCode {
             opts.kill_after_ms.unwrap_or(500),
             opts.smoke,
         );
-    }
-    if let Some(kill_after_ms) = opts.kill_after_ms {
-        return run_kill_recovery(kill_after_ms, opts.smoke);
     }
     let data = datasets::eight_way(0x2b2b, 10, 0);
     let (rec, _) =

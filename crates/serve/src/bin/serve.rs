@@ -27,7 +27,8 @@
 //!
 //! `--wal` enables the per-shard write-ahead log (DESIGN.md §14):
 //! `async` appends without fsync (survives process crashes), `sync`
-//! fsyncs every append (survives power loss), `off` (the default) logs
+//! survives power loss: one fsync per group of up to 64 queued frames,
+//! each reply held until its group's fsync lands; `off` (the default) logs
 //! nothing. `--wal-dir` picks the log directory (default `grandma-wal`);
 //! starting with a WAL but *without* `--recover` clears any stale log
 //! there first. `--recover DIR` replays DIR's snapshots + log tail into

@@ -124,6 +124,10 @@ pub struct ServiceMetrics {
     pub wal_appends: AtomicU64,
     /// Bytes those appends wrote (headers included).
     pub wal_bytes: AtomicU64,
+    /// `sync_data` calls on write-ahead logs (`--wal sync` only): one
+    /// per group commit plus one per compaction. `wal_syncs /
+    /// wal_appends` is the fsyncs paid per accepted frame.
+    pub wal_syncs: AtomicU64,
     /// Gauge: wall-clock milliseconds the last WAL recovery took
     /// (0 when the process never recovered).
     pub replay_ms: AtomicU64,
@@ -163,6 +167,7 @@ impl ServiceMetrics {
             not_owner_redirects: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
+            wal_syncs: AtomicU64::new(0),
             replay_ms: AtomicU64::new(0),
             shards: (0..shards.max(1)).map(|_| ShardMetrics::default()).collect(),
         }
@@ -247,6 +252,7 @@ impl ServiceMetrics {
             not_owner_redirects: load(&self.not_owner_redirects),
             wal_appends: load(&self.wal_appends),
             wal_bytes: load(&self.wal_bytes),
+            wal_syncs: load(&self.wal_syncs),
             replay_ms: load(&self.replay_ms),
             shards: self
                 .shards
@@ -356,6 +362,8 @@ pub struct MetricsSnapshot {
     pub wal_appends: u64,
     /// Bytes those appends wrote.
     pub wal_bytes: u64,
+    /// WAL `sync_data` calls (group commits and compactions).
+    pub wal_syncs: u64,
     /// Milliseconds the last WAL recovery took (0 = never recovered).
     pub replay_ms: u64,
     /// Per-shard snapshots.
@@ -387,7 +395,7 @@ impl MetricsSnapshot {
              \"closes_abandoned\": {},\n  \
              \"recovered_sessions\": {},\n  \"sessions_resumed\": {},\n  \
              \"sessions_handed_off\": {},\n  \"not_owner_redirects\": {},\n  \
-             \"wal_appends\": {},\n  \"wal_bytes\": {},\n  \"replay_ms\": {},\n  \
+             \"wal_appends\": {},\n  \"wal_bytes\": {},\n  \"wal_syncs\": {},\n  \"replay_ms\": {},\n  \
              \"shards\": [{}]\n}}",
             self.sessions_opened,
             self.sessions_closed,
@@ -422,6 +430,7 @@ impl MetricsSnapshot {
             self.not_owner_redirects,
             self.wal_appends,
             self.wal_bytes,
+            self.wal_syncs,
             self.replay_ms,
             shards
         )
@@ -484,6 +493,7 @@ mod tests {
         m.not_owner_redirects.fetch_add(15, Ordering::Relaxed);
         m.set_reactor_backend(crate::sys::Backend::Epoll);
         m.epoll_ctl_calls.fetch_add(16, Ordering::Relaxed);
+        m.wal_syncs.fetch_add(17, Ordering::Relaxed);
         let snap = m.snapshot();
         assert_eq!(snap.open_connections, 2);
         assert_eq!(snap.reactor_wakeups, 5);
@@ -502,6 +512,7 @@ mod tests {
         assert_eq!(snap.not_owner_redirects, 15);
         assert_eq!(snap.reactor_backend, "epoll");
         assert_eq!(snap.epoll_ctl_calls, 16);
+        assert_eq!(snap.wal_syncs, 17);
         let json = snap.to_json();
         assert_eq!(
             json.matches("\"reactor_backend\": \"epoll\"").count(),
@@ -525,6 +536,7 @@ mod tests {
             ("sessions_handed_off", 14),
             ("not_owner_redirects", 15),
             ("epoll_ctl_calls", 16),
+            ("wal_syncs", 17),
         ] {
             let needle = format!("\"{key}\": {value}");
             assert_eq!(

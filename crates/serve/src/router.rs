@@ -36,6 +36,14 @@
 //! taken back — through the one `Handoff` path. `Event` stays a message
 //! of its own only so a v1 event crosses the queue without taking a
 //! pooled batch buffer.
+//!
+//! Durability: under `--wal sync` a shard commits its WAL in groups. It
+//! writes each accepted record ahead of the state change, handles what
+//! is already queued (up to 64 messages), then syncs once and only then
+//! releases the replies the group produced — no reply leaves before the
+//! sync that covers the records journaled ahead of it. Without unsynced
+//! records (no WAL, or `--wal async`) replies go out as each message
+//! finishes.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -51,7 +59,8 @@ use grandma_events::{EventKind, InputEvent};
 use crate::metrics::ServiceMetrics;
 use crate::pool::BatchPool;
 use crate::session::{PipelineConfig, SessionPipeline, SessionSnapshot, SnapshotError};
-use crate::wal::{WalConfig, WalShard};
+use crate::wal::seam::LogWrap;
+use crate::wal::{FsyncPolicy, WalConfig, WalShard};
 use crate::wire::{encode_client, ClientFrame, FaultCode, ServerFrame};
 
 /// Service-level configuration.
@@ -377,6 +386,19 @@ impl ShardMsg {
         }
     }
 
+    /// Messages that act on the shard as a whole — parking it, shipping
+    /// or sealing its sessions, ending it. Each closes the open WAL
+    /// group first, so no held reply waits behind it.
+    fn is_barrier(&self) -> bool {
+        matches!(
+            self,
+            ShardMsg::Drain { .. }
+                | ShardMsg::Checkpoint(_)
+                | ShardMsg::Pause(_)
+                | ShardMsg::Shutdown
+        )
+    }
+
     fn session(&self) -> Option<u64> {
         match self {
             ShardMsg::Open { session, .. }
@@ -404,7 +426,7 @@ pub enum SubmitError {
 }
 
 /// What [`SessionRouter::recover`] rebuilt, for operator logs and the
-/// benchmark's recovery section.
+/// cluster drill's replay figures.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct RecoveryReport {
     /// Sessions restored from compaction snapshots.
@@ -469,6 +491,16 @@ impl SessionRouter {
     /// Spawns `config.shards` workers, each owning its sessions' full
     /// pipelines and sharing `recognizer` read-only.
     pub fn new(recognizer: Arc<EagerRecognizer>, config: ServeConfig) -> Arc<Self> {
+        Self::spawn(recognizer, config, None)
+    }
+
+    /// [`SessionRouter::new`], with every shard's WAL log file passed
+    /// through `log_wrap` when given.
+    fn spawn(
+        recognizer: Arc<EagerRecognizer>,
+        config: ServeConfig,
+        log_wrap: Option<LogWrap>,
+    ) -> Arc<Self> {
         let shard_count = config.shards.max(1);
         let metrics = Arc::new(ServiceMetrics::new(shard_count));
         let pool = Arc::new(BatchPool::new());
@@ -480,10 +512,12 @@ impl SessionRouter {
             let worker_metrics = metrics.clone();
             let worker_config = config.clone();
             let worker_pool = pool.clone();
+            let worker_wrap = log_wrap.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("grandma-shard-{shard}"))
                 .spawn(move || {
-                    shard_worker(shard, rx, worker_rec, worker_metrics, worker_config, worker_pool)
+                    let (config, wrap) = (worker_config, worker_wrap.as_ref());
+                    shard_worker(shard, rx, worker_rec, worker_metrics, config, worker_pool, wrap)
                 });
             match handle {
                 Ok(h) => {
@@ -784,12 +818,18 @@ impl Drop for SessionRouter {
 /// Closed pipelines kept per shard for reuse; beyond this they drop.
 const PIPELINE_POOL_MAX: usize = 64;
 
+/// Most messages one WAL group commit covers: while records await their
+/// sync, the worker keeps taking already-queued messages until the queue
+/// runs dry or this many are handled, then syncs once.
+const GROUP_MAX: usize = 64;
+
 /// One shard worker's state: the exclusive owner of its sessions'
 /// pipelines and of its shard's WAL.
 struct Shard {
     index: usize,
     recognizer: Arc<EagerRecognizer>,
     metrics: Arc<ServiceMetrics>,
+    pool: Arc<BatchPool>,
     max_sessions: usize,
     pipeline_config: PipelineConfig,
     sessions: HashMap<u64, SessionEntry>,
@@ -797,24 +837,127 @@ struct Shard {
     /// Closed sessions donate their pipelines (warmed gesture/sanitizer
     /// buffers) back here; Opens take from it before allocating.
     pipeline_pool: Vec<SessionPipeline>,
+    journal: Journal,
+}
+
+/// The shard's WAL and the replies waiting on its next sync.
+///
+/// Ack-after-durable: while records are written but not yet synced,
+/// every reply — outcome, fault, `Closed`, `Resumed`, `HandoffAck` —
+/// is held, in order, and [`Journal::commit`] releases them only after
+/// the sync that covers those records. A shard with no WAL, or with an
+/// `Async` one, never holds: each reply goes out at once.
+struct Journal {
+    shard: usize,
+    metrics: Arc<ServiceMetrics>,
     /// Appends need no locking and are exactly consistent with the
     /// pipelines. `None` when durability is off or the WAL failed.
     wal: Option<WalShard>,
-    /// Reusable wire-encoding buffer for WAL appends.
-    wal_buf: Vec<u8>,
+    /// Reusable wire-encoding buffer for appends.
+    buf: Vec<u8>,
+    /// Replies produced since the first unsynced record, in order.
+    held: Vec<(ReplyTx, ServerFrame)>,
 }
 
-impl Shard {
-    /// Journals one accepted frame ahead of the state change it causes.
-    /// Replay (conn 0) never re-appends.
-    fn journal(&mut self, conn: u64, encode: impl FnOnce(&mut Vec<u8>)) {
-        if conn != 0 && self.wal.is_some() {
-            self.wal_buf.clear();
-            encode(&mut self.wal_buf);
-            wal_append(&mut self.wal, self.index, &self.metrics, &self.wal_buf);
+impl Journal {
+    /// `true` while journaled records await their group's sync.
+    fn holding(&self) -> bool {
+        self.wal.as_ref().is_some_and(WalShard::unsynced)
+    }
+
+    /// Journals one accepted frame ahead of the state change it causes,
+    /// without syncing it. Replay (conn 0) never re-appends.
+    fn append(&mut self, conn: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+        let Some(wal) = self.wal.as_mut().filter(|_| conn != 0) else {
+            return;
+        };
+        self.buf.clear();
+        encode(&mut self.buf);
+        match wal.write_record(&self.buf) {
+            Ok(written) => {
+                self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
+                self.metrics.wal_bytes.fetch_add(written, Ordering::Relaxed);
+            }
+            Err(e) => self.disable("append", &e),
         }
     }
 
+    /// The one way a reply leaves the shard: at once, or held behind the
+    /// open group's sync.
+    fn send(&mut self, reply: &ReplyTx, frame: ServerFrame) {
+        if let ServerFrame::Outcome { outcome, .. } = frame {
+            self.metrics.note_outcome(outcome);
+        }
+        if self.holding() {
+            self.held.push((reply.clone(), frame));
+        } else {
+            reply.send(frame);
+        }
+    }
+
+    /// [`Journal::send`] for every pipeline frame in `frames`.
+    fn send_all(&mut self, reply: &ReplyTx, frames: &mut Vec<ServerFrame>) {
+        for frame in frames.drain(..) {
+            self.send(reply, frame);
+        }
+    }
+
+    /// Ends the open group: one `sync_data` for its records, then its
+    /// replies, in the order they were produced.
+    fn commit(&mut self) {
+        if let Some(wal) = self.wal.as_mut() {
+            match wal.sync() {
+                Ok(true) => {
+                    self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(false) => {}
+                Err(e) => return self.disable("sync", &e),
+            }
+        }
+        self.release();
+    }
+
+    fn release(&mut self) {
+        for (reply, frame) in self.held.drain(..) {
+            reply.send(frame);
+        }
+    }
+
+    /// Fail-open: a WAL I/O failure permanently disables the shard's WAL
+    /// (availability over durability, loudly on stderr) rather than
+    /// faulting live traffic, and the held replies go out.
+    fn disable(&mut self, what: &str, e: &std::io::Error) {
+        eprintln!("serve: shard {}: WAL disabled ({what} failed: {e})", self.shard);
+        self.wal = None;
+        self.release();
+    }
+
+    /// `true` when the log has grown enough to compact.
+    fn compaction_due(&self) -> bool {
+        self.wal.as_ref().is_some_and(WalShard::should_compact)
+    }
+
+    /// Compacts the WAL — snapshot every live session, truncate the log
+    /// — when due (or `force`d). Runs only between groups, where the log
+    /// and the pipelines are exactly consistent and no reply is held.
+    fn compact_if_due(&mut self, sessions: &HashMap<u64, SessionEntry>, force: bool) {
+        let Some(wal) = self.wal.as_mut() else { return };
+        if !force && !wal.should_compact() {
+            return;
+        }
+        let snapshots: Vec<SessionSnapshot> =
+            sessions.values().map(|e| e.pipeline.snapshot()).collect();
+        match wal.compact(&snapshots) {
+            Ok(()) if wal.fsync() == FsyncPolicy::Sync => {
+                self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(()) => {}
+            Err(e) => self.disable("compact", &e),
+        }
+    }
+}
+
+impl Shard {
     /// The admission check shared by `Open` and `Handoff`.
     fn admit(&self, session: u64) -> Result<(), FaultCode> {
         if self.sessions.contains_key(&session) {
@@ -828,7 +971,7 @@ impl Shard {
 
     fn open_session(&mut self, conn: u64, session: u64, seq: u32, reply: ReplyTx) {
         if let Err(code) = self.admit(session) {
-            reply.send(ServerFrame::Fault { session, seq, code });
+            self.journal.send(&reply, ServerFrame::Fault { session, seq, code });
             return;
         }
         let pipeline = match self.pipeline_pool.pop() {
@@ -840,7 +983,7 @@ impl Shard {
         };
         // Write-ahead: the accepted Open is durable before the session
         // exists.
-        self.journal(conn, |buf| encode_client(&ClientFrame::Open { session }, buf));
+        self.journal.append(conn, |buf| encode_client(&ClientFrame::Open { session }, buf));
         self.sessions.insert(
             session,
             SessionEntry {
@@ -869,20 +1012,18 @@ impl Shard {
         // someone else's session.
         let Some(entry) = self.sessions.get_mut(&session).filter(|e| e.conn == conn) else {
             self.metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
-            reply.send(ServerFrame::Fault {
+            self.journal.send(reply, ServerFrame::Fault {
                 session,
                 seq: first_seq(events),
                 code: FaultCode::UnknownSession,
             });
             return false;
         };
-        // Write-ahead: the accepted records are durable, as one
-        // EventBatch record, before the pipeline mutates.
-        if conn != 0 && self.wal.is_some() {
-            self.wal_buf.clear();
-            crate::wire::encode_event_batch(session, events, &mut self.wal_buf);
-            wal_append(&mut self.wal, self.index, &self.metrics, &self.wal_buf);
-        }
+        // Write-ahead: the accepted records are written, as one
+        // EventBatch record, before the pipeline mutates; their replies
+        // wait for the group's sync.
+        self.journal
+            .append(conn, |buf| crate::wire::encode_event_batch(session, events, buf));
         // Replay dedup: a freshly restored session skips replayed
         // records already folded into its snapshot (see
         // `SessionEntry::restored_watermark`).
@@ -914,7 +1055,7 @@ impl Shard {
         if repairs > 0 {
             self.metrics.faults_repaired.fetch_add(repairs, Ordering::Relaxed);
         }
-        flush_frames(&self.metrics, &entry.reply, &mut self.scratch);
+        self.journal.send_all(&entry.reply, &mut self.scratch);
         true
     }
     // lint:hot-path end
@@ -924,7 +1065,7 @@ impl Shard {
         let entry = if owned { self.sessions.remove(&session) } else { None };
         let Some(entry) = entry else {
             self.metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
-            reply.send(ServerFrame::Fault {
+            self.journal.send(&reply, ServerFrame::Fault {
                 session,
                 seq,
                 code: FaultCode::UnknownSession,
@@ -933,7 +1074,8 @@ impl Shard {
         };
         // Write-ahead: the accepted Close is durable before the session
         // is finalized, so replay closes it too.
-        self.journal(conn, |buf| encode_client(&ClientFrame::Close { session, seq }, buf));
+        self.journal
+            .append(conn, |buf| encode_client(&ClientFrame::Close { session, seq }, buf));
         self.finish_session(entry, seq);
     }
 
@@ -946,7 +1088,7 @@ impl Shard {
         // it to the pipeline alone, not to every `close` method.
         SessionPipeline::close(&mut entry.pipeline, &self.recognizer, seq, &mut self.scratch);
         self.metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-        flush_frames(&self.metrics, &entry.reply, &mut self.scratch);
+        self.journal.send_all(&entry.reply, &mut self.scratch);
         if self.pipeline_pool.len() < PIPELINE_POOL_MAX {
             self.pipeline_pool.push(entry.pipeline);
         }
@@ -959,7 +1101,7 @@ impl Shard {
     fn install_snapshot(&mut self, conn: u64, snapshot: Box<SessionSnapshot>, reply: ReplyTx) {
         let session = snapshot.session;
         if let Err(code) = self.admit(session) {
-            reply.send(ServerFrame::Fault {
+            self.journal.send(&reply, ServerFrame::Fault {
                 session,
                 seq: 0,
                 code,
@@ -969,7 +1111,7 @@ impl Shard {
         // Write-ahead: journal an accepted peer handoff before the ack,
         // so a crash right after the sender forgets the session still
         // recovers it here.
-        self.journal(conn, |buf| {
+        self.journal.append(conn, |buf| {
             let mut payload = Vec::new();
             snapshot.encode(&mut payload);
             encode_client(&ClientFrame::Handoff { snapshot: payload }, buf);
@@ -986,7 +1128,7 @@ impl Shard {
             self.metrics.recovered_sessions.fetch_add(1, Ordering::Relaxed);
         } else {
             self.metrics.sessions_handed_off.fetch_add(1, Ordering::Relaxed);
-            reply.send(ServerFrame::HandoffAck { session, last_seq });
+            self.journal.send(&reply, ServerFrame::HandoffAck { session, last_seq });
         }
     }
 
@@ -998,7 +1140,7 @@ impl Shard {
                 // The session is live again; any future replay identity
                 // mismatch is caught by ownership.
                 entry.restored_watermark = None;
-                reply.send(ServerFrame::Resumed {
+                self.journal.send(&reply, ServerFrame::Resumed {
                     session,
                     last_seq: entry.pipeline.last_seq(),
                 });
@@ -1008,7 +1150,7 @@ impl Shard {
             // opaque fault as any foreign touch.
             _ => {
                 self.metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
-                reply.send(ServerFrame::Fault {
+                self.journal.send(&reply, ServerFrame::Fault {
                     session,
                     seq: 0,
                     code: FaultCode::UnknownSession,
@@ -1016,57 +1158,19 @@ impl Shard {
             }
         }
     }
-}
 
-/// The seq a fault about `events` echoes: the first record's, or 0.
-fn first_seq(events: &[(u32, InputEvent)]) -> u32 {
-    events.first().map_or(0, |&(seq, _)| seq)
-}
-
-/// The shard worker loop: exclusive owner of its sessions' pipelines.
-fn shard_worker(
-    index: usize,
-    rx: Receiver<ShardMsg>,
-    recognizer: Arc<EagerRecognizer>,
-    metrics: Arc<ServiceMetrics>,
-    config: ServeConfig,
-    pool: Arc<BatchPool>,
-) {
-    // A failed WAL open degrades to running without a WAL.
-    let wal = config.wal.and_then(|wal_config| match WalShard::open(wal_config, index) {
-        Ok(w) => Some(w),
-        Err(e) => {
-            eprintln!("serve: shard {index}: WAL disabled (open failed: {e})");
-            None
-        }
-    });
-    let mut shard = Shard {
-        index,
-        recognizer,
-        metrics,
-        max_sessions: config.max_sessions_per_shard,
-        pipeline_config: config.pipeline,
-        sessions: HashMap::new(),
-        scratch: Vec::with_capacity(16),
-        pipeline_pool: Vec::new(),
-        wal,
-        wal_buf: Vec::new(),
-    };
-    while let Ok(msg) = rx.recv() {
-        // lint:reactor-loop start(shard-worker) — the per-shard processing
-        // body: a blocking call here stalls every session on this shard.
-        // The idle `rx.recv()` above is the scheduler, not a stall.
-        shard.metrics.shard(index).note_dequeue();
+    /// Handles one message. Returns `false` once the worker must exit.
+    fn handle(&mut self, msg: ShardMsg) -> bool {
         // Amortized compaction between messages, where the log and the
         // pipelines are exactly consistent.
-        wal_compact_if_due(&mut shard.wal, index, &shard.sessions, false);
+        self.journal.compact_if_due(&self.sessions, false);
         match msg {
             ShardMsg::Open {
                 conn,
                 session,
                 seq,
                 reply,
-            } => shard.open_session(conn, session, seq, reply),
+            } => self.open_session(conn, session, seq, reply),
             ShardMsg::Event {
                 conn,
                 session,
@@ -1074,7 +1178,7 @@ fn shard_worker(
                 event,
                 reply,
             } => {
-                shard.ingest(conn, session, std::slice::from_ref(&(seq, event)), &reply);
+                self.ingest(conn, session, std::slice::from_ref(&(seq, event)), &reply);
             }
             ShardMsg::EventBatch {
                 conn,
@@ -1082,20 +1186,20 @@ fn shard_worker(
                 events,
                 reply,
             } => {
-                if shard.ingest(conn, session, &events, &reply) {
-                    shard.metrics.batches_ingested.fetch_add(1, Ordering::Relaxed);
+                if self.ingest(conn, session, &events, &reply) {
+                    self.metrics.batches_ingested.fetch_add(1, Ordering::Relaxed);
                 }
-                pool.put(events);
+                self.pool.put(events);
             }
             ShardMsg::Close {
                 conn,
                 session,
                 seq,
                 reply,
-            } => shard.close_session(conn, session, seq, reply),
-            ShardMsg::Resume { conn, session, reply } => shard.resume(conn, session, reply),
+            } => self.close_session(conn, session, seq, reply),
+            ShardMsg::Resume { conn, session, reply } => self.resume(conn, session, reply),
             ShardMsg::Detach { conn } => {
-                for entry in shard.sessions.values_mut() {
+                for entry in self.sessions.values_mut() {
                     if entry.conn == conn {
                         entry.conn = 0;
                         entry.reply = ReplyTx::sink();
@@ -1106,101 +1210,160 @@ fn shard_worker(
                 conn,
                 snapshot,
                 reply,
-            } => shard.install_snapshot(conn, snapshot, reply),
-            ShardMsg::Drain { out } => {
-                let mut drained: Vec<SessionSnapshot> = shard
-                    .sessions
-                    .drain()
-                    .map(|(_, entry)| entry.pipeline.snapshot())
-                    .collect();
-                drained.sort_by_key(|s| s.session);
-                // The shard is empty now; the forced compaction writes an
-                // empty snapshot set and truncates the log, sealing the
-                // moved sessions out of this node's recovery path.
-                wal_compact_if_due(&mut shard.wal, index, &shard.sessions, true);
-                let _ = out.send(drained);
-            }
-            ShardMsg::Checkpoint(barrier) => {
-                wal_compact_if_due(&mut shard.wal, index, &shard.sessions, true);
-                // lint:allow(reactor-blocking-call): the checkpoint
-                // rendezvous — the shard must hold still while the
-                // coordinator captures a consistent cut; blocking here IS
-                // the contract, and every shard arrives promptly because
-                // none does unbounded work between messages.
-                barrier.wait();
-            }
-            ShardMsg::Pause(barrier) => {
-                // lint:allow(reactor-blocking-call): session-handoff
-                // freeze point — the shard parks until `ShardPause::
-                // release`, bounded by the handoff deadline in cluster.
-                barrier.wait();
-            }
+            } => self.install_snapshot(conn, snapshot, reply),
+            ShardMsg::Drain { out } => self.drain(&out),
             ShardMsg::Shutdown => {
-                // Seal in-flight state first: after a graceful shutdown
-                // the snapshot file holds every live session, so a
-                // restart with `--recover` resumes exactly here.
-                wal_compact_if_due(&mut shard.wal, index, &shard.sessions, true);
-                // Then finalize every open session so clients holding
-                // the reply channel see a terminal Closed marker. The
-                // closes deliberately do not touch the sealed WAL.
-                for entry in std::mem::take(&mut shard.sessions).into_values() {
-                    shard.finish_session(entry, u32::MAX);
+                self.shutdown();
+                return false;
+            }
+            // Parking waits belong to the worker loop itself.
+            ShardMsg::Checkpoint(_) | ShardMsg::Pause(_) => {}
+        }
+        true
+    }
+
+    /// Snapshots and removes every session, shipping the snapshots to
+    /// `out`.
+    fn drain(&mut self, out: &Sender<Vec<SessionSnapshot>>) {
+        let mut drained: Vec<SessionSnapshot> = self
+            .sessions
+            .drain()
+            .map(|(_, entry)| entry.pipeline.snapshot())
+            .collect();
+        drained.sort_by_key(|s| s.session);
+        // The shard is empty now; the forced compaction writes an empty
+        // snapshot set and truncates the log, sealing the moved sessions
+        // out of this node's recovery path.
+        self.journal.compact_if_due(&self.sessions, true);
+        let _ = out.send(drained);
+    }
+
+    fn shutdown(&mut self) {
+        // Seal in-flight state first: after a graceful shutdown the
+        // snapshot file holds every live session, so a restart with
+        // `--recover` resumes exactly here.
+        self.journal.compact_if_due(&self.sessions, true);
+        // Then finalize every open session so clients holding the reply
+        // channel see a terminal Closed marker. The closes deliberately
+        // do not touch the sealed WAL.
+        for entry in std::mem::take(&mut self.sessions).into_values() {
+            self.finish_session(entry, u32::MAX);
+        }
+    }
+}
+
+/// The seq a fault about `events` echoes: the first record's, or 0.
+fn first_seq(events: &[(u32, InputEvent)]) -> u32 {
+    events.first().map_or(0, |&(seq, _)| seq)
+}
+
+/// The shard worker loop: exclusive owner of its sessions' pipelines.
+///
+/// Messages are handled in groups that share one WAL sync. After a
+/// message journals a record, the worker keeps taking what is already
+/// queued, up to [`GROUP_MAX`] messages, then commits: one `sync_data`,
+/// then every reply the group produced. A barrier message, or a due
+/// compaction, ends the open group and waits for the next one. Without
+/// unsynced records — no WAL, an `Async` one, or a message that
+/// journals nothing — a group is one message and its replies have
+/// already gone out.
+fn shard_worker(
+    index: usize,
+    rx: Receiver<ShardMsg>,
+    recognizer: Arc<EagerRecognizer>,
+    metrics: Arc<ServiceMetrics>,
+    config: ServeConfig,
+    pool: Arc<BatchPool>,
+    log_wrap: Option<&LogWrap>,
+) {
+    // A failed WAL open degrades to running without a WAL.
+    let wal = config.wal.and_then(|wal_config| {
+        match WalShard::open_with(wal_config, index, log_wrap) {
+            Ok(w) => Some(w),
+            Err(e) => {
+                eprintln!("serve: shard {index}: WAL disabled (open failed: {e})");
+                None
+            }
+        }
+    });
+    let mut shard = Shard {
+        index,
+        recognizer,
+        metrics: metrics.clone(),
+        pool,
+        max_sessions: config.max_sessions_per_shard,
+        pipeline_config: config.pipeline,
+        sessions: HashMap::new(),
+        scratch: Vec::with_capacity(16),
+        pipeline_pool: Vec::new(),
+        journal: Journal {
+            shard: index,
+            metrics,
+            wal,
+            buf: Vec::new(),
+            held: Vec::new(),
+        },
+    };
+    // The message that ended the last group; it opens the next one.
+    let mut carried: Option<ShardMsg> = None;
+    loop {
+        let first = match carried.take() {
+            Some(msg) => msg,
+            None => match rx.recv() {
+                Ok(msg) => {
+                    shard.metrics.shard(index).note_dequeue();
+                    msg
                 }
+                Err(_) => break,
+            },
+        };
+        // lint:reactor-loop start(shard-worker) — the per-shard processing
+        // body: a blocking call here stalls every session on this shard.
+        // The idle `rx.recv()` above is the scheduler, not a stall.
+        let mut next = Some(first);
+        let mut grouped = 0usize;
+        let mut running = true;
+        while let Some(msg) = next.take() {
+            if shard.journal.holding() && (msg.is_barrier() || shard.journal.compaction_due()) {
+                carried = Some(msg);
                 break;
             }
+            match msg {
+                ShardMsg::Checkpoint(barrier) => {
+                    shard.journal.compact_if_due(&shard.sessions, true);
+                    // lint:allow(reactor-blocking-call): the checkpoint
+                    // rendezvous — the shard must hold still while the
+                    // coordinator captures a consistent cut; blocking here
+                    // IS the contract, and every shard arrives promptly
+                    // because none does unbounded work between messages.
+                    barrier.wait();
+                }
+                ShardMsg::Pause(barrier) => {
+                    // lint:allow(reactor-blocking-call): session-handoff
+                    // freeze point — the shard parks until `ShardPause::
+                    // release`, bounded by the handoff deadline in cluster.
+                    barrier.wait();
+                }
+                msg => running = shard.handle(msg),
+            }
+            grouped += 1;
+            if running && shard.journal.holding() && grouped < GROUP_MAX {
+                next = rx.try_recv().ok();
+                if next.is_some() {
+                    shard.metrics.shard(index).note_dequeue();
+                }
+            }
         }
+        // lint:allow(reactor-blocking-call): the group commit — one
+        // `sync_data` under `--wal sync` (the caller's explicit
+        // durability choice, DESIGN.md §14) covers up to GROUP_MAX
+        // already-queued messages, and their replies may not leave
+        // before it lands. A no-op without unsynced records.
+        shard.journal.commit();
         // lint:reactor-loop end
-    }
-}
-
-/// Appends one already-encoded record to the shard's WAL, folding the
-/// byte/append counters into `metrics`. An append failure permanently
-/// disables the shard's WAL (fail-open: availability over durability,
-/// loudly on stderr) rather than faulting live traffic.
-fn wal_append(wal: &mut Option<WalShard>, shard: usize, metrics: &ServiceMetrics, buf: &[u8]) {
-    let Some(w) = wal.as_mut() else { return };
-    match w.append_frame(buf) {
-        Ok(written) => {
-            metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
-            metrics.wal_bytes.fetch_add(written, Ordering::Relaxed);
+        if !running {
+            break;
         }
-        Err(e) => {
-            eprintln!("serve: shard {shard}: WAL disabled (append failed: {e})");
-            *wal = None;
-        }
-    }
-}
-
-/// Compacts the shard's WAL — snapshot every live session, truncate the
-/// log — when due (or `force`d). Failure disables the WAL, like
-/// [`wal_append`].
-fn wal_compact_if_due(
-    wal: &mut Option<WalShard>,
-    shard: usize,
-    sessions: &HashMap<u64, SessionEntry>,
-    force: bool,
-) {
-    let Some(w) = wal.as_mut() else { return };
-    if !force && !w.should_compact() {
-        return;
-    }
-    let snapshots: Vec<SessionSnapshot> =
-        sessions.values().map(|e| e.pipeline.snapshot()).collect();
-    if let Err(e) = w.compact(&snapshots) {
-        eprintln!("serve: shard {shard}: WAL disabled (compact failed: {e})");
-        *wal = None;
-    }
-}
-
-/// Ships pipeline frames to the connection, folding outcomes into the
-/// metrics. Send failures mean the connection is gone — the session will
-/// be reaped by its `Close`; frames are dropped silently.
-fn flush_frames(metrics: &ServiceMetrics, reply: &ReplyTx, frames: &mut Vec<ServerFrame>) {
-    for frame in frames.drain(..) {
-        if let ServerFrame::Outcome { outcome, .. } = frame {
-            metrics.note_outcome(outcome);
-        }
-        reply.send(frame);
     }
 }
 
@@ -1216,6 +1379,7 @@ pub fn drain_frames(rx: &Receiver<ServerFrame>) -> Vec<ServerFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::run_events_inproc;
     use crate::wire::OutcomeKind;
     use grandma_core::{EagerConfig, FeatureMask};
     use grandma_events::{Button, EventScript};
@@ -2199,5 +2363,431 @@ mod tests {
             assert!(a < 4);
         }
         router.shutdown();
+    }
+
+    /// What a test-controlled WAL log file does on `sync_data`.
+    struct LogControl {
+        /// `sync_data` calls seen.
+        syncs: AtomicU64,
+        /// The next sync meets `entered`, then waits on `released`.
+        stall: AtomicBool,
+        /// Every sync fails.
+        fail: AtomicBool,
+        entered: Barrier,
+        released: Barrier,
+    }
+
+    impl LogControl {
+        fn new() -> Arc<Self> {
+            Arc::new(Self {
+                syncs: AtomicU64::new(0),
+                stall: AtomicBool::new(false),
+                fail: AtomicBool::new(false),
+                entered: Barrier::new(2),
+                released: Barrier::new(2),
+            })
+        }
+    }
+
+    struct ControlledLog {
+        file: std::fs::File,
+        control: Arc<LogControl>,
+    }
+
+    impl crate::wal::seam::LogFile for ControlledLog {
+        fn write_all(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            std::io::Write::write_all(&mut self.file, bytes)
+        }
+
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            self.control.syncs.fetch_add(1, Ordering::SeqCst);
+            if self.control.stall.swap(false, Ordering::SeqCst) {
+                self.control.entered.wait();
+                self.control.released.wait();
+            }
+            if self.control.fail.load(Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected sync failure"));
+            }
+            self.file.sync_data()
+        }
+
+        fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+            self.file.set_len(len)
+        }
+    }
+
+    fn wal_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("grandma-router-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// One shard with a `--wal sync` log whose syncs `control` steers.
+    fn controlled_router(dir: &std::path::Path, control: &Arc<LogControl>) -> Arc<SessionRouter> {
+        let control = control.clone();
+        let wrap: LogWrap = Arc::new(move |file| {
+            Box::new(ControlledLog {
+                file,
+                control: control.clone(),
+            })
+        });
+        let config = ServeConfig {
+            shards: 1,
+            queue_capacity: 256,
+            wal: Some(WalConfig::new(dir, FsyncPolicy::Sync)),
+            ..ServeConfig::default()
+        };
+        SessionRouter::spawn(recognizer(), config, Some(wrap))
+    }
+
+    /// Sixteen whole gestures as `(seq, event)` records numbered from 1.
+    fn gesture_records() -> Vec<(u32, InputEvent)> {
+        let data = datasets::eight_way(0x7e57, 0, 2);
+        data.testing
+            .iter()
+            .fold(EventScript::new(), |script, example| {
+                script.then_gesture(&example.gesture, Button::Left)
+            })
+            .into_events()
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| (i as u32 + 1, e))
+            .collect()
+    }
+
+    fn submit_batch(
+        router: &SessionRouter,
+        conn: u64,
+        session: u64,
+        records: &[(u32, InputEvent)],
+        reply: &Sender<ServerFrame>,
+    ) {
+        let mut events = router.batch_pool().take();
+        events.extend_from_slice(records);
+        router
+            .submit(ShardMsg::EventBatch {
+                conn,
+                session,
+                events,
+                reply: reply.clone().into(),
+            })
+            .unwrap();
+    }
+
+    /// Opens `session` and waits for its `Open` to be committed: the
+    /// `Resumed` answer to the connection's own `Resume` is held until
+    /// the sync that covers the `Open` record.
+    fn open_committed(router: &SessionRouter, conn: u64, session: u64, tx: &Sender<ServerFrame>) {
+        router
+            .submit(ShardMsg::Open {
+                conn,
+                session,
+                seq: 0,
+                reply: tx.clone().into(),
+            })
+            .unwrap();
+        router
+            .submit(ShardMsg::Resume {
+                conn,
+                session,
+                reply: tx.clone().into(),
+            })
+            .unwrap();
+    }
+
+    fn recv_resumed(rx: &Receiver<ServerFrame>) -> ServerFrame {
+        let frame = rx.recv_timeout(Duration::from_secs(10)).expect("Resumed");
+        assert!(matches!(frame, ServerFrame::Resumed { .. }), "{frame:?}");
+        frame
+    }
+
+    #[test]
+    fn no_reply_leaves_before_the_group_sync_lands() {
+        let dir = wal_dir("stall");
+        let control = LogControl::new();
+        let router = controlled_router(&dir, &control);
+        let conn = router.new_conn_id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        open_committed(&router, conn, 1, &tx);
+        recv_resumed(&rx);
+        assert_eq!(router.metrics().snapshot().wal_syncs, 1);
+
+        // One group behind a parked worker: a journaled gesture (an
+        // Outcome), a journaled Close (Closed), a journaled peer handoff
+        // (HandoffAck), then an unjournaled UnknownSession fault.
+        let pause = router.pause_shard(0).expect("pause");
+        control.stall.store(true, Ordering::SeqCst);
+        submit_batch(&router, conn, 1, &gesture_records(), &tx);
+        router
+            .submit(ShardMsg::Close {
+                conn,
+                session: 1,
+                seq: 1000,
+                reply: tx.clone().into(),
+            })
+            .unwrap();
+        let handed = SessionPipeline::new(2, PipelineConfig::default()).snapshot();
+        router
+            .submit(ShardMsg::Handoff {
+                conn,
+                snapshot: Box::new(handed),
+                reply: tx.clone().into(),
+            })
+            .unwrap();
+        router
+            .submit(ShardMsg::Event {
+                conn,
+                session: 99,
+                seq: 7,
+                event: InputEvent::new(EventKind::MouseMove, 0.0, 0.0, 0.0),
+                reply: tx.clone().into(),
+            })
+            .unwrap();
+        pause.release();
+
+        // The worker is inside the group's sync: nothing may have left.
+        control.entered.wait();
+        let early = rx.recv_timeout(Duration::from_millis(100));
+        control.released.wait();
+        assert!(early.is_err(), "a reply left before its sync landed: {early:?}");
+
+        let mut frames = Vec::new();
+        while let Ok(frame) = rx.recv_timeout(Duration::from_secs(10)) {
+            let last = matches!(frame, ServerFrame::Fault { session: 99, .. });
+            frames.push(frame);
+            if last {
+                break;
+            }
+        }
+        let closed_at = frames.iter().position(|f| {
+            matches!(f, ServerFrame::Outcome { outcome: OutcomeKind::Closed, .. })
+        });
+        let outcome_at = frames.iter().position(|f| {
+            matches!(f, ServerFrame::Outcome { outcome, .. } if *outcome != OutcomeKind::Closed)
+        });
+        assert!(outcome_at.is_some() && outcome_at < closed_at, "{frames:?}");
+        assert_eq!(
+            frames[closed_at.expect("Closed") + 1..],
+            [
+                ServerFrame::HandoffAck {
+                    session: 2,
+                    last_seq: 0,
+                },
+                ServerFrame::Fault {
+                    session: 99,
+                    seq: 7,
+                    code: FaultCode::UnknownSession,
+                },
+            ],
+            "replies are released in the order they were produced"
+        );
+        assert_eq!(control.syncs.load(Ordering::SeqCst), 2, "one sync for the whole group");
+        router.shutdown();
+        let snap = router.metrics().snapshot();
+        assert_eq!(snap.wal_appends, 4, "Open, batch, Close, Handoff");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_group_sync_disables_the_wal_and_still_sends_the_held_replies() {
+        let dir = wal_dir("failsync");
+        let control = LogControl::new();
+        control.fail.store(true, Ordering::SeqCst);
+        let router = controlled_router(&dir, &control);
+        let conn = router.new_conn_id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        // One group: Open, the gesture and Close are written, and the one
+        // sync covering them fails.
+        let pause = router.pause_shard(0).expect("pause");
+        router
+            .submit(ShardMsg::Open {
+                conn,
+                session: 4,
+                seq: 0,
+                reply: tx.clone().into(),
+            })
+            .unwrap();
+        submit_batch(&router, conn, 4, &gesture_records(), &tx);
+        router
+            .submit(ShardMsg::Close {
+                conn,
+                session: 4,
+                seq: 1000,
+                reply: tx.clone().into(),
+            })
+            .unwrap();
+        pause.release();
+        let frames = recv_until_closed(&rx);
+        assert!(
+            frames.iter().any(|f| matches!(
+                f,
+                ServerFrame::Outcome { outcome, .. } if *outcome != OutcomeKind::Closed
+            )),
+            "the held replies go out, they are not dropped: {frames:?}"
+        );
+        // Fail-open: the shard runs on without a WAL — nothing more is
+        // journaled and no further sync is tried.
+        open_committed(&router, conn, 5, &tx);
+        recv_resumed(&rx);
+        router.shutdown();
+        let snap = router.metrics().snapshot();
+        assert_eq!(snap.wal_appends, 3);
+        assert_eq!(snap.wal_syncs, 0);
+        assert_eq!(control.syncs.load(Ordering::SeqCst), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn queued_batches_commit_in_bounded_groups_ahead_of_a_checkpoint() {
+        let dir = wal_dir("groups");
+        let router = SessionRouter::new(recognizer(), ServeConfig {
+            shards: 1,
+            queue_capacity: 256,
+            wal: Some(WalConfig::new(&dir, FsyncPolicy::Sync)),
+            ..ServeConfig::default()
+        });
+        let rec = recognizer();
+        let records = gesture_records();
+        let close_seq = records.len() as u32 + 1;
+        let expected = run_events_inproc(&rec, 3, &PipelineConfig::default(), &records, close_seq);
+        // Two records per batch for the grouped part; the rest follows
+        // the checkpoint and is recovered from the log tail.
+        let (head, tail) = records.split_at(records.len() * 3 / 4);
+        let mut head_frames = Vec::new();
+        let mut pipeline = SessionPipeline::new(3, PipelineConfig::default());
+        for &(seq, event) in head {
+            pipeline.feed(&rec, seq, event, &mut head_frames);
+        }
+        let batches: Vec<&[(u32, InputEvent)]> = head.chunks(2).collect();
+        let n = batches.len() as u64;
+        assert!(n > GROUP_MAX as u64, "{n} batches must span several groups");
+
+        let conn = router.new_conn_id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        open_committed(&router, conn, 3, &tx);
+        recv_resumed(&rx);
+        let before = router.metrics().snapshot().wal_syncs;
+        let pause = router.pause_shard(0).expect("pause");
+        for batch in &batches {
+            submit_batch(&router, conn, 3, batch, &tx);
+        }
+        let checkpoint = Arc::new(Barrier::new(2));
+        router.submit(ShardMsg::Checkpoint(checkpoint.clone())).unwrap();
+        pause.release();
+        checkpoint.wait();
+        let mut live = drain_frames(&rx);
+        assert!(!head_frames.is_empty());
+        assert_eq!(live, head_frames, "every grouped reply is out before the barrier");
+        let syncs = router.metrics().snapshot().wal_syncs - before;
+        assert_eq!(syncs, n.div_ceil(GROUP_MAX as u64) + 1, "groups plus the compaction");
+
+        // The tail goes to the log after the snapshot; the Resume fence
+        // answers once its groups are committed.
+        for batch in tail.chunks(2) {
+            submit_batch(&router, conn, 3, batch, &tx);
+        }
+        router
+            .submit(ShardMsg::Resume {
+                conn,
+                session: 3,
+                reply: tx.clone().into(),
+            })
+            .unwrap();
+        loop {
+            let frame = rx.recv_timeout(Duration::from_secs(10)).expect("tail replies");
+            if matches!(frame, ServerFrame::Resumed { .. }) {
+                break;
+            }
+            live.push(frame);
+        }
+        let image = wal_dir("groups-image");
+        std::fs::create_dir_all(&image).unwrap();
+        for file in ["shard-0.wal", "shard-0.snap"] {
+            std::fs::copy(dir.join(file), image.join(file)).unwrap();
+        }
+        router
+            .submit(ShardMsg::Close {
+                conn,
+                session: 3,
+                seq: close_seq,
+                reply: tx.into(),
+            })
+            .unwrap();
+        live.extend(recv_until_closed(&rx));
+        router.shutdown();
+        assert_eq!(live, expected, "the grouped live run matches the pipeline");
+
+        // Recovering the image finishes byte-identically to the live run.
+        let recovered = SessionRouter::new(recognizer(), ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        });
+        recovered.recover(&WalConfig::new(&image, FsyncPolicy::Async)).unwrap();
+        let conn = recovered.new_conn_id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        recovered
+            .submit(ShardMsg::Resume {
+                conn,
+                session: 3,
+                reply: tx.clone().into(),
+            })
+            .unwrap();
+        assert_eq!(
+            recv_resumed(&rx),
+            ServerFrame::Resumed {
+                session: 3,
+                last_seq: close_seq - 1,
+            }
+        );
+        recovered
+            .submit(ShardMsg::Close {
+                conn,
+                session: 3,
+                seq: close_seq,
+                reply: tx.into(),
+            })
+            .unwrap();
+        let closing = recv_until_closed(&rx);
+        assert_eq!(closing[..], expected[expected.len() - closing.len()..]);
+        recovered.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&image);
+    }
+
+    #[test]
+    fn wal_syncs_stay_zero_without_a_wal_and_under_async() {
+        for (tag, wal) in [
+            ("none", None),
+            ("async", Some(WalConfig::new(wal_dir("async"), FsyncPolicy::Async))),
+        ] {
+            let router = SessionRouter::new(recognizer(), ServeConfig {
+                shards: 1,
+                wal: wal.clone(),
+                ..ServeConfig::default()
+            });
+            let conn = router.new_conn_id();
+            let (tx, rx) = std::sync::mpsc::channel();
+            open_committed(&router, conn, 8, &tx);
+            recv_resumed(&rx);
+            submit_batch(&router, conn, 8, &gesture_records(), &tx);
+            router.checkpoint_all();
+            router
+                .submit(ShardMsg::Close {
+                    conn,
+                    session: 8,
+                    seq: 1000,
+                    reply: tx.into(),
+                })
+                .unwrap();
+            recv_until_closed(&rx);
+            router.shutdown();
+            let snap = router.metrics().snapshot();
+            assert_eq!(snap.wal_syncs, 0, "{tag}");
+            assert_eq!(snap.wal_appends, if wal.is_some() { 3 } else { 0 }, "{tag}");
+            if let Some(wal) = wal {
+                let _ = std::fs::remove_dir_all(&wal.dir);
+            }
+        }
     }
 }

@@ -31,11 +31,20 @@
 //! pre-snapshot frames in the log, which replay skips via the snapshot's
 //! `last_seq` watermark.
 //!
-//! Fsync policy ([`FsyncPolicy`]): `Sync` fsyncs after every append
-//! (durable to the platter, slow); `Async` writes without fsync (durable
-//! to the page cache — survives process crashes, not power loss). "Off"
-//! is represented by not configuring a WAL at all
-//! (`ServeConfig::wal: None`).
+//! I/O comes in two halves: `WalShard::write_record` appends a record
+//! without syncing, and `WalShard::sync` issues one `sync_data` that
+//! covers every record written since the last one.
+//! [`WalShard::append_frame`] is both at once. The shard worker commits
+//! in groups: it writes the records of up to 64 already-queued messages,
+//! syncs once, and only then releases the replies those messages
+//! produced (ack-after-durable).
+//!
+//! Fsync policy ([`FsyncPolicy`]): `Sync` makes every record durable to
+//! the platter before anything that depends on it is acknowledged — one
+//! sync per drained group; `Async` writes without fsync (durable to the
+//! page cache — survives process crashes, not power loss). "Off" is
+//! represented by not configuring a WAL at all (`ServeConfig::wal:
+//! None`).
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -64,8 +73,9 @@ pub enum FsyncPolicy {
     /// Write without fsync: records survive a process crash (the page
     /// cache persists) but not a host crash.
     Async,
-    /// fsync after every append: records survive power loss at the cost
-    /// of one disk flush per accepted frame.
+    /// Sync before acknowledging: records survive power loss. The shard
+    /// worker issues one `sync_data` per drained group of up to 64
+    /// messages and holds the group's replies until it lands.
     Sync,
 }
 
@@ -155,13 +165,54 @@ fn split_records(bytes: &[u8]) -> (Vec<&[u8]>, bool) {
     (out, false)
 }
 
+/// The log file's I/O seam, in a module of its own so that its methods
+/// do not shadow `std::io::Write` on the other files this module writes.
+pub(crate) mod seam {
+    use std::fs::File;
+    use std::io::Write;
+    use std::sync::Arc;
+
+    /// The log file's I/O, through which tests stall or fail a shard's
+    /// writes and syncs. `File` is the production implementation.
+    pub(crate) trait LogFile: Send {
+        /// Appends `bytes` (the file is opened `O_APPEND`).
+        fn write_all(&mut self, bytes: &[u8]) -> std::io::Result<()>;
+        /// Flushes the written data to stable storage.
+        fn sync_data(&mut self) -> std::io::Result<()>;
+        /// Truncates (or extends) the file to `len` bytes.
+        fn set_len(&mut self, len: u64) -> std::io::Result<()>;
+    }
+
+    impl LogFile for File {
+        fn write_all(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            Write::write_all(self, bytes)
+        }
+
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            File::sync_data(self)
+        }
+
+        fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+            File::set_len(self, len)
+        }
+    }
+
+    /// Wraps a shard's freshly opened log file in another [`LogFile`].
+    pub(crate) type LogWrap = Arc<dyn Fn(File) -> Box<dyn LogFile> + Send + Sync>;
+}
+
+use seam::LogWrap;
+
 /// One shard's write-ahead log, owned exclusively by its shard worker.
 pub struct WalShard {
     config: WalConfig,
     shard: usize,
-    file: File,
+    file: Box<dyn seam::LogFile>,
     /// Log bytes appended since the last compaction (or open).
     bytes_since_snapshot: u64,
+    /// `true` while records written under [`FsyncPolicy::Sync`] await
+    /// their [`WalShard::sync`].
+    unsynced: bool,
     /// Reusable record-assembly buffer.
     scratch: Vec<u8>,
 }
@@ -170,42 +221,84 @@ impl WalShard {
     /// Opens (creating if needed) the log for `shard` under
     /// `config.dir`, appending to whatever tail already exists.
     pub fn open(config: WalConfig, shard: usize) -> std::io::Result<Self> {
+        Self::open_with(config, shard, None)
+    }
+
+    /// [`WalShard::open`], with the log file passed through `wrap` when
+    /// given.
+    pub(crate) fn open_with(
+        config: WalConfig,
+        shard: usize,
+        wrap: Option<&LogWrap>,
+    ) -> std::io::Result<Self> {
         std::fs::create_dir_all(&config.dir)?;
         let path = config.wal_path(shard);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let existing = file.metadata().map(|m| m.len()).unwrap_or(0);
+        let file: Box<dyn seam::LogFile> = match wrap {
+            Some(wrap) => wrap(file),
+            None => Box::new(file),
+        };
         Ok(Self {
             config,
             shard,
             file,
             bytes_since_snapshot: existing,
+            unsynced: false,
             scratch: Vec::new(),
         })
     }
 
-    /// Appends one wire-encoded client frame (write-ahead: call before
-    /// feeding the frame to the pipeline). Returns the record bytes
-    /// written.
+    /// Appends one wire-encoded client frame and syncs it under
+    /// [`FsyncPolicy::Sync`] (write-ahead: call before feeding the frame
+    /// to the pipeline). Returns the record bytes written.
     pub fn append_frame(&mut self, frame_bytes: &[u8]) -> std::io::Result<u64> {
+        let written = self.write_record(frame_bytes)?;
+        self.sync()?;
+        Ok(written)
+    }
+
+    /// The write half of [`WalShard::append_frame`]: appends one record
+    /// without syncing it. Under [`FsyncPolicy::Sync`] the record is not
+    /// durable until the next [`WalShard::sync`], so nothing that depends
+    /// on it may be acknowledged before then. Returns the record bytes
+    /// written.
+    pub(crate) fn write_record(&mut self, frame_bytes: &[u8]) -> std::io::Result<u64> {
         // lint:reactor-loop start(wal-append) — runs inline on the shard
-        // worker for every frame; the two I/O calls below are the write-ahead
-        // contract itself and are individually attested.
+        // worker for every accepted frame.
         self.scratch.clear();
         append_record(&mut self.scratch, frame_bytes);
         // lint:allow(reactor-blocking-call): the write-ahead durability
         // contract — one buffered O_APPEND write per frame, bounded by the
         // record size; `--wal` is an explicit durability opt-in.
         self.file.write_all(&self.scratch)?;
-        if self.config.fsync == FsyncPolicy::Sync {
-            // lint:allow(reactor-blocking-call): fsync happens only under
-            // `--wal sync`, the caller's explicit durability-over-latency
-            // choice (DESIGN.md §10).
-            self.file.sync_data()?;
-        }
+        self.unsynced = self.config.fsync == FsyncPolicy::Sync;
         let written = self.scratch.len() as u64;
         self.bytes_since_snapshot = self.bytes_since_snapshot.saturating_add(written);
         Ok(written)
         // lint:reactor-loop end
+    }
+
+    /// The sync half: one `sync_data` covering every record written since
+    /// the last sync. Returns whether it synced — `false` when nothing
+    /// is pending, which is always the case under [`FsyncPolicy::Async`].
+    pub(crate) fn sync(&mut self) -> std::io::Result<bool> {
+        if !self.unsynced {
+            return Ok(false);
+        }
+        self.file.sync_data()?;
+        self.unsynced = false;
+        Ok(true)
+    }
+
+    /// `true` while written records await [`WalShard::sync`].
+    pub(crate) fn unsynced(&self) -> bool {
+        self.unsynced
+    }
+
+    /// The fsync policy this log was opened with.
+    pub(crate) fn fsync(&self) -> FsyncPolicy {
+        self.config.fsync
     }
 
     /// `true` once enough log has accumulated that the owner should
@@ -248,6 +341,7 @@ impl WalShard {
             // lint:allow(reactor-blocking-call): only under `--wal sync`,
             // the caller's explicit durability-over-latency choice.
             self.file.sync_data()?;
+            self.unsynced = false;
         }
         self.bytes_since_snapshot = 0;
         Ok(())
@@ -466,6 +560,34 @@ mod tests {
         assert_eq!(recovery.frames, frames);
         assert!(recovery.snapshots.is_empty());
         assert!(!recovery.torn);
+        let _ = std::fs::remove_dir_all(&config.dir);
+    }
+
+    #[test]
+    fn one_sync_covers_every_record_written_before_it() {
+        let config = WalConfig::new(tmp_dir("halves"), FsyncPolicy::Sync);
+        let mut wal = WalShard::open(config.clone(), 0).expect("open");
+        assert!(!wal.sync().expect("sync"), "nothing written, nothing to sync");
+        let frames: Vec<ClientFrame> = (1..=3).map(event_frame).collect();
+        let mut bytes = Vec::new();
+        for frame in &frames {
+            bytes.clear();
+            encode_client(frame, &mut bytes);
+            wal.write_record(&bytes).expect("write");
+            assert!(wal.unsynced());
+        }
+        assert!(wal.sync().expect("sync"), "one sync for the three records");
+        assert!(!wal.unsynced());
+        assert!(!wal.sync().expect("sync"), "and none after it");
+        assert_eq!(read_shard(&config, 0).expect("read").frames, frames);
+        let _ = std::fs::remove_dir_all(&config.dir);
+
+        // Async never has anything to sync.
+        let config = WalConfig::new(tmp_dir("halves-async"), FsyncPolicy::Async);
+        let mut wal = WalShard::open(config.clone(), 0).expect("open");
+        wal.write_record(&bytes).expect("write");
+        assert!(!wal.unsynced());
+        assert!(!wal.sync().expect("sync"));
         let _ = std::fs::remove_dir_all(&config.dir);
     }
 

@@ -7,9 +7,8 @@
 //! fatal.
 //!
 //! The process-level version of this drill (real SIGKILL of a `serve`
-//! child, restart with `--recover`) lives in `serve_load
-//! --kill-after-ms`; these tests pin the same guarantees without
-//! spawning processes so they can run in the workspace test suite.
+//! child, restart with `--recover`) is `tests/kill_recover.rs`; these
+//! tests pin the same guarantees without spawning processes.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -39,16 +39,13 @@ done
 echo "== serve_load smoke (batched + unbatched + 256-conn sweep) =="
 cargo run -p grandma-bench --bin serve_load --release -- --smoke --connections 256
 
-# Crash-safety drills (DESIGN.md §14). The chaos run forces mid-stream
+# Crash-safety drill (DESIGN.md §14): the chaos run forces mid-stream
 # disconnects against an in-process service and holds the resume
-# invariants; the kill drill SIGKILLs a real serve child mid-load,
-# restarts it with --recover, and requires every session to resume and
-# the control group to stay byte-identical.
+# invariants. The SIGKILL + --recover drill against a real serve child
+# is the grandma-serve suite tests/kill_recover.rs, run by the workspace
+# tests above.
 echo "== serve_load chaos (reconnecting client, forced disconnects) =="
 cargo run -p grandma-bench --bin serve_load --release -- --chaos
-
-echo "== serve_load kill-recovery drill (SIGKILL + --recover) =="
-cargo run -p grandma-bench --bin serve_load --release -- --kill-after-ms 400 --smoke
 
 # Cluster drill (DESIGN.md §15): two registered nodes, consistent-hash
 # routing, SIGKILL of the node owning the majority of sessions, WAL
