@@ -19,7 +19,7 @@
 pub const DEFAULT_VNODES: usize = 64;
 
 /// Default ring seed. All nodes must agree on the seed (it travels in
-/// the discovery file); this is the value `serve` and the bench harness
+/// the discovery file); this is the value `serve` and its test drills
 /// use when nothing else is configured.
 pub const DEFAULT_RING_SEED: u64 = 0x6772_616E_646D_6121; // "grandma!"
 

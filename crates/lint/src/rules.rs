@@ -560,7 +560,7 @@ fn rule_unsafe_code(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
                 out,
                 "unsafe-code",
                 ctx.line(i),
-                "`unsafe` outside the audited inventory (bench allocators, serve syscall module)"
+                "`unsafe` outside the audited inventory (bench allocator, serve syscall module)"
                     .to_string(),
             );
         }

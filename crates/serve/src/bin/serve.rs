@@ -53,18 +53,16 @@
 //! shards, seals live sessions into the WAL snapshot when one is
 //! configured — and prints the service metrics snapshot as JSON.
 
-use std::io::{Read, Write};
-use std::net::SocketAddr;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 use grandma_cluster::{read_cluster, register_node, remove_node};
 use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma_serve::sys::{poll_fds, raise_nofile_limit, PollFd, SignalPipe, POLLIN, SIGINT, SIGTERM};
 use grandma_serve::{
-    encode_client, ClientFrame, FrameBuffer, FsyncPolicy, PollBackend, ServeConfig, ServerFrame,
-    SessionRouter, TcpOptions, TcpService, WalConfig, WalDirLock, WIRE_VERSION,
+    hand_off, FsyncPolicy, PollBackend, ServeConfig, SessionRouter, TcpOptions, TcpService,
+    WalConfig, WalDirLock,
 };
 use grandma_synth::datasets;
 
@@ -340,82 +338,13 @@ fn cmd_run(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One outbound handoff connection to a peer node: a plain wire-v4
-/// client that only ever sends `Handoff` frames.
-struct HandoffPeer {
-    stream: std::net::TcpStream,
-    frames: FrameBuffer,
-    scratch: Vec<u8>,
-    chunk: Vec<u8>,
-}
-
-impl HandoffPeer {
-    fn dial(addr: SocketAddr) -> Option<Self> {
-        let stream = std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(5)).ok()?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-        let mut peer = Self {
-            stream,
-            frames: FrameBuffer::new(),
-            scratch: Vec::new(),
-            chunk: vec![0u8; 16 * 1024],
-        };
-        peer.write(&ClientFrame::Hello {
-            version: WIRE_VERSION,
-        })
-        .ok()?;
-        Some(peer)
-    }
-
-    fn write(&mut self, frame: &ClientFrame) -> std::io::Result<()> {
-        self.scratch.clear();
-        encode_client(frame, &mut self.scratch);
-        self.stream.write_all(&self.scratch)
-    }
-
-    /// Sends one snapshot and waits for its `HandoffAck`; a fault, an
-    /// undecodable reply, or any I/O failure counts as a refusal.
-    fn handoff(&mut self, snapshot: &grandma_serve::SessionSnapshot) -> bool {
-        let mut payload = Vec::new();
-        snapshot.encode(&mut payload);
-        if self
-            .write(&ClientFrame::Handoff { snapshot: payload })
-            .is_err()
-        {
-            return false;
-        }
-        loop {
-            match self.frames.next_server() {
-                Ok(Some(ServerFrame::HandoffAck { session, .. }))
-                    if session == snapshot.session =>
-                {
-                    return true;
-                }
-                Ok(Some(ServerFrame::Fault { session, .. }))
-                    if session == snapshot.session || session == 0 =>
-                {
-                    return false;
-                }
-                Ok(Some(_)) => {}
-                Ok(None) => match self.stream.read(&mut self.chunk) {
-                    Ok(0) | Err(_) => return false,
-                    Ok(n) => self.frames.extend(self.chunk.get(..n).unwrap_or(&[])),
-                },
-                Err(_) => return false,
-            }
-        }
-    }
-}
-
 /// Drains every live session off this node and hands each to the node
-/// the (post-deregistration) ring maps it to, one cached connection per
-/// peer. Returns `(moved, failed)`. A session whose handoff fails is
-/// reinstalled into the local router so the final shutdown seals it
-/// into the WAL snapshot instead of dropping it. The ring is read
-/// before the drain, which seals each shard's WAL empty: an unreadable
-/// discovery file then fails every handoff, and no drained session is
-/// lost to it.
+/// the (post-deregistration) ring maps it to. Returns `(moved, failed)`.
+/// A session whose handoff fails is reinstalled into the local router so
+/// the final shutdown seals it into the WAL snapshot instead of dropping
+/// it. The ring is read before the drain, which seals each shard's WAL
+/// empty: an unreadable discovery file then fails every handoff, and no
+/// drained session is lost to it.
 fn drain_and_handoff(router: &SessionRouter, cluster_file: &std::path::Path) -> (usize, usize) {
     let view = match read_cluster(cluster_file) {
         Ok(view) => Some(view),
@@ -425,32 +354,16 @@ fn drain_and_handoff(router: &SessionRouter, cluster_file: &std::path::Path) -> 
         }
     };
     let snapshots = router.drain_sessions();
-    let mut peers: Vec<(SocketAddr, Option<HandoffPeer>)> = Vec::new();
-    let mut moved = 0usize;
-    let mut failed = 0usize;
-    for snapshot in snapshots {
-        let owner = view.as_ref().and_then(|v| v.owner_addr(snapshot.session));
-        let sent = match owner {
-            Some(addr) => {
-                if !peers.iter().any(|(a, _)| *a == addr) {
-                    peers.push((addr, HandoffPeer::dial(addr)));
-                }
-                peers
-                    .iter_mut()
-                    .find(|(a, _)| *a == addr)
-                    .and_then(|(_, p)| p.as_mut())
-                    .is_some_and(|p| p.handoff(&snapshot))
-            }
-            None => false,
-        };
-        if sent {
-            moved += 1;
-        } else {
-            router.reinstall(snapshot);
-            failed += 1;
-        }
+    let drained = snapshots.len();
+    let refused = match &view {
+        Some(view) => hand_off(view, snapshots),
+        None => snapshots,
+    };
+    let failed = refused.len();
+    for snapshot in refused {
+        router.reinstall(snapshot);
     }
-    (moved, failed)
+    (drained - failed, failed)
 }
 
 /// Blocks until stdin closes (or delivers a line) or a termination

@@ -31,15 +31,23 @@
 //! sessions with a current discovery file; the redirect machinery is
 //! for ownership changes *after* open, which is the case that matters
 //! (drain, crash, membership change).
+//!
+//! [`hand_off`] is the other side of a move: it pushes drained or
+//! recovered [`SessionSnapshot`]s to their ring owners over wire-v4
+//! `Handoff` frames, both for a node's graceful drain and for a
+//! recovery agent replaying a dead node's WAL.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use grandma_cluster::{read_cluster, ClusterView, DiscoveryError};
 use grandma_events::InputEvent;
 
 use crate::client::{ClientError, ReconnectingClient, RetryPolicy};
-use crate::wire::ServerFrame;
+use crate::session::SessionSnapshot;
+use crate::wire::{encode_client, ClientFrame, FrameBuffer, ServerFrame, WIRE_VERSION};
 
 /// Redirect/refresh cycles one operation may burn before the client
 /// declares the cluster inconsistent. Each hop is a full dial + resume,
@@ -303,6 +311,104 @@ impl ClusterClient {
             match self.inner.reconnect() {
                 Ok(()) => return Ok(()),
                 Err(e) => err = e,
+            }
+        }
+    }
+}
+
+/// Connect, read and write timeout of one handoff connection.
+const HANDOFF_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Hands each snapshot to the node `view` maps its session to, over one
+/// cached connection per peer, waiting for each `HandoffAck`. Returns
+/// the snapshots that were not acked, in order: their owner is missing
+/// from the ring or unreachable, it answered with a fault, or the
+/// connection failed. The caller decides their fate (a draining node
+/// reinstalls them for its WAL; a recovery agent treats any as lost).
+pub fn hand_off(view: &ClusterView, snapshots: Vec<SessionSnapshot>) -> Vec<SessionSnapshot> {
+    let mut peers: Vec<(SocketAddr, Option<HandoffPeer>)> = Vec::new();
+    let mut refused = Vec::new();
+    for snapshot in snapshots {
+        let acked = view.owner_addr(snapshot.session).is_some_and(|addr| {
+            if !peers.iter().any(|(a, _)| *a == addr) {
+                peers.push((addr, HandoffPeer::dial(addr)));
+            }
+            peers
+                .iter_mut()
+                .find(|(a, _)| *a == addr)
+                .and_then(|(_, p)| p.as_mut())
+                .is_some_and(|p| p.handoff(&snapshot))
+        });
+        if !acked {
+            refused.push(snapshot);
+        }
+    }
+    refused
+}
+
+/// One outbound handoff connection to a peer node: a plain wire-v4
+/// client that only ever sends `Handoff` frames.
+struct HandoffPeer {
+    stream: TcpStream,
+    frames: FrameBuffer,
+    scratch: Vec<u8>,
+    chunk: Vec<u8>,
+}
+
+impl HandoffPeer {
+    fn dial(addr: SocketAddr) -> Option<Self> {
+        let stream = TcpStream::connect_timeout(&addr, HANDOFF_TIMEOUT).ok()?;
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(HANDOFF_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(HANDOFF_TIMEOUT));
+        let mut peer = Self {
+            stream,
+            frames: FrameBuffer::new(),
+            scratch: Vec::new(),
+            chunk: vec![0u8; 16 * 1024],
+        };
+        peer.send_frame(&ClientFrame::Hello {
+            version: WIRE_VERSION,
+        })
+        .ok()?;
+        Some(peer)
+    }
+
+    fn send_frame(&mut self, frame: &ClientFrame) -> std::io::Result<()> {
+        self.scratch.clear();
+        encode_client(frame, &mut self.scratch);
+        self.stream.write_all(&self.scratch)
+    }
+
+    /// Sends one snapshot and waits for its `HandoffAck`; a fault, an
+    /// undecodable reply, or any I/O failure counts as a refusal.
+    fn handoff(&mut self, snapshot: &SessionSnapshot) -> bool {
+        let mut payload = Vec::new();
+        snapshot.encode(&mut payload);
+        if self
+            .send_frame(&ClientFrame::Handoff { snapshot: payload })
+            .is_err()
+        {
+            return false;
+        }
+        loop {
+            match self.frames.next_server() {
+                Ok(Some(ServerFrame::HandoffAck { session, .. }))
+                    if session == snapshot.session =>
+                {
+                    return true;
+                }
+                Ok(Some(ServerFrame::Fault { session, .. }))
+                    if session == snapshot.session || session == 0 =>
+                {
+                    return false;
+                }
+                Ok(Some(_)) => {}
+                Ok(None) => match self.stream.read(&mut self.chunk) {
+                    Ok(0) | Err(_) => return false,
+                    Ok(n) => self.frames.extend(self.chunk.get(..n).unwrap_or(&[])),
+                },
+                Err(_) => return false,
             }
         }
     }

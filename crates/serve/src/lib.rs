@@ -77,7 +77,7 @@ pub mod wal;
 pub mod wire;
 
 pub use client::{ClientError, ReconnectingClient, RetryPolicy};
-pub use cluster_client::{ClusterClient, ClusterError, MAX_ROUTE_HOPS};
+pub use cluster_client::{hand_off, ClusterClient, ClusterError, MAX_ROUTE_HOPS};
 pub use duplex::{Duplex, DuplexError};
 pub use metrics::{MetricsSnapshot, ServiceMetrics, ShardSnapshot};
 pub use pool::BatchPool;

@@ -13,8 +13,9 @@
 //! a `Vec` costs a few tens of nanoseconds per take/put — noise next to
 //! the syscall and channel hops it sits between — and a bounded free list
 //! means a burst can grow the working set but an idle service gives the
-//! memory back. Hit/miss counters are exposed so the load generator can
-//! report steady-state allocation behavior instead of asserting it.
+//! memory back. Hit/miss counters are exposed so the benchmark can report
+//! steady-state allocation behavior (`pool.hit_ratio`) instead of
+//! asserting it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -4,8 +4,9 @@
 //! The default soft `RLIMIT_NOFILE` on most distros is 1024 — two
 //! orders of magnitude under the 16k-connection tier the reactor is
 //! benched at — while the hard limit is typically generous. Raising
-//! soft→hard needs no privilege, so the serve binary and the bench
-//! harness both do it unconditionally at startup and log the result.
+//! soft→hard needs no privilege, so the serve binary does it
+//! unconditionally at startup and logs the result; the fan-out ladder
+//! test asks for what its client side needs.
 //!
 //! The numeric resource id is OS-specific (7 on Linux, 8 across the
 //! BSD family — where 7 is `RLIMIT_NPROC`, so a hardcoded Linux value
@@ -93,10 +94,9 @@ mod imp {
     /// raising the *hard* limit too when the process is privileged to
     /// (`CAP_SYS_RESOURCE`, i.e. root in the bench container).
     ///
-    /// The connection sweep's largest tier holds both ends of every
-    /// connection in one process — ~33k descriptors at 16384
-    /// connections — which can exceed the hard limit that
-    /// [`raise_nofile_limit`] stops at. Returns
+    /// The fan-out ladder's largest tier holds the client end of 16384
+    /// connections in the test process, which can exceed the hard
+    /// limit that [`raise_nofile_limit`] stops at. Returns
     /// `(soft_before, soft_after)`; like the plain raise, a refusal
     /// degrades to whatever soft→hard achieved rather than erroring,
     /// and the caller logs the pair so a short tier is explainable.

@@ -132,10 +132,9 @@ const WAKER_TOKEN: u64 = 0;
 /// successful startup probe — racing fd exhaustion — degrades that
 /// thread to poll(2), logging the fallback and downgrading the
 /// `reactor_backend` metric rather than dropping the thread's
-/// connections.) The `GRANDMA_POLL_BACKEND` environment
-/// variable (values `auto`/`poll`/`epoll`) overrides the default so
-/// test suites can be re-run against the portable backend without
-/// code changes.
+/// connections.) `serve run --poll-backend` picks one; the TCP test
+/// suites start a service on every host backend through
+/// [`TcpService::start_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PollBackend {
     /// epoll(7) where available (Linux), poll(2) elsewhere.
@@ -148,7 +147,7 @@ pub enum PollBackend {
 }
 
 impl PollBackend {
-    /// Parses a CLI/env value (`auto` | `poll` | `epoll`).
+    /// Parses a CLI value (`auto` | `poll` | `epoll`).
     pub fn parse(value: &str) -> Option<Self> {
         match value {
             "auto" => Some(Self::Auto),
@@ -165,14 +164,6 @@ impl PollBackend {
             Self::Poll => "poll",
             Self::Epoll => "epoll",
         }
-    }
-
-    /// The `GRANDMA_POLL_BACKEND` override, or `Auto`.
-    fn from_env() -> Self {
-        std::env::var("GRANDMA_POLL_BACKEND")
-            .ok()
-            .and_then(|v| Self::parse(v.trim()))
-            .unwrap_or(Self::Auto)
     }
 
     /// The concrete backend this selection asks for on this platform.
@@ -221,7 +212,7 @@ impl Default for TcpOptions {
             io_threads: 0,
             max_connections: 65_536,
             idle_timeout_ms: 0,
-            poll_backend: PollBackend::from_env(),
+            poll_backend: PollBackend::Auto,
         }
     }
 }
@@ -1029,7 +1020,7 @@ fn io_loop(
     // resource exhaustion, so degrade to poll(2) (which allocates
     // nothing) rather than dropping the thread — but never silently:
     // the fallback is logged and the `reactor_backend` metric is
-    // downgraded so operators (and the bench's per-backend records)
+    // downgraded so operators (and the fan-out suite's backend check)
     // see what this thread actually runs, even under an explicit
     // `--poll-backend epoll` whose startup-probe fail-loudly window
     // has already passed.

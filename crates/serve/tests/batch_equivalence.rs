@@ -6,7 +6,10 @@
 //! Batch sizes vary per session (including size-1 batches and batches
 //! beyond the single-frame cap, which the encoder splits), and every
 //! fourth session replays a `FaultInjector`-corrupted stream so the
-//! equivalence covers the repair path too.
+//! equivalence covers the repair path too. The TCP half runs once per
+//! host readiness backend (poll, and epoll on Linux).
+
+mod support;
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -18,10 +21,11 @@ use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma_events::{Button, EventScript, InputEvent};
 use grandma_serve::{
     encode_client, encode_event_batch, encode_server, run_events_inproc, ClientFrame, Duplex,
-    FrameBuffer, OutcomeKind, PipelineConfig, ServeConfig, ServerFrame, SessionRouter, TcpService,
-    MAX_BATCH_EVENTS, WIRE_VERSION,
+    FrameBuffer, OutcomeKind, PipelineConfig, ServeConfig, ServerFrame, SessionRouter, TcpOptions,
+    TcpService, MAX_BATCH_EVENTS, WIRE_VERSION,
 };
 use grandma_synth::{datasets, FaultInjector, SynthRng};
+use support::{frame_session, host_backends};
 
 const SESSIONS: u64 = 12;
 
@@ -253,15 +257,7 @@ fn tcp_run_bytes(
         };
         fb.extend(&chunk[..n]);
         while let Some(frame) = fb.next_server().expect("valid server stream") {
-            let session = match frame {
-                ServerFrame::Recognized { session, .. }
-                | ServerFrame::Manipulate { session, .. }
-                | ServerFrame::Outcome { session, .. }
-                | ServerFrame::Fault { session, .. }
-                | ServerFrame::Resumed { session, .. }
-                | ServerFrame::HandoffAck { session, .. }
-                | ServerFrame::NotOwner { session, .. } => session,
-            };
+            let session = frame_session(&frame);
             if matches!(
                 frame,
                 ServerFrame::Outcome {
@@ -290,25 +286,35 @@ fn batched_tcp_is_byte_identical_to_single_events() {
         (1..=SESSIONS).map(|s| (s, session_stream(s))).collect();
     let expected = reference_bytes(&rec, &streams);
 
-    let mut service =
-        TcpService::start(SessionRouter::new(rec, loose_config()), "127.0.0.1:0").expect("bind");
-    let addr = service.local_addr();
+    for backend in host_backends() {
+        let options = TcpOptions {
+            poll_backend: backend,
+            ..TcpOptions::default()
+        };
+        let mut service = TcpService::start_with(
+            SessionRouter::new(rec.clone(), loose_config()),
+            "127.0.0.1:0",
+            options,
+        )
+        .expect("bind");
+        let addr = service.local_addr();
 
-    let single = tcp_run_bytes(addr, &streams, false);
-    let batched = tcp_run_bytes(addr, &streams, true);
-    for (&session, reference) in &expected {
-        assert_eq!(
-            &single[&session], reference,
-            "session {session}: single-event TCP diverges from the reference"
-        );
-        assert_eq!(
-            &batched[&session], reference,
-            "session {session}: batched TCP diverges from the reference"
-        );
+        let single = tcp_run_bytes(addr, &streams, false);
+        let batched = tcp_run_bytes(addr, &streams, true);
+        for (&session, reference) in &expected {
+            assert_eq!(
+                &single[&session], reference,
+                "{backend:?}, session {session}: single-event TCP diverges from the reference"
+            );
+            assert_eq!(
+                &batched[&session], reference,
+                "{backend:?}, session {session}: batched TCP diverges from the reference"
+            );
+        }
+        service.shutdown();
+        let snap = service.metrics().snapshot();
+        assert_eq!(snap.busy_rejections, 0, "{backend:?}: {snap:?}");
+        assert_eq!(snap.decode_errors, 0, "{backend:?}: {snap:?}");
+        assert!(snap.batches_ingested > 0, "{backend:?}: {snap:?}");
     }
-    service.shutdown();
-    let snap = service.metrics().snapshot();
-    assert_eq!(snap.busy_rejections, 0, "{snap:?}");
-    assert_eq!(snap.decode_errors, 0, "{snap:?}");
-    assert!(snap.batches_ingested > 0, "{snap:?}");
 }

@@ -3,69 +3,22 @@
 //! `--recover` restart that must still resume the session the drain
 //! could not hand off.
 
-use std::io::{BufRead, BufReader, Read, Write};
+mod support;
+
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use grandma_cluster::{read_cluster, remove_node};
 use grandma_events::{EventKind, InputEvent};
-use grandma_serve::{encode_client, ClientFrame, FrameBuffer, ServerFrame, WIRE_VERSION};
-
-const SERVE: &str = env!("CARGO_BIN_EXE_serve");
-
-/// A running `serve run`, killed on drop if a failed assertion leaves it
-/// behind.
-struct Server {
-    child: Child,
-    stdin: Option<ChildStdin>,
-    addr: SocketAddr,
-}
-
-impl Server {
-    fn start(args: &[&str]) -> Self {
-        let mut child = Command::new(SERVE)
-            .arg("run")
-            .args(args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn serve");
-        let stdin = child.stdin.take();
-        let mut line = String::new();
-        BufReader::new(child.stdout.take().expect("stdout"))
-            .read_line(&mut line)
-            .expect("read listening line");
-        let addr = line
-            .trim()
-            .strip_prefix("listening on ")
-            .and_then(|a| a.parse().ok())
-            .unwrap_or_else(|| panic!("unexpected first line {line:?}"));
-        Self { child, stdin, addr }
-    }
-
-    /// Closes stdin — the graceful-shutdown signal — and waits for exit.
-    fn stop(mut self) {
-        drop(self.stdin.take());
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while Instant::now() < deadline {
-            if let Ok(Some(status)) = self.child.try_wait() {
-                assert!(status.success(), "serve exited with {status}");
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        panic!("serve did not shut down within 30 s");
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
+use grandma_serve::{
+    encode_client, hand_off, ClientFrame, ClusterClient, FrameBuffer, FsyncPolicy, RetryPolicy,
+    ServeConfig, ServerFrame, SessionRouter, WalConfig, WIRE_VERSION,
+};
+use support::{
+    assert_session_invariants, baseline, is_subsequence, pace_for_kill, path_str, session_stream,
+    tmp_dir, train, wire, Server,
+};
 
 /// A wire client that sends frames and waits for the first reply about
 /// one session.
@@ -120,29 +73,12 @@ impl Wire {
     }
 }
 
-fn tmp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("grandma-cluster-drain-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
-
-fn path_str(path: &Path) -> &str {
-    path.to_str().expect("utf-8 temp path")
-}
-
 #[test]
 fn unreadable_cluster_file_at_shutdown_keeps_sessions_for_recovery() {
-    let dir = tmp_dir();
-    let model = dir.join("model.txt");
+    let dir = tmp_dir("cluster-drain");
+    let (model, _) = train(&dir);
     let wal = dir.join("wal");
     let cluster = dir.join("cluster.json");
-    let status = Command::new(SERVE)
-        .args(["train", "--out", path_str(&model), "--per-class", "5"])
-        .stdout(Stdio::null())
-        .status()
-        .expect("run serve train");
-    assert!(status.success());
 
     let node = Server::start(&[
         "--model",
@@ -195,5 +131,210 @@ fn unreadable_cluster_file_at_shutdown_keeps_sessions_for_recovery() {
     );
     drop(client);
     node.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sessions driven through the member kill, and again as the control
+/// wave.
+const SESSIONS: u64 = 12;
+/// The SIGKILL lands this long into the load.
+const KILL_AFTER_MS: u64 = 500;
+
+/// Routing and resume chatter the single-node baseline never emits;
+/// stripped before the byte-level comparisons.
+fn substantive_wire(frames: Vec<ServerFrame>) -> Vec<Vec<u8>> {
+    let frames: Vec<ServerFrame> = frames
+        .into_iter()
+        .filter(|f| {
+            !matches!(
+                f,
+                ServerFrame::Resumed { .. }
+                    | ServerFrame::HandoffAck { .. }
+                    | ServerFrame::NotOwner { .. }
+            )
+        })
+        .collect();
+    wire(&frames)
+}
+
+/// Drives one session through a [`ClusterClient`], sleeping `pace`
+/// after each event so a concurrent kill lands mid-stream. A failed send
+/// leaves the event in the resume window, so recovery is route repair
+/// (pump until a live owner resumes the session), never a re-send.
+/// Returns the session's frames and how often it was redirected.
+fn drive_cluster(
+    cluster_file: &std::path::Path,
+    session: u64,
+    events: &[InputEvent],
+    pace: Duration,
+) -> (Vec<ServerFrame>, u64) {
+    let policy = RetryPolicy {
+        max_attempts: 4,
+        base_delay: Duration::from_millis(10),
+        max_delay: Duration::from_millis(160),
+        request_timeout: Duration::from_secs(5),
+        jitter_seed: 0xC1_0573 ^ session,
+    };
+    let mut client =
+        ClusterClient::connect(cluster_file, session, policy).expect("cluster connect");
+    for &event in events {
+        if client.send_event(event).is_err() {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while client.pump(Duration::from_millis(5)).is_err() {
+                assert!(
+                    Instant::now() < deadline,
+                    "session {session}: no route to a live owner"
+                );
+                std::thread::sleep(Duration::from_millis(25));
+            }
+        }
+        if !pace.is_zero() {
+            std::thread::sleep(pace);
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match client.close() {
+            Ok(frames) => return (frames, client.redirects()),
+            Err(e) => {
+                assert!(
+                    Instant::now() < deadline,
+                    "session {session}: close never routed: {e}"
+                );
+                std::thread::sleep(Duration::from_millis(25));
+            }
+        }
+    }
+}
+
+#[test]
+fn sigkilled_member_hands_its_sessions_to_the_ring_successor() {
+    let dir = tmp_dir("cluster-kill");
+    let (model, rec) = train(&dir);
+    let cluster = dir.join("cluster.json");
+    let mut members: Vec<(String, std::path::PathBuf, Server)> = (0..2)
+        .map(|i| {
+            let id = format!("node-{i}");
+            let wal = dir.join(format!("wal-{i}"));
+            let server = Server::start(&[
+                "--model",
+                path_str(&model),
+                "--wal",
+                "sync",
+                "--wal-dir",
+                path_str(&wal),
+                "--cluster-file",
+                path_str(&cluster),
+                "--node-id",
+                &id,
+            ]);
+            (id, wal, server)
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let view = loop {
+        if let Ok(view) = read_cluster(&cluster) {
+            if view.nodes.len() == members.len() {
+                break view;
+            }
+        }
+        assert!(Instant::now() < deadline, "registry never converged");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+
+    // The victim: the member owning the most sessions.
+    let owned_by = |addr: SocketAddr| {
+        (1..=SESSIONS)
+            .filter(|&s| view.owner_addr(s) == Some(addr))
+            .count()
+    };
+    let victim = (0..members.len())
+        .max_by_key(|&i| owned_by(members[i].2.addr))
+        .expect("members");
+    let (victim_id, victim_wal, victim_server) = members.remove(victim);
+    let victim_addr = victim_server.addr;
+    assert!(owned_by(victim_addr) >= 1, "victim owns no sessions");
+    let pace = pace_for_kill(1..=SESSIONS, KILL_AFTER_MS);
+
+    std::thread::scope(|scope| {
+        let agent = scope.spawn(|| {
+            std::thread::sleep(Duration::from_millis(KILL_AFTER_MS));
+            victim_server.kill();
+            // Recovery agent, in order: replay the victim's WAL into a
+            // fresh router, drain it, hand every snapshot to the ring
+            // minus the victim, and only then deregister the victim.
+            // Until then clients keep retrying the dead address, so no
+            // Resume can race ahead of its session's handoff.
+            let router = SessionRouter::new(
+                rec.clone(),
+                ServeConfig {
+                    shards: 4,
+                    queue_capacity: 1 << 15,
+                    ..ServeConfig::default()
+                },
+            );
+            router
+                .recover(&WalConfig::new(&victim_wal, FsyncPolicy::Async))
+                .expect("replay victim wal");
+            let snapshots = router.drain_sessions();
+            router.shutdown();
+            let mut successors = read_cluster(&cluster).expect("read registry");
+            successors.nodes.retain(|n| n.id != victim_id);
+            let refused = hand_off(&successors, snapshots);
+            assert!(
+                refused.is_empty(),
+                "{} handoffs were not acked",
+                refused.len()
+            );
+            remove_node(&cluster, &victim_id).expect("deregister victim");
+        });
+        for session in 1..=SESSIONS {
+            let (rec, cluster) = (&rec, &cluster);
+            let moved = view.owner_addr(session) == Some(victim_addr);
+            scope.spawn(move || {
+                let events = session_stream(session);
+                let (frames, redirects) = drive_cluster(cluster, session, &events, pace);
+                assert_session_invariants(session, &frames);
+                let got = substantive_wire(frames);
+                let want = baseline(rec, session, &events);
+                if moved {
+                    assert!(redirects >= 1, "moved session {session} never redirected");
+                    assert!(
+                        is_subsequence(&got, &want),
+                        "moved session {session}: frames are not a subsequence of the baseline"
+                    );
+                } else {
+                    assert_eq!(
+                        got, want,
+                        "unmoved session {session}: frames must be byte-identical"
+                    );
+                }
+            });
+        }
+        agent.join().expect("recovery agent");
+    });
+
+    // Control wave: fresh sessions against the surviving membership are
+    // byte-identical to the baseline; the handoffs contaminated nothing.
+    std::thread::scope(|scope| {
+        for session in 1001..=(1000 + SESSIONS) {
+            let (rec, cluster) = (&rec, &cluster);
+            scope.spawn(move || {
+                let events = session_stream(session);
+                let (frames, _) = drive_cluster(cluster, session, &events, Duration::ZERO);
+                assert_session_invariants(session, &frames);
+                assert_eq!(
+                    substantive_wire(frames),
+                    baseline(rec, session, &events),
+                    "control session {session}: frames must be byte-identical"
+                );
+            });
+        }
+    });
+
+    // Survivors stop gracefully and exit 0.
+    for (_, _, server) in members {
+        server.stop();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,6 +5,15 @@
 //!
 //! A quarter of the sessions replay `FaultInjector`-corrupted streams, so
 //! the equality also covers the sanitizer/fault path end to end.
+//!
+//! The reconnect chaos test holds resumed sessions to the same baseline:
+//! half the sessions sever their own connection mid-gesture and must
+//! lose, duplicate or cross-wire no outcome.
+//!
+//! Every test runs once per host readiness backend (poll, and epoll on
+//! Linux).
+
+mod support;
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -16,9 +25,13 @@ use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma_events::{Button, EventScript, InputEvent};
 use grandma_serve::{
     encode_client, encode_server, run_events_inproc, ClientFrame, FrameBuffer, OutcomeKind,
-    PipelineConfig, ServeConfig, ServerFrame, SessionRouter, TcpService, WIRE_VERSION,
+    PipelineConfig, PollBackend, ServeConfig, ServerFrame, SessionRouter, TcpOptions, TcpService,
+    WIRE_VERSION,
 };
 use grandma_synth::{datasets, FaultInjector, SynthRng};
+use support::{
+    assert_session_invariants, baseline, drive, frame_session, host_backends, is_subsequence, wire,
+};
 
 const SESSIONS: u64 = 64;
 const CONNECTIONS: u64 = 8;
@@ -135,15 +148,7 @@ fn drive_connection(
         };
         fb.extend(&chunk[..n]);
         while let Some(frame) = fb.next_server().expect("valid server stream") {
-            let session = match frame {
-                ServerFrame::Recognized { session, .. }
-                | ServerFrame::Manipulate { session, .. }
-                | ServerFrame::Outcome { session, .. }
-                | ServerFrame::Fault { session, .. }
-                | ServerFrame::Resumed { session, .. }
-                | ServerFrame::HandoffAck { session, .. }
-                | ServerFrame::NotOwner { session, .. } => session,
-            };
+            let session = frame_session(&frame);
             if matches!(
                 frame,
                 ServerFrame::Outcome {
@@ -162,11 +167,21 @@ fn drive_connection(
     per_session
 }
 
+/// Starts a TCP service for `config` on one readiness backend.
+fn start(rec: Arc<EagerRecognizer>, config: ServeConfig, backend: PollBackend) -> TcpService {
+    let options = TcpOptions {
+        poll_backend: backend,
+        ..TcpOptions::default()
+    };
+    TcpService::start_with(SessionRouter::new(rec, config), "127.0.0.1:0", options).expect("bind")
+}
+
 /// One full service run: start TCP, drive every connection from its own
 /// thread, shut down, return per-session frames.
 fn run_service_once(
     rec: Arc<EagerRecognizer>,
     streams: &HashMap<u64, Vec<(u32, InputEvent)>>,
+    backend: PollBackend,
 ) -> HashMap<u64, Vec<ServerFrame>> {
     let config = ServeConfig {
         shards: 4,
@@ -175,8 +190,7 @@ fn run_service_once(
         queue_capacity: 1 << 15,
         ..ServeConfig::default()
     };
-    let mut service =
-        TcpService::start(SessionRouter::new(rec, config), "127.0.0.1:0").expect("bind");
+    let mut service = start(rec, config, backend);
     let addr = service.local_addr();
     let mut results = HashMap::new();
     std::thread::scope(|scope| {
@@ -226,26 +240,30 @@ fn sixty_four_tcp_sessions_match_the_inproc_pipeline_byte_for_byte() {
     let fault_frames = |bytes: &Vec<u8>| !bytes.is_empty();
     assert!(expected.values().all(fault_frames));
 
-    // Two independent service runs must both reproduce the reference.
-    for run in 0..2 {
-        let got = run_service_once(rec.clone(), &streams);
-        assert_eq!(got.len() as u64, SESSIONS);
-        for (&session, frames) in &got {
-            let got_bytes = frames_to_bytes(frames);
-            assert_eq!(
-                got_bytes, expected[&session],
-                "run {run}, session {session}: TCP frames diverge from in-process pipeline"
-            );
-            assert!(
-                matches!(
-                    frames.last(),
-                    Some(ServerFrame::Outcome {
-                        outcome: OutcomeKind::Closed,
-                        ..
-                    })
-                ),
-                "run {run}, session {session} missing Closed marker"
-            );
+    // Two independent service runs per backend must all reproduce the
+    // reference.
+    for backend in host_backends() {
+        for run in 0..2 {
+            let got = run_service_once(rec.clone(), &streams, backend);
+            assert_eq!(got.len() as u64, SESSIONS);
+            for (&session, frames) in &got {
+                let got_bytes = frames_to_bytes(frames);
+                assert_eq!(
+                    got_bytes, expected[&session],
+                    "{backend:?} run {run}, session {session}: TCP frames diverge from \
+                     in-process pipeline"
+                );
+                assert!(
+                    matches!(
+                        frames.last(),
+                        Some(ServerFrame::Outcome {
+                            outcome: OutcomeKind::Closed,
+                            ..
+                        })
+                    ),
+                    "{backend:?} run {run}, session {session} missing Closed marker"
+                );
+            }
         }
     }
 }
@@ -268,14 +286,31 @@ fn half_closed_client_still_receives_every_reply() {
         events.len() as u32,
     ));
 
-    let config = ServeConfig {
-        shards: 2,
-        queue_capacity: 1 << 15,
-        ..ServeConfig::default()
-    };
-    let mut service =
-        TcpService::start(SessionRouter::new(rec, config), "127.0.0.1:0").expect("bind");
-    let mut stream = TcpStream::connect(service.local_addr()).expect("connect");
+    for backend in host_backends() {
+        let config = ServeConfig {
+            shards: 2,
+            queue_capacity: 1 << 15,
+            ..ServeConfig::default()
+        };
+        let mut service = start(rec.clone(), config, backend);
+        let frames = half_closed_session(service.local_addr(), session, &events);
+        assert_eq!(
+            frames_to_bytes(&frames),
+            expected,
+            "{backend:?}: half-closed connection must still deliver the full reply stream"
+        );
+        service.shutdown();
+    }
+}
+
+/// Writes a whole session, half-closes the write side before reading a
+/// single reply, then reads until the `Closed` marker.
+fn half_closed_session(
+    addr: std::net::SocketAddr,
+    session: u64,
+    events: &[(u32, InputEvent)],
+) -> Vec<ServerFrame> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
@@ -287,7 +322,7 @@ fn half_closed_client_still_receives_every_reply() {
         &mut bytes,
     );
     encode_client(&ClientFrame::Open { session }, &mut bytes);
-    for &(seq, event) in &events {
+    for &(seq, event) in events {
         encode_client(
             &ClientFrame::Event {
                 session,
@@ -337,12 +372,7 @@ fn half_closed_client_still_receives_every_reply() {
         }
     }
     assert!(done, "server EOF before the Closed marker arrived");
-    assert_eq!(
-        frames_to_bytes(&frames),
-        expected,
-        "half-closed connection must still deliver the full reply stream"
-    );
-    service.shutdown();
+    frames
 }
 
 #[test]
@@ -390,4 +420,67 @@ fn corrupted_sessions_report_faults_and_clean_ones_do_not_cancel() {
         clean_recognized as u64 >= SESSIONS,
         "clean sessions must mostly recognize: {clean_recognized}"
     );
+}
+
+/// Sessions driven by the reconnect chaos test.
+const CHAOS_SESSIONS: u64 = 12;
+/// A chaotic session severs its connection every this many events.
+const CHAOS_DISCONNECT_EVERY: usize = 40;
+
+#[test]
+fn reconnect_chaos_resumes_every_session_without_loss_or_duplication() {
+    // Odd sessions sever their connection repeatedly and must produce a
+    // subsequence of the never-crashed baseline (the gap frames were
+    // emitted while the wire was down); even sessions never disconnect
+    // and must match it byte for byte.
+    let rec = recognizer();
+    for backend in host_backends() {
+        let config = ServeConfig {
+            shards: 4,
+            queue_capacity: 1 << 15,
+            detach_on_disconnect: true,
+            ..ServeConfig::default()
+        };
+        let mut service = start(rec.clone(), config, backend);
+        let addr = service.local_addr();
+        std::thread::scope(|scope| {
+            for session in 1..=CHAOS_SESSIONS {
+                let rec = &rec;
+                scope.spawn(move || {
+                    let events = support::session_stream(session);
+                    let chaotic = session % 2 == 1;
+                    let (frames, reconnects) = drive(
+                        addr,
+                        session,
+                        &events,
+                        Duration::ZERO,
+                        chaotic.then_some(CHAOS_DISCONNECT_EVERY),
+                    );
+                    assert_session_invariants(session, &frames);
+                    let got = wire(&frames);
+                    let want = baseline(rec, session, &events);
+                    if chaotic {
+                        assert!(
+                            reconnects >= 1,
+                            "{backend:?}: chaos session {session} never reconnected"
+                        );
+                        assert!(
+                            is_subsequence(&got, &want),
+                            "{backend:?}: chaos session {session}: frames are not a \
+                                 subsequence of the baseline"
+                        );
+                    } else {
+                        assert_eq!(
+                            got, want,
+                            "{backend:?}: clean session {session}: frames must be \
+                                 byte-identical"
+                        );
+                    }
+                });
+            }
+        });
+        let resumed = service.metrics().snapshot().sessions_resumed;
+        service.shutdown();
+        assert!(resumed >= 1, "{backend:?}: server never resumed a session");
+    }
 }

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repo gate: build, test, chaos suite, lint. Run before every commit.
+# Repo gate: build, test (every serve drill included), lint, clippy.
+# Run before every commit.
 #
 # Works fully offline. Clippy is skipped (with a warning) when the
 # component is not installed, so the gate degrades gracefully on
@@ -14,46 +15,11 @@ cargo build --workspace --release
 echo "== cargo test --workspace (quiet) =="
 cargo test --workspace -q
 
-# The chaos suite already runs as part of the workspace tests above; two
-# serve suites are worth calling out by name, and each runs once per
-# reactor backend so both sides of the sys::Poller abstraction stay
-# green: the loopback suite (64 concurrent TCP sessions held
-# byte-identical to the in-process pipeline) and the wire v2 equivalence
-# suite (batched EventBatch delivery byte-identical to single-Event
-# delivery, over the in-process duplex transport and real TCP).
-# An empty backend means the platform default (epoll on Linux).
-for backend in "" poll; do
-    label="${backend:-default}"
-    for suite in loopback batch_equivalence; do
-        echo "== serve $suite suite ($label backend) =="
-        GRANDMA_POLL_BACKEND="$backend" \
-            cargo test -p grandma-serve --test "$suite" -q
-    done
-done
-
-# Fast-path smoke: a short serve_load run must finish with zero decode
-# errors and zero busy rejections on both the batched and unbatched
-# client disciplines, and the reactor (default backend: epoll on Linux)
-# must hold a 256-connection sweep tier with zero connect failures and
-# zero failed round trips.
-echo "== serve_load smoke (batched + unbatched + 256-conn sweep) =="
-cargo run -p grandma-bench --bin serve_load --release -- --smoke --connections 256
-
-# Crash-safety drill (DESIGN.md §14): the chaos run forces mid-stream
-# disconnects against an in-process service and holds the resume
-# invariants. The SIGKILL + --recover drill against a real serve child
-# is the grandma-serve suite tests/kill_recover.rs, run by the workspace
-# tests above.
-echo "== serve_load chaos (reconnecting client, forced disconnects) =="
-cargo run -p grandma-bench --bin serve_load --release -- --chaos
-
-# Cluster drill (DESIGN.md §15): two registered nodes, consistent-hash
-# routing, SIGKILL of the node owning the majority of sessions, WAL
-# replay + live snapshot handoff to the ring successor, and every moved
-# session must resume on the successor with zero cross-session
-# contamination.
-echo "== serve_load cluster drill (2 nodes, kill + handoff) =="
-cargo run -p grandma-bench --bin serve_load --release -- --cluster 2 --kill-node --smoke
+# The workspace tests above include every serve drill: the reconnect
+# chaos run (tests/loopback.rs), the SIGKILL + --recover drill
+# (tests/kill_recover.rs), the two-node kill and handoff drill
+# (tests/cluster_drain.rs) and the 256-connection fan-out on each host
+# readiness backend (tests/fanout.rs).
 
 # grandma-lint is the always-on static-analysis gate: panic-freedom,
 # wire-protocol lockstep, hot-path alloc/index hygiene, float-comparison
