@@ -1,18 +1,17 @@
 #![forbid(unsafe_code)]
-//! Shared evaluation harness for the table/figure reproduction binaries.
+//! Evaluation harness for the paper's tables and figures (§5).
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (§5); this library holds the common machinery:
-//! train a full classifier and an eager recognizer on a dataset's training
-//! split, run both over the testing split, and summarize accuracy and
-//! eagerness the way the paper reports them.
+//! [`evaluate`] trains a full classifier and an eager recognizer on a
+//! dataset's training split, runs both over the testing split, and
+//! summarizes accuracy and eagerness the way the paper reports them.
+//! [`experiments`] renders every table of EXPERIMENTS.md on top of it;
+//! the `experiments` binary prints them all.
 
+pub mod experiments;
 pub mod report;
 
-use grandma_core::parallel::{available_workers, parallel_map};
-use grandma_core::{
-    Classifier, EagerConfig, EagerRecognizer, EagerTrainReport, FeatureMask, TrainError,
-};
+use grandma_core::eager::EagerRun;
+use grandma_core::{EagerConfig, EagerRecognizer, EagerTrainReport, FeatureMask, TrainError};
 use grandma_synth::Dataset;
 
 /// Per-class evaluation results.
@@ -55,6 +54,8 @@ pub struct EvalSummary {
     pub total: usize,
     /// Per-class breakdown.
     pub per_class: Vec<ClassSummary>,
+    /// The eager run of every test gesture, in dataset order.
+    pub runs: Vec<EagerRun>,
     /// The eager training report (pipeline diagnostics).
     pub train_report: EagerTrainReport,
 }
@@ -79,10 +80,6 @@ impl EvalSummary {
 
 /// Trains on `data.training`, evaluates on `data.testing`.
 ///
-/// Test gestures are scored on [`available_workers`] threads; see
-/// [`evaluate_with_workers`] for an explicit count. The summary is
-/// identical for every worker count.
-///
 /// # Errors
 ///
 /// Propagates [`TrainError`] from classifier training.
@@ -91,29 +88,7 @@ pub fn evaluate(
     mask: &FeatureMask,
     config: &EagerConfig,
 ) -> Result<EvalSummary, TrainError> {
-    evaluate_with_workers(data, mask, config, available_workers())
-}
-
-/// [`evaluate`] with an explicit worker count for both eager training and
-/// the batched test pass.
-///
-/// Each test gesture is scored independently and the per-gesture results
-/// are folded into the summary serially, in dataset order — so every
-/// worker count (including 1, which spawns no threads) produces an
-/// identical [`EvalSummary`], down to the floating-point accumulators.
-///
-/// # Errors
-///
-/// Propagates [`TrainError`] from classifier training.
-pub fn evaluate_with_workers(
-    data: &Dataset,
-    mask: &FeatureMask,
-    config: &EagerConfig,
-    workers: usize,
-) -> Result<EvalSummary, TrainError> {
-    let full = Classifier::train(&data.training, mask)?;
-    let (eager, train_report) =
-        EagerRecognizer::train_with_workers(&data.training, mask, config, workers)?;
+    let (eager, train_report) = EagerRecognizer::train(&data.training, mask, config)?;
 
     let mut per_class: Vec<ClassSummary> = data
         .class_names
@@ -129,15 +104,10 @@ pub fn evaluate_with_workers(
         })
         .collect();
 
-    // Score every test gesture in parallel, then fold the results in
-    // dataset order below.
-    let scored = parallel_map(&data.testing, workers, |_, labeled| {
-        let full_class = full.classify(&labeled.gesture).class;
+    let mut runs = Vec::with_capacity(data.testing.len());
+    for labeled in &data.testing {
+        let full_class = eager.classify_full(&labeled.gesture).class;
         let run = eager.run(&labeled.gesture);
-        (full_class, run)
-    });
-
-    for (labeled, (full_class, run)) in data.testing.iter().zip(scored) {
         let summary = &mut per_class[labeled.class];
         summary.total += 1;
         if full_class == labeled.class {
@@ -153,6 +123,7 @@ pub fn evaluate_with_workers(
         if let (Some(min_points), Some(acc)) = (labeled.min_points, &mut summary.avg_min_fraction) {
             *acc += (min_points as f64 / labeled.gesture.len() as f64).min(1.0);
         }
+        runs.push(run);
     }
     for s in &mut per_class {
         if s.total > 0 {
@@ -191,12 +162,13 @@ pub fn evaluate_with_workers(
         fired_early,
         total,
         per_class,
+        runs,
         train_report,
     })
 }
 
-/// Prints the standard per-class table for an [`EvalSummary`].
-pub fn print_per_class(summary: &EvalSummary) {
+/// Renders the standard per-class table for an [`EvalSummary`].
+pub fn per_class_table(summary: &EvalSummary) -> String {
     let mut rows = Vec::new();
     for s in &summary.per_class {
         rows.push(vec![
@@ -211,13 +183,10 @@ pub fn print_per_class(summary: &EvalSummary) {
             format!("{}/{}", s.fired_early, s.total),
         ]);
     }
-    println!(
-        "{}",
-        report::table(
-            &["class", "full", "eager", "seen", "min", "fired-early"],
-            &rows
-        )
-    );
+    report::table(
+        &["class", "full", "eager", "seen", "min", "fired-early"],
+        &rows,
+    )
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 
 /// Configuration for [`crate::EagerRecognizer::train`].
 ///
-/// Defaults reproduce the paper's choices; the ablation benches in
-/// `grandma-bench` sweep the interesting ones.
+/// Defaults reproduce the paper's choices; the ablations in
+/// `grandma-bench`'s `experiments` runner sweep the interesting ones.
 ///
 /// # Examples
 ///

@@ -53,99 +53,50 @@ impl SubgestureRecord {
 ///
 /// Features are computed incrementally so the whole pass costs
 /// O(points × classes) rather than O(points² × classes).
-///
-/// Runs on [`crate::parallel::available_workers`] threads; see
-/// [`label_subgestures_with_workers`] for an explicit worker count. The
-/// output is identical for every worker count.
 pub fn label_subgestures(
     full: &Classifier,
     per_class: &[Vec<Gesture>],
     config: &EagerConfig,
 ) -> Vec<SubgestureRecord> {
-    label_subgestures_with_workers(full, per_class, config, crate::parallel::available_workers())
-}
-
-/// [`label_subgestures`] with an explicit worker count.
-///
-/// Examples are labeled independently (one work item per training example)
-/// and merged back in `(class, example)` order, so every worker count —
-/// including 1, which runs inline with no threads — produces byte-identical
-/// records in the identical order.
-pub fn label_subgestures_with_workers(
-    full: &Classifier,
-    per_class: &[Vec<Gesture>],
-    config: &EagerConfig,
-    workers: usize,
-) -> Vec<SubgestureRecord> {
     let min_len = config.min_subgesture_points.max(2);
-    let jobs: Vec<(usize, usize, &Gesture)> = per_class
-        .iter()
-        .enumerate()
-        .flat_map(|(class, examples)| {
-            examples
-                .iter()
-                .enumerate()
-                .map(move |(example, gesture)| (class, example, gesture))
-        })
-        .collect();
-    let per_example = crate::parallel::parallel_map(&jobs, workers, |_, &(class, example, g)| {
-        label_example(full, class, example, g, min_len)
-    });
-    per_example.into_iter().flatten().collect()
-}
-
-/// Labels every prefix of one training example.
-fn label_example(
-    full: &Classifier,
-    class: usize,
-    example: usize,
-    gesture: &Gesture,
-    min_len: usize,
-) -> Vec<SubgestureRecord> {
-    if gesture.len() < min_len {
-        return Vec::new();
-    }
-    // Incremental pass: features and prediction for every prefix.
-    // `best_class` is an argmax query, so the only allocation per
-    // prefix is the feature vector stored in the record itself.
-    let mut fx = FeatureExtractor::new();
-    let mut prefix_records = Vec::with_capacity(gesture.len());
-    for (idx, &p) in gesture.points().iter().enumerate() {
-        fx.update(p);
-        let i = idx + 1;
-        if i < min_len {
-            continue;
+    let mut records = Vec::new();
+    for (class, examples) in per_class.iter().enumerate() {
+        for (example, gesture) in examples.iter().enumerate() {
+            // Incremental pass: features and prediction for every prefix.
+            // `best_class` is an argmax query, so the only allocation per
+            // prefix is the feature vector stored in the record itself.
+            let first = records.len();
+            let mut fx = FeatureExtractor::new();
+            for (idx, &p) in gesture.points().iter().enumerate() {
+                fx.update(p);
+                let i = idx + 1;
+                if i < min_len {
+                    continue;
+                }
+                let features = fx.masked_features(full.mask());
+                let predicted = full.linear().best_class(features.as_slice());
+                records.push(SubgestureRecord {
+                    class,
+                    example,
+                    prefix_len: i,
+                    full_len: gesture.len(),
+                    features,
+                    predicted,
+                    complete: false,
+                    assigned: AucClassKind::Incomplete(predicted),
+                });
+            }
+            // Completeness: scan from the longest prefix down; stay
+            // complete while every prediction from here up matches the
+            // true class.
+            for r in records[first..].iter_mut().rev() {
+                if r.predicted != class {
+                    break;
+                }
+                r.complete = true;
+                r.assigned = AucClassKind::Complete(class);
+            }
         }
-        let features = fx.masked_features(full.mask());
-        let predicted = full.linear().best_class(features.as_slice());
-        prefix_records.push((i, features, predicted));
-    }
-    // Completeness: scan from the longest prefix down; stay
-    // complete while every prediction from here up matches the
-    // true class.
-    let mut complete_flags = vec![false; prefix_records.len()];
-    let mut still_complete = true;
-    for (slot, (_, _, predicted)) in prefix_records.iter().enumerate().rev() {
-        still_complete = still_complete && *predicted == class;
-        complete_flags[slot] = still_complete;
-    }
-    let mut records = Vec::with_capacity(prefix_records.len());
-    for ((i, features, predicted), complete) in prefix_records.into_iter().zip(complete_flags) {
-        let assigned = if complete {
-            AucClassKind::Complete(class)
-        } else {
-            AucClassKind::Incomplete(predicted)
-        };
-        records.push(SubgestureRecord {
-            class,
-            example,
-            prefix_len: i,
-            full_len: gesture.len(),
-            features,
-            predicted,
-            complete,
-            assigned,
-        });
     }
     records
 }

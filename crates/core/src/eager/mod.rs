@@ -45,6 +45,6 @@ mod recognizer;
 
 pub use auc::{Auc, AucClassKind, TweakStats};
 pub use config::EagerConfig;
-pub use labeling::{label_subgestures, label_subgestures_with_workers, SubgestureRecord};
+pub use labeling::{label_subgestures, SubgestureRecord};
 pub use mover::{move_accidentally_complete, MoveOutcome};
 pub use recognizer::{EagerRecognizer, EagerRun, EagerSession, EagerTrainReport};

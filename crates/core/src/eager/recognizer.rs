@@ -7,16 +7,15 @@ use grandma_geom::{Gesture, Point};
 use crate::classifier::{Classification, Classifier, TrainError};
 use crate::eager::auc::{Auc, AucClassKind, TweakStats};
 use crate::eager::config::EagerConfig;
-use crate::eager::labeling::{label_subgestures_with_workers, SubgestureRecord};
+use crate::eager::labeling::{label_subgestures, SubgestureRecord};
 use crate::eager::mover::{move_accidentally_complete, MoveOutcome};
 use crate::features::{FeatureExtractor, FeatureMask};
-use crate::parallel::available_workers;
 
 /// Diagnostic record of one eager-recognizer training run.
 ///
-/// Exposes every pipeline stage so the Figure 5/6/7 reproduction
-/// (`ud_pipeline` in `grandma-bench`) can dump the intermediate labels, and
-/// so tests can assert pipeline invariants end to end.
+/// Exposes every pipeline stage so the evaluation harness
+/// (`grandma-bench`) can report the intermediate labels, and so tests can
+/// assert pipeline invariants end to end.
 #[derive(Debug, Clone)]
 pub struct EagerTrainReport {
     /// Final per-subgesture records (post-move assignments).
@@ -86,28 +85,8 @@ impl EagerRecognizer {
         mask: &FeatureMask,
         config: &EagerConfig,
     ) -> Result<(Self, EagerTrainReport), TrainError> {
-        Self::train_with_workers(per_class, mask, config, available_workers())
-    }
-
-    /// [`EagerRecognizer::train`] with an explicit worker count for the
-    /// subgesture-labeling pass (the dominant training cost — it classifies
-    /// every prefix of every example).
-    ///
-    /// Labeling merges per-example results in deterministic order, so any
-    /// worker count — including 1, which spawns no threads — yields an
-    /// identical recognizer and identical [`EagerTrainReport`].
-    ///
-    /// # Errors
-    ///
-    /// See [`EagerRecognizer::train`].
-    pub fn train_with_workers(
-        per_class: &[Vec<Gesture>],
-        mask: &FeatureMask,
-        config: &EagerConfig,
-        workers: usize,
-    ) -> Result<(Self, EagerTrainReport), TrainError> {
         let full = Classifier::train(per_class, mask)?;
-        let mut records = label_subgestures_with_workers(&full, per_class, config, workers);
+        let mut records = label_subgestures(&full, per_class, config);
         let move_outcome = move_accidentally_complete(&mut records, full.linear(), config);
         let (auc, tweaks) = Auc::train(&records, config)?;
         let report = EagerTrainReport {

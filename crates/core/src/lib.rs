@@ -75,7 +75,6 @@ pub mod eager;
 pub mod features;
 pub mod interaction;
 pub mod multistroke;
-pub mod parallel;
 pub mod persist;
 
 pub use classifier::{Classification, Classifier, LinearClassifier, TrainError};

@@ -137,7 +137,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "unsafe-code",
         severity: Severity::Error,
-        summary: "`unsafe` outside the audited inventory (the bench counting allocator, the serve syscall module)",
+        summary: "`unsafe` outside the audited inventory (the serve syscall module)",
     },
     RuleInfo {
         id: "forbid-unsafe",

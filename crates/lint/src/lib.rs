@@ -51,7 +51,6 @@ impl Config {
             wire_file: "crates/serve/src/wire.rs",
             session_file: "crates/serve/src/session.rs",
             unsafe_files: vec![
-                "crates/bench/src/bin/throughput.rs",
                 // The reactor's audited syscall boundary: hand-declared
                 // poll(2)/self-pipe (`sys/mod.rs`), epoll(7)
                 // (`sys/epoll.rs`), and setrlimit(2) (`sys/rlimit.rs`)
@@ -231,7 +230,7 @@ mod tests {
         let root = file_meta("crates/core/src/lib.rs");
         assert!(root.is_lib_root);
 
-        let bin = file_meta("crates/bench/src/bin/throughput.rs");
+        let bin = file_meta("crates/bench/src/bin/experiments.rs");
         assert!(bin.is_bin && !bin.is_test_file);
 
         let test = file_meta("crates/serve/tests/loopback.rs");

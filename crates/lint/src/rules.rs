@@ -544,7 +544,7 @@ fn rule_decode_as_cast(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Satellite: `unsafe` outside the audited allocator inventory.
+/// Satellite: `unsafe` outside the audited inventory.
 fn rule_unsafe_code(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
     if ctx
         .config
@@ -560,8 +560,7 @@ fn rule_unsafe_code(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
                 out,
                 "unsafe-code",
                 ctx.line(i),
-                "`unsafe` outside the audited inventory (bench allocator, serve syscall module)"
-                    .to_string(),
+                "`unsafe` outside the audited inventory (serve syscall module)".to_string(),
             );
         }
     }

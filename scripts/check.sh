@@ -21,6 +21,13 @@ cargo test --workspace -q
 # (tests/cluster_drain.rs) and the 256-connection fan-out on each host
 # readiness backend (tests/fanout.rs).
 
+# The experiments runner prints every EXPERIMENTS.md table. The golden
+# test (crates/bench/tests/experiments.rs) pins its seeded tables; running
+# it here also executes the wall-clock tables (E4, B1's costs), which no
+# test pins. The output lands in target/experiments.txt.
+echo "== experiments runner (release) =="
+cargo run -q -p grandma-bench --release --bin experiments > target/experiments.txt
+
 # grandma-lint is the always-on static-analysis gate: panic-freedom,
 # wire-protocol lockstep, hot-path alloc/index hygiene, float-comparison
 # and unsafe-code policy, plus the interprocedural concurrency rules
