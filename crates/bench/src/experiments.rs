@@ -14,7 +14,7 @@ use grandma_core::baseline::{TemplateConfig, TemplateRecognizer};
 use grandma_core::eager::{label_subgestures, move_accidentally_complete, Auc};
 use grandma_core::{
     AucClassKind, Classifier, EagerConfig, EagerRecognizer, FeatureExtractor, FeatureMask,
-    SubgestureRecord, FEATURE_NAMES,
+    InteractionConfig, SubgestureRecord, FEATURE_NAMES,
 };
 use grandma_events::{gesture_events, gesture_events_with_hold, Button, DwellDetector};
 use grandma_geom::{Gesture, Point};
@@ -386,7 +386,10 @@ fn a4() -> String {
                 .map(|n| GestureClass::named(n))
                 .collect(),
             GestureHandlerConfig {
-                eager,
+                interaction: InteractionConfig {
+                    eager,
+                    ..InteractionConfig::default()
+                },
                 ..GestureHandlerConfig::default()
             },
         )));

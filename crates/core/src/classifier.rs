@@ -333,7 +333,7 @@ impl LinearClassifier {
     /// Never panics on NaN: evaluations are compared with `total_cmp`, so
     /// a corrupted feature vector yields a deterministic (if meaningless)
     /// argmax. Callers on untrusted input should prefer
-    /// [`LinearClassifier::classify_checked`], which turns non-finite
+    /// [`LinearClassifier::classify_slice_checked`], which turns non-finite
     /// input into an explicit rejection instead.
     ///
     /// # Panics
@@ -363,37 +363,10 @@ impl LinearClassifier {
         }
     }
 
-    /// Classifies a feature vector with explicit rejection of degenerate
-    /// input: returns `None` when the features — or any resulting linear
-    /// evaluation — are non-finite, instead of letting NaN flow through
-    /// the argmax. This is the classify-time path the hardened interaction
-    /// pipeline uses ([`crate::EagerSession`], the toolkit's gesture
-    /// handler).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` has the wrong dimension.
-    pub fn classify_checked(&self, features: &Vector) -> Option<Classification> {
-        if !features.is_finite() {
-            return None;
-        }
-        let classification = self.classify(features);
-        if classification
-            .evaluations
-            .iter()
-            .all(|v| v.is_finite())
-        {
-            Some(classification)
-        } else {
-            None
-        }
-    }
-
-    /// Zero-allocation twin of [`LinearClassifier::classify_checked`] for
-    /// hot loops: evaluates into the caller's scratch buffer and returns
-    /// only the argmax class and its probability. `None` exactly when
-    /// `classify_checked` would reject (non-finite features or a
-    /// non-finite evaluation).
+    /// Checked, zero-allocation classification (the interaction machine's
+    /// commit): evaluates into the caller's scratch buffer and returns the
+    /// argmax class and its probability, or `None` when the features or
+    /// any evaluation are non-finite, instead of a NaN argmax.
     ///
     /// # Panics
     ///
@@ -553,27 +526,8 @@ impl Classifier {
             .classify(&FeatureExtractor::extract(gesture, &self.mask))
     }
 
-    /// Classifies an already-extracted feature vector (the eager session
-    /// uses this to avoid re-walking the points).
-    pub fn classify_features(&self, features: &Vector) -> Classification {
-        self.linear.classify(features)
-    }
-
-    /// Classifies a gesture, returning `None` instead of a garbage argmax
-    /// when the extracted features are non-finite (degenerate or corrupted
-    /// input). See [`LinearClassifier::classify_checked`].
-    pub fn classify_checked(&self, gesture: &Gesture) -> Option<Classification> {
-        self.linear
-            .classify_checked(&FeatureExtractor::extract(gesture, &self.mask))
-    }
-
-    /// Checked variant of [`Classifier::classify_features`].
-    pub fn classify_features_checked(&self, features: &Vector) -> Option<Classification> {
-        self.linear.classify_checked(features)
-    }
-
-    /// Zero-allocation twin of [`Classifier::classify_features_checked`]:
-    /// see [`LinearClassifier::classify_slice_checked`].
+    /// Checked, zero-allocation classification of already-extracted
+    /// features: see [`LinearClassifier::classify_slice_checked`].
     pub fn classify_slice_checked(
         &self,
         features: &[f64],
@@ -718,7 +672,7 @@ mod tests {
             stroke(-1.0, 0.3, 0.2),
         ] {
             let features = FeatureExtractor::extract(&g, c.mask());
-            let full = c.classify_features_checked(&features).unwrap();
+            let full = c.linear().classify(&features);
             let (class, probability) = c
                 .classify_slice_checked(features.as_slice(), &mut evals)
                 .unwrap();
@@ -726,13 +680,6 @@ mod tests {
             assert!((probability - full.probability).abs() < 1e-12);
             assert_eq!(evals, full.evaluations);
         }
-        // Non-finite features reject in both paths.
-        let mut bad = FeatureExtractor::extract(&stroke(1.0, 0.0, 0.1), c.mask());
-        bad.as_mut_slice()[0] = f64::NAN;
-        assert!(c.classify_features_checked(&bad).is_none());
-        assert!(c
-            .classify_slice_checked(bad.as_slice(), &mut evals)
-            .is_none());
     }
 
     #[test]
@@ -817,7 +764,7 @@ mod tests {
         features[0] = f64::NAN;
         features[3] = f64::INFINITY;
         // The unchecked path must stay panic-free and return a valid index.
-        let cls = c.classify_features(&Vector::from_vec(features));
+        let cls = c.linear().classify(&Vector::from_vec(features));
         assert!(cls.class < c.num_classes());
     }
 
@@ -825,13 +772,12 @@ mod tests {
     fn checked_classify_rejects_non_finite_features() {
         let data = four_direction_training();
         let c = Classifier::train(&data, &FeatureMask::all()).unwrap();
+        let mut evals = vec![0.0; c.num_classes()];
         let mut features = vec![0.0; c.linear().dimension()];
         features[5] = f64::NAN;
-        assert!(c.classify_features_checked(&Vector::from_vec(features)).is_none());
-        // A clean vector still classifies, and agrees with the unchecked path.
-        let good = FeatureExtractor::extract(&stroke(1.0, 0.0, 0.1), &FeatureMask::all());
-        let checked = c.classify_features_checked(&good).unwrap();
-        assert_eq!(checked.class, c.classify_features(&good).class);
+        assert!(c.classify_slice_checked(&features, &mut evals).is_none());
+        features[5] = f64::INFINITY;
+        assert!(c.classify_slice_checked(&features, &mut evals).is_none());
     }
 
     #[test]
@@ -843,6 +789,10 @@ mod tests {
             Point::new(f64::NAN, 4.0, 10.0),
             Point::new(8.0, 8.0, 20.0),
         ]);
-        assert!(c.classify_checked(&g).is_none());
+        let features = FeatureExtractor::extract(&g, c.mask());
+        let mut evals = vec![0.0; c.num_classes()];
+        assert!(c
+            .classify_slice_checked(features.as_slice(), &mut evals)
+            .is_none());
     }
 }

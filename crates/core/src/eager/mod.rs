@@ -33,9 +33,9 @@
 //!    violation margin "plus a little more", to a bounded fixed point
 //!    (§4.6, Figure 7).
 //!
-//! [`EagerRecognizer`] packages the result; [`EagerSession`] applies it one
-//! point at a time, returning the class the moment the prefix becomes
-//! unambiguous.
+//! [`EagerRecognizer`] packages the result; the two-phase
+//! [`Interaction`](crate::Interaction) machine applies it one point at a
+//! time, classifying the moment the prefix becomes unambiguous.
 
 mod auc;
 mod config;
@@ -47,4 +47,4 @@ pub use auc::{Auc, AucClassKind, TweakStats};
 pub use config::EagerConfig;
 pub use labeling::{label_subgestures, SubgestureRecord};
 pub use mover::{move_accidentally_complete, MoveOutcome};
-pub use recognizer::{EagerRecognizer, EagerRun, EagerSession, EagerTrainReport};
+pub use recognizer::{EagerRecognizer, EagerRun, EagerTrainReport};

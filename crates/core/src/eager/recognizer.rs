@@ -1,8 +1,9 @@
-//! The trained eager recognizer and its point-at-a-time session.
+//! The trained eager recognizer.
 
 use std::sync::Arc;
 
-use grandma_geom::{Gesture, Point};
+use grandma_events::{Button, EventKind, InputEvent};
+use grandma_geom::Gesture;
 
 use crate::classifier::{Classification, Classifier, TrainError};
 use crate::eager::auc::{Auc, AucClassKind, TweakStats};
@@ -10,6 +11,7 @@ use crate::eager::config::EagerConfig;
 use crate::eager::labeling::{label_subgestures, SubgestureRecord};
 use crate::eager::mover::{move_accidentally_complete, MoveOutcome};
 use crate::features::{FeatureExtractor, FeatureMask};
+use crate::interaction::{Interaction, InteractionConfig, PhaseTransition, Step};
 
 /// Diagnostic record of one eager-recognizer training run.
 ///
@@ -58,9 +60,8 @@ impl EagerRun {
 
 /// A trained eager recognizer: the full classifier plus the AUC.
 ///
-/// Built by [`EagerRecognizer::train`]; drive it incrementally with
-/// [`EagerRecognizer::session`] or over complete gestures with
-/// [`EagerRecognizer::run`].
+/// Built by [`EagerRecognizer::train`]; drive it incrementally through an
+/// [`Interaction`] or over complete gestures with [`EagerRecognizer::run`].
 #[derive(Debug, Clone)]
 pub struct EagerRecognizer {
     full: Classifier,
@@ -126,14 +127,6 @@ impl EagerRecognizer {
         self.full.classify(gesture)
     }
 
-    /// Checked variant of [`EagerRecognizer::classify_full`]: `None` when
-    /// the gesture's features are non-finite (corrupted or degenerate
-    /// input) instead of a garbage argmax. See
-    /// [`Classifier::classify_checked`].
-    pub fn classify_full_checked(&self, gesture: &Gesture) -> Option<Classification> {
-        self.full.classify_checked(gesture)
-    }
-
     /// Returns the underlying full classifier.
     pub fn full_classifier(&self) -> &Classifier {
         &self.full
@@ -149,168 +142,74 @@ impl EagerRecognizer {
         &self.config
     }
 
-    /// Starts an incremental recognition session.
-    ///
-    /// The session allocates its feature scratch buffer here, once; every
-    /// subsequent [`EagerSession::feed`] is heap-allocation-free.
-    pub fn session(&self) -> EagerSession<'_> {
-        EagerSession {
-            recognizer: self,
-            extractor: FeatureExtractor::new(),
-            features_buf: vec![0.0; self.full.mask().count()],
-            decided: None,
-            decided_at: None,
-        }
-    }
-
-    /// Runs the eager loop over a complete gesture: feed points until the
-    /// AUC reports unambiguity, classify there, otherwise classify at the
-    /// end.
+    /// Runs the eager loop over a complete gesture by driving an
+    /// [`Interaction`], the per-point decision the toolkit and the serving
+    /// layer make: a mouse-down at the first finite point, a move per later
+    /// point, then a mouse-up, with no jitter filter. Non-finite points are
+    /// charged as faults and never collected.
     ///
     /// # Panics
     ///
-    /// Panics if the gesture is empty or contains no finite points
-    /// (non-finite points are dropped by [`EagerSession::feed`]). Untrusted
-    /// streams should go through a session and [`EagerSession::finish_checked`].
+    /// Panics if the gesture is empty, has no finite point, or its
+    /// features come out non-finite (the interaction rejects it).
     #[allow(clippy::expect_used)] // documented panic contract; see # Panics above
     pub fn run(&self, gesture: &Gesture) -> EagerRun {
         assert!(!gesture.is_empty(), "cannot run on an empty gesture");
-        let mut session = self.session();
-        for &p in gesture.points() {
-            if let Some(class) = session.feed(p) {
-                return EagerRun {
-                    class,
-                    points_at_recognition: session.points_seen(),
-                    total_points: gesture.len(),
-                    eager: session.points_seen() < gesture.len(),
-                };
+        let mut interaction = Interaction::new(InteractionConfig {
+            eager: true,
+            min_point_distance: 0.0,
+            min_probability: None,
+            fault_budget: u32::MAX,
+        });
+        let mut fired = None;
+        let mut sink = |step: Step<'_>| {
+            if let Step::Recognized {
+                trigger,
+                class,
+                gesture,
+            } = step
+            {
+                fired = Some((trigger, class, gesture.len()));
             }
+        };
+        for p in gesture.points() {
+            let kind = if interaction.in_progress() {
+                EventKind::MouseMove
+            } else {
+                EventKind::MouseDown {
+                    button: Button::Left,
+                }
+            };
+            interaction.feed(self, InputEvent::new(kind, p.x, p.y, p.t), &mut sink);
         }
-        // lint:allow(no-panic): documented panic contract; untrusted input uses finish_checked
-        let class = session.finish().expect("non-empty gesture classifies");
+        if let Some(&last) = interaction.points().last() {
+            let up = EventKind::MouseUp {
+                button: Button::Left,
+            };
+            interaction.feed(self, InputEvent::new(up, last.x, last.y, last.t), &mut sink);
+        }
+        // lint:allow(no-panic): documented panic contract (no finite point)
+        let (trigger, class, collected) = fired.expect("gesture has a finite point");
+        // lint:allow(no-panic): documented panic contract (non-finite features)
+        let class = class.expect("finite gesture features classify");
+        let points_at_recognition = match trigger {
+            PhaseTransition::Eager => collected,
+            _ => gesture.len(),
+        };
         EagerRun {
-            class,
-            points_at_recognition: gesture.len(),
+            class: usize::from(class),
+            points_at_recognition,
             total_points: gesture.len(),
-            eager: false,
+            eager: points_at_recognition < gesture.len(),
         }
-    }
-}
-
-/// Incremental eager-recognition state for one gesture collection.
-///
-/// Feed mouse points as they arrive; [`EagerSession::feed`] returns
-/// `Some(class)` exactly once — at the first point where the prefix is
-/// unambiguous (the collection→manipulation phase transition). If the
-/// gesture ends first, call [`EagerSession::finish`].
-///
-/// Each [`EagerSession::feed`] call does O(features × classes) work,
-/// matching the paper's fixed per-point cost (§5: feature update plus one
-/// AUC evaluation per point) — and performs zero heap allocations: the
-/// masked features land in a buffer allocated once at session start, and
-/// both the AUC verdict and the class pick are argmax queries over it.
-#[derive(Debug, Clone)]
-pub struct EagerSession<'a> {
-    recognizer: &'a EagerRecognizer,
-    extractor: FeatureExtractor,
-    features_buf: Vec<f64>,
-    decided: Option<usize>,
-    decided_at: Option<usize>,
-}
-
-impl EagerSession<'_> {
-    /// Consumes one mouse point. Returns `Some(class)` at the moment the
-    /// prefix first becomes unambiguous, `None` otherwise (including on
-    /// every point after the decision).
-    ///
-    /// Non-finite points (NaN/infinite coordinates or timestamps) are
-    /// dropped without touching the running feature state: a single
-    /// corrupted sample would otherwise poison every cumulative feature
-    /// for the rest of the gesture. Dropped points do not count toward
-    /// [`EagerSession::points_seen`].
-    pub fn feed(&mut self, p: Point) -> Option<usize> {
-        if !p.is_finite() {
-            return None;
-        }
-        self.extractor.update(p);
-        if self.decided.is_some() {
-            return None;
-        }
-        if self.extractor.count() < self.recognizer.config.min_subgesture_points {
-            return None;
-        }
-        self.extractor
-            .masked_features_into(self.recognizer.full.mask(), &mut self.features_buf);
-        if self.recognizer.auc.is_unambiguous_slice(&self.features_buf) {
-            let class = self.recognizer.full.linear().best_class(&self.features_buf);
-            self.decided = Some(class);
-            self.decided_at = Some(self.extractor.count());
-            Some(class)
-        } else {
-            None
-        }
-    }
-
-    /// Ends the gesture (mouse-up): returns the eager decision if one was
-    /// made, otherwise classifies the full gesture now. Returns `None`
-    /// when no classifiable points arrived.
-    pub fn finish(&mut self) -> Option<usize> {
-        if let Some(class) = self.decided {
-            return Some(class);
-        }
-        if self.extractor.count() == 0 {
-            return None;
-        }
-        self.extractor
-            .masked_features_into(self.recognizer.full.mask(), &mut self.features_buf);
-        let class = self.recognizer.full.linear().best_class(&self.features_buf);
-        self.decided = Some(class);
-        self.decided_at = Some(self.extractor.count());
-        Some(class)
-    }
-
-    /// Checked variant of [`EagerSession::finish`]: additionally returns
-    /// `None` when the full-gesture features come out non-finite (a
-    /// degenerate gesture that survived point-level filtering, e.g. one
-    /// whose span overflows). The hardened interaction pipeline maps this
-    /// to an explicit `Rejected` outcome instead of trusting a NaN argmax.
-    pub fn finish_checked(&mut self) -> Option<usize> {
-        if let Some(class) = self.decided {
-            return Some(class);
-        }
-        if self.extractor.count() == 0 {
-            return None;
-        }
-        self.extractor
-            .masked_features_into(self.recognizer.full.mask(), &mut self.features_buf);
-        if self.features_buf.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let class = self.recognizer.full.linear().best_class(&self.features_buf);
-        self.decided = Some(class);
-        self.decided_at = Some(self.extractor.count());
-        Some(class)
-    }
-
-    /// Number of points consumed so far.
-    pub fn points_seen(&self) -> usize {
-        self.extractor.count()
-    }
-
-    /// The decision, if one has been made.
-    pub fn decided(&self) -> Option<usize> {
-        self.decided
-    }
-
-    /// The point count at which the decision fired.
-    pub fn recognition_point(&self) -> Option<usize> {
-        self.decided_at
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grandma_events::gesture_events;
+    use grandma_geom::Point;
 
     fn two_segment(first: (f64, f64), second: (f64, f64), jiggle: f64) -> Gesture {
         let mut pts = Vec::new();
@@ -384,40 +283,31 @@ mod tests {
         );
     }
 
-    #[test]
-    fn run_and_session_agree() {
-        let (rec, _) = trained();
-        let g = two_segment((0.0, 1.0), (1.0, 0.0), 0.19);
-        let run = rec.run(&g);
-        let mut session = rec.session();
-        let mut fired = None;
-        for &p in g.points() {
-            if let Some(c) = session.feed(p) {
-                fired = Some((c, session.points_seen()));
-            }
+    /// Feeds `g` as mouse-down, moves and mouse-up through a filter-less
+    /// interaction, returning every step in debug form.
+    fn steps(rec: &EagerRecognizer, g: &Gesture) -> Vec<String> {
+        let mut m = Interaction::new(InteractionConfig {
+            min_point_distance: 0.0,
+            ..InteractionConfig::default()
+        });
+        let mut log = Vec::new();
+        for e in gesture_events(g, Button::Left) {
+            m.feed(rec, e, &mut |step| log.push(format!("{step:?}")));
         }
-        let (class, at) = fired.expect("session fires too");
-        assert_eq!(class, run.class);
-        assert_eq!(at, run.points_at_recognition);
+        log
     }
 
     #[test]
     fn feed_reports_decision_exactly_once() {
         let (rec, _) = trained();
         let g = two_segment((1.0, 0.0), (0.0, 1.0), 0.21);
-        let mut session = rec.session();
-        let mut decisions = 0;
-        for &p in g.points() {
-            if session.feed(p).is_some() {
-                decisions += 1;
-            }
-        }
-        assert_eq!(decisions, 1);
-        assert_eq!(session.decided(), Some(0));
-        assert_eq!(
-            session.recognition_point(),
-            Some(session.recognition_point().unwrap())
-        );
+        let log = steps(&rec, &g);
+        let recognized: Vec<_> = log.iter().filter(|s| s.starts_with("Recognized")).collect();
+        assert_eq!(recognized.len(), 1, "{log:?}");
+        assert!(recognized[0].starts_with("Recognized { trigger: Eager, class: Some(0)"));
+        assert!(log
+            .last()
+            .is_some_and(|s| s.starts_with("Finished { outcome: Manipulated, class: Some(0)")));
     }
 
     #[test]
@@ -427,88 +317,82 @@ mod tests {
         let prefix = two_segment((1.0, 0.0), (0.0, 1.0), 0.2)
             .subgesture(8)
             .unwrap();
-        let mut session = rec.session();
-        for &p in prefix.points() {
-            assert!(session.feed(p).is_none(), "prefix must stay ambiguous");
-        }
-        let class = session.finish().expect("classifies at mouse-up");
-        assert!(class == 0 || class == 1, "prefix belongs to class 0 or 1");
+        let run = rec.run(&prefix);
+        assert!(!run.eager, "prefix must stay ambiguous");
+        assert_eq!(run.points_at_recognition, prefix.len());
+        assert!(
+            run.class == 0 || run.class == 1,
+            "prefix belongs to class 0 or 1"
+        );
     }
 
     #[test]
     fn feed_drops_non_finite_points_without_poisoning_features() {
         let (rec, _) = trained();
         let g = two_segment((1.0, 0.0), (0.0, 1.0), 0.23);
-        // Interleave corrupted samples into the clean stream: the session
-        // must reach the same decision as the clean run.
         let clean = rec.run(&g);
-        let mut session = rec.session();
-        let mut fired = None;
+        // Interleave corrupted samples into the clean stream: the run must
+        // reach the same decision at the same clean point.
+        let mut points = Vec::new();
         for &p in g.points() {
-            for bad in [
+            points.extend([
                 Point::new(f64::NAN, p.y, p.t),
                 Point::new(p.x, f64::INFINITY, p.t),
                 Point::new(p.x, p.y, f64::NAN),
-            ] {
-                assert!(session.feed(bad).is_none());
-            }
-            if let Some(c) = session.feed(p) {
-                fired.get_or_insert((c, session.points_seen()));
-            }
+                p,
+            ]);
         }
-        let (class, at) = fired.expect("still fires on the clean samples");
-        assert_eq!(class, clean.class);
-        assert_eq!(at, clean.points_at_recognition);
+        let noisy = Gesture::from_points(points);
+        let run = rec.run(&noisy);
+        assert!(clean.eager && run.eager);
+        assert_eq!(run.class, clean.class);
+        assert_eq!(run.points_at_recognition, clean.points_at_recognition);
+        assert_eq!(run.total_points, noisy.len());
+    }
+
+    fn all_non_finite() -> Gesture {
+        (0..20)
+            .map(|i| Point::new(f64::NAN, f64::INFINITY, i as f64 * 10.0))
+            .collect()
     }
 
     #[test]
     fn all_non_finite_stream_finishes_as_none() {
         let (rec, _) = trained();
-        let mut session = rec.session();
-        for i in 0..20 {
-            let p = Point::new(f64::NAN, f64::INFINITY, i as f64 * 10.0);
-            assert!(session.feed(p).is_none());
-        }
-        assert_eq!(session.points_seen(), 0);
-        assert_eq!(session.finish(), None);
-        assert_eq!(session.finish_checked(), None);
+        // No finite mouse-down ever opens an interaction: nothing is
+        // collected, classified or finished.
+        assert!(steps(&rec, &all_non_finite()).is_empty());
     }
 
     #[test]
-    fn finish_checked_matches_finish_on_clean_input() {
+    #[should_panic(expected = "finite point")]
+    fn run_panics_on_an_all_non_finite_gesture() {
         let (rec, _) = trained();
-        let prefix = two_segment((1.0, 0.0), (0.0, 1.0), 0.2)
-            .subgesture(8)
-            .unwrap();
-        let mut a = rec.session();
-        let mut b = rec.session();
-        for &p in prefix.points() {
-            a.feed(p);
-            b.feed(p);
-        }
-        assert_eq!(a.finish(), b.finish_checked());
+        let _ = rec.run(&all_non_finite());
     }
 
-    #[test]
-    fn classify_full_checked_rejects_corrupt_gestures() {
-        let (rec, _) = trained();
-        let good = two_segment((1.0, 0.0), (0.0, 1.0), 0.23);
-        assert_eq!(
-            rec.classify_full_checked(&good).map(|c| c.class),
-            Some(rec.classify_full(&good).class)
-        );
-        let bad = Gesture::from_points(vec![
+    /// Every coordinate finite, but the span overflows to infinity.
+    fn overflowing() -> Gesture {
+        Gesture::from_points(vec![
             Point::new(0.0, 0.0, 0.0),
-            Point::new(f64::NAN, 1.0, 10.0),
-        ]);
-        assert!(rec.classify_full_checked(&bad).is_none());
+            Point::new(f64::MAX, 0.0, 10.0),
+            Point::new(-f64::MAX, 0.0, 20.0),
+        ])
     }
 
     #[test]
-    fn finish_on_empty_session_returns_none() {
+    fn interaction_rejects_finite_gestures_with_non_finite_features() {
         let (rec, _) = trained();
-        let mut session = rec.session();
-        assert_eq!(session.finish(), None);
+        let log = steps(&rec, &overflowing());
+        assert!(log[1].starts_with("Recognized { trigger: MouseUp, class: None"));
+        assert!(log[2].starts_with("Finished { outcome: Rejected, class: None"));
+    }
+
+    #[test]
+    #[should_panic(expected = "features classify")]
+    fn run_panics_on_finite_points_with_non_finite_features() {
+        let (rec, _) = trained();
+        let _ = rec.run(&overflowing());
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub enum InteractionPhase {
 }
 
 /// Interaction tuning: the knobs the toolkit's and the serving layer's
-/// configurations share.
+/// configurations embed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InteractionConfig {
     /// Whether eager recognition (transition 3) is enabled.
@@ -118,6 +118,19 @@ pub struct InteractionConfig {
     /// Maximum faults tolerated within one interaction; one more cancels
     /// it.
     pub fault_budget: u32,
+}
+
+impl Default for InteractionConfig {
+    /// Eager recognition on, Rubine's 3 px jitter filter, no probability
+    /// floor, and a budget of 8 faults per interaction.
+    fn default() -> Self {
+        Self {
+            eager: true,
+            min_point_distance: 3.0,
+            min_probability: None,
+            fault_budget: 8,
+        }
+    }
 }
 
 /// What one fed event made happen, reported in order through the

@@ -25,10 +25,15 @@
 //!
 //! # Examples
 //!
-//! Train an eager recognizer and feed it one point at a time:
+//! Train an eager recognizer and feed one stroke, event by event, to the
+//! two-phase interaction machine:
 //!
 //! ```
-//! use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
+//! use grandma_core::{
+//!     EagerConfig, EagerRecognizer, FeatureMask, Interaction, InteractionConfig,
+//!     PhaseTransition, Step,
+//! };
+//! use grandma_events::{gesture_events, Button};
 //! use grandma_geom::{Gesture, Point};
 //!
 //! // Two classes: "right-then-up" and "right-then-down".
@@ -56,16 +61,18 @@
 //! )
 //! .unwrap();
 //!
-//! let mut session = rec.session();
-//! let mut recognized_at = None;
-//! for &p in up[0].points() {
-//!     if let Some(class) = session.feed(p) {
-//!         recognized_at = Some((class, session.points_seen()));
-//!         break;
-//!     }
+//! let mut interaction = Interaction::new(InteractionConfig::default());
+//! let mut recognized = None;
+//! for event in gesture_events(&up[0], Button::Left) {
+//!     interaction.feed(&rec, event, &mut |step| {
+//!         if let Step::Recognized { trigger, class, gesture } = step {
+//!             recognized = Some((trigger, class, gesture.len()));
+//!         }
+//!     });
 //! }
-//! let (class, at) = recognized_at.expect("eagerly recognized");
-//! assert_eq!(class, 0);
+//! let (trigger, class, at) = recognized.expect("eagerly recognized");
+//! assert_eq!(trigger, PhaseTransition::Eager);
+//! assert_eq!(class, Some(0));
 //! assert!(at < up[0].len(), "recognized before the gesture ended");
 //! ```
 
@@ -79,7 +86,7 @@ pub mod persist;
 
 pub use classifier::{Classification, Classifier, LinearClassifier, TrainError};
 pub use eager::{
-    AucClassKind, EagerConfig, EagerRecognizer, EagerSession, EagerTrainReport, SubgestureRecord,
+    AucClassKind, EagerConfig, EagerRecognizer, EagerTrainReport, SubgestureRecord,
 };
 pub use features::{FeatureExtractor, FeatureMask, PointFilter, FEATURE_COUNT, FEATURE_NAMES};
 pub use interaction::{

@@ -135,7 +135,9 @@ fn write_linear(out: &mut String, linear: &LinearClassifier) {
     out.push('\n');
 }
 
-fn read_linear(reader: &mut Reader<'_>) -> Result<LinearClassifier, PersistError> {
+/// Reads one linear classifier, whose dimension must be the mask's
+/// feature count `mask_dim` (a mismatch would panic in the first dot).
+fn read_linear(reader: &mut Reader<'_>, mask_dim: usize) -> Result<LinearClassifier, PersistError> {
     let parts = reader.expect_keyword("linear")?;
     if parts.first() != Some(&"classes") || parts.get(2) != Some(&"dim") {
         return Err(reader.error("malformed `linear` header"));
@@ -144,6 +146,11 @@ fn read_linear(reader: &mut Reader<'_>) -> Result<LinearClassifier, PersistError
     let dim = reader.parse_usize(parts.get(3).copied(), "dimension")?;
     if classes < 2 {
         return Err(reader.error("need at least two classes"));
+    }
+    if dim != mask_dim {
+        return Err(reader.error(format!(
+            "dimension {dim} does not match the mask's {mask_dim} features"
+        )));
     }
     let mut weights = Vec::with_capacity(classes);
     let mut constants = Vec::with_capacity(classes);
@@ -198,9 +205,25 @@ impl Classifier {
             return Err(reader.error("not a grandma-classifier v1 file"));
         }
         let mask = read_mask(&mut reader)?;
-        let linear = read_linear(&mut reader)?;
+        let linear = read_linear(&mut reader, mask.count())?;
         Ok(Classifier::from_parts(linear, mask))
     }
+}
+
+/// Parses the value that follows `key` on a `config` line.
+fn config_field<T: std::str::FromStr>(
+    reader: &Reader<'_>,
+    parts: &[&str],
+    key: &str,
+) -> Result<T, PersistError> {
+    let pos = parts
+        .iter()
+        .position(|&p| p == key)
+        .ok_or_else(|| reader.error(format!("missing config field `{key}`")))?;
+    parts
+        .get(pos + 1)
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| reader.error(format!("bad config field `{key}`")))
 }
 
 fn read_mask(reader: &mut Reader<'_>) -> Result<FeatureMask, PersistError> {
@@ -264,27 +287,22 @@ impl EagerRecognizer {
             return Err(reader.error("not a grandma-eager v1 file"));
         }
         let parts = reader.expect_keyword("config")?;
-        let field = |reader: &Reader<'_>, key: &str| -> Result<f64, PersistError> {
-            let pos = parts
-                .iter()
-                .position(|&p| p == key)
-                .ok_or_else(|| reader.error(format!("missing config field `{key}`")))?;
-            parts
-                .get(pos + 1)
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| reader.error(format!("bad config field `{key}`")))
-        };
         let config = EagerConfig {
-            ambiguity_bias: field(&reader, "bias")?,
-            threshold_fraction: field(&reader, "threshold")?,
-            floor_fraction: field(&reader, "floor")?,
-            tweak_extra_fraction: field(&reader, "extra")?,
-            tweak_epsilon: field(&reader, "eps")?,
-            max_tweak_passes: field(&reader, "passes")? as usize,
-            min_subgesture_points: field(&reader, "minpoints")? as usize,
+            ambiguity_bias: config_field(&reader, &parts, "bias")?,
+            threshold_fraction: config_field(&reader, &parts, "threshold")?,
+            floor_fraction: config_field(&reader, &parts, "floor")?,
+            tweak_extra_fraction: config_field(&reader, &parts, "extra")?,
+            tweak_epsilon: config_field(&reader, &parts, "eps")?,
+            max_tweak_passes: config_field(&reader, &parts, "passes")?,
+            min_subgesture_points: config_field(&reader, &parts, "minpoints")?,
         };
+        // Two points are the fewest with meaningful features, and the
+        // interaction machine never checks the first point on its own.
+        if config.min_subgesture_points < 2 {
+            return Err(reader.error("config field `minpoints` must be at least 2"));
+        }
         let mask = read_mask(&mut reader)?;
-        let full_linear = read_linear(&mut reader)?;
+        let full_linear = read_linear(&mut reader, mask.count())?;
         let full = Classifier::from_parts(full_linear, mask);
         let parts = reader.expect_keyword("auc")?;
         if parts.first() != Some(&"kinds") {
@@ -303,7 +321,14 @@ impl EagerRecognizer {
                 _ => return Err(reader.error("bad AUC kind tag")),
             }
         }
-        let auc_linear = read_linear(&mut reader)?;
+        let auc_linear = read_linear(&mut reader, mask.count())?;
+        if auc_linear.num_classes() != kinds.len() {
+            return Err(reader.error(format!(
+                "`auc kinds {}` does not match the AUC's {} classes",
+                kinds.len(),
+                auc_linear.num_classes()
+            )));
+        }
         let auc = Auc::from_parts(auc_linear, kinds);
         Ok(EagerRecognizer::from_parts(full, auc, config))
     }
@@ -407,5 +432,70 @@ mod tests {
         let c = Classifier::train(&training(), &FeatureMask::all()).unwrap();
         let text = c.to_text().replace('a', "zz");
         assert!(Classifier::from_text(&text).is_err());
+    }
+
+    fn eager(mask: &FeatureMask) -> EagerRecognizer {
+        EagerRecognizer::train(&training(), mask, &EagerConfig::default())
+            .unwrap()
+            .0
+    }
+
+    /// The `mask` line of an all-features file, narrowed to drop timing.
+    fn narrow_mask(text: &str) -> String {
+        let all = format!("mask {:04x}", FeatureMask::all().bits());
+        let narrow = format!("mask {:04x}", FeatureMask::without_timing().bits());
+        text.replacen(&all, &narrow, 1)
+    }
+
+    #[test]
+    fn auc_kind_count_disagreeing_with_the_auc_is_rejected() {
+        let rec = eager(&FeatureMask::all());
+        let text = rec.to_text();
+        // One kind fewer, consistently: the kind list itself parses.
+        let kinds = rec.auc().kinds().len();
+        let head = text.find("auc kinds").unwrap();
+        let first_kind = head + text[head..].find('\n').unwrap() + 1;
+        let second_kind = first_kind + text[first_kind..].find('\n').unwrap() + 1;
+        let cut = format!(
+            "{}auc kinds {}\n{}",
+            &text[..head],
+            kinds - 1,
+            &text[second_kind..]
+        );
+        let err = EagerRecognizer::from_text(&cut).unwrap_err();
+        assert!(err.message.contains("auc kinds"), "{err}");
+    }
+
+    #[test]
+    fn full_dimension_disagreeing_with_the_mask_is_rejected() {
+        let c = Classifier::train(&training(), &FeatureMask::all()).unwrap();
+        let err = Classifier::from_text(&narrow_mask(&c.to_text())).unwrap_err();
+        assert!(err.message.contains("does not match the mask"), "{err}");
+        let text = narrow_mask(&eager(&FeatureMask::all()).to_text());
+        let err = EagerRecognizer::from_text(&text).unwrap_err();
+        assert!(err.message.contains("does not match the mask"), "{err}");
+    }
+
+    #[test]
+    fn auc_dimension_disagreeing_with_the_mask_is_rejected() {
+        // The full classifier and mask of an all-features model, spliced
+        // onto the AUC of a model trained without the timing features.
+        let wide = eager(&FeatureMask::all()).to_text();
+        let narrow = eager(&FeatureMask::without_timing()).to_text();
+        let head = &wide[..wide.find("auc kinds").unwrap()];
+        let tail = &narrow[narrow.find("auc kinds").unwrap()..];
+        let err = EagerRecognizer::from_text(&format!("{head}{tail}")).unwrap_err();
+        assert!(err.message.contains("does not match the mask"), "{err}");
+    }
+
+    #[test]
+    fn minpoints_below_two_or_not_an_integer_is_rejected() {
+        let text = eager(&FeatureMask::all()).to_text();
+        assert!(text.contains(" minpoints 2\n"));
+        for bad in ["-3", "0", "1", "2.5", "x"] {
+            let text = text.replacen(" minpoints 2\n", &format!(" minpoints {bad}\n"), 1);
+            let err = EagerRecognizer::from_text(&text).unwrap_err();
+            assert!(err.message.contains("minpoints"), "{bad}: {err}");
+        }
     }
 }

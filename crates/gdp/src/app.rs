@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask, TrainError};
+use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask, InteractionConfig, TrainError};
 use grandma_events::{gesture_events, gesture_events_with_hold, Button, DwellDetector};
 use grandma_geom::Gesture;
 use grandma_sem::Value;
@@ -84,7 +84,10 @@ impl Gdp {
         // runtime see one distribution (GRANDMA trained from gestures
         // collected by the same input path).
         let handler_config = GestureHandlerConfig {
-            eager: config.eager,
+            interaction: InteractionConfig {
+                eager: config.eager,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         };
         let training: Vec<Vec<Gesture>> = data
@@ -95,7 +98,7 @@ impl Gdp {
                     .iter()
                     .map(|g| {
                         grandma_core::PointFilter::filter_gesture(
-                            handler_config.min_point_distance,
+                            handler_config.interaction.min_point_distance,
                             g,
                         )
                     })

@@ -4,26 +4,27 @@
 //! ```text
 //! serve train --out model.txt [--seed N] [--per-class N]
 //! serve run --model model.txt [--addr 127.0.0.1:0] [--shards N]
-//!           [--queue-capacity N] [--flush-bytes N] [--io-threads N]
+//!           [--queue-capacity N] [--io-threads N]
 //!           [--max-connections N] [--idle-timeout-ms N]
 //!           [--poll-backend auto|poll|epoll]
 //!           [--wal off|async|sync] [--wal-dir DIR] [--recover DIR]
 //!           [--cluster-file PATH] [--node-id ID]
 //! ```
 //!
+//! A flag the subcommand does not define is an error: the usage is
+//! printed and the process exits non-zero.
+//!
 //! `--queue-capacity` bounds each shard's inbound queue (full queues
-//! reject with `Busy`); `--flush-bytes` sets the per-connection encode
-//! buffer's initial size — the retained-capacity ceiling is 16× that.
-//! `--io-threads` sizes the reactor's poll-loop pool (0 = `min(4,
-//! cores)`); `--max-connections` sheds connections beyond the cap at
-//! accept time; `--idle-timeout-ms` reaps connections that send nothing
-//! for the window (0 = never). `--poll-backend` picks the reactor's
-//! readiness backend: `epoll` is O(ready) per wakeup, `poll` rebuilds
-//! and scans the whole descriptor set (O(open)); `auto` (the default)
-//! uses epoll on Linux and poll elsewhere. At startup the process
-//! raises its soft `RLIMIT_NOFILE` to the hard limit (logged on
-//! stderr) so high `--max-connections` settings don't hit EMFILE at
-//! the distro-default 1024.
+//! reject with `Busy`). `--io-threads` sizes the reactor's poll-loop
+//! pool (0 = `min(4, cores)`); `--max-connections` sheds connections
+//! beyond the cap at accept time; `--idle-timeout-ms` reaps connections
+//! that send nothing for the window (0 = never). `--poll-backend` picks
+//! the reactor's readiness backend: `epoll` is O(ready) per wakeup,
+//! `poll` rebuilds and scans the whole descriptor set (O(open)); `auto`
+//! (the default) uses epoll on Linux and poll elsewhere. At startup the
+//! process raises its soft `RLIMIT_NOFILE` to the hard limit (logged on
+//! stderr) so high `--max-connections` settings don't hit EMFILE at the
+//! distro-default 1024.
 //!
 //! `--wal` enables the per-shard write-ahead log (DESIGN.md §14):
 //! `async` appends without fsync (survives process crashes), `sync`
@@ -75,7 +76,7 @@ fn usage() -> ExitCode {
     fail(
         "usage:\n  serve train --out PATH [--seed N] [--per-class N]\n  \
          serve run --model PATH [--addr ADDR] [--shards N] \
-         [--queue-capacity N] [--flush-bytes N] [--io-threads N] \
+         [--queue-capacity N] [--io-threads N] \
          [--max-connections N] [--idle-timeout-ms N] \
          [--poll-backend auto|poll|epoll] \
          [--wal off|async|sync] [--wal-dir DIR] [--recover DIR] \
@@ -83,20 +84,46 @@ fn usage() -> ExitCode {
     )
 }
 
+/// The flags `serve train` defines.
+const TRAIN_FLAGS: &[&str] = &["out", "seed", "per-class"];
+
+/// The flags `serve run` defines.
+const RUN_FLAGS: &[&str] = &[
+    "model",
+    "addr",
+    "shards",
+    "queue-capacity",
+    "io-threads",
+    "max-connections",
+    "idle-timeout-ms",
+    "poll-backend",
+    "wal",
+    "wal-dir",
+    "recover",
+    "cluster-file",
+    "node-id",
+];
+
 struct Args {
     flags: Vec<(String, String)>,
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Option<Self> {
+    /// Parses `--name value` pairs, rejecting any name not in `known`.
+    fn parse(args: &[String], known: &[&str]) -> Result<Self, String> {
         let mut flags = Vec::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let name = flag.strip_prefix("--")?;
-            let value = it.next()?;
+            let name = flag
+                .strip_prefix("--")
+                .ok_or_else(|| format!("expected a --flag, found `{flag}`"))?;
+            if !known.contains(&name) {
+                return Err(format!("unknown flag `{flag}`"));
+            }
+            let value = it.next().ok_or_else(|| format!("`{flag}` needs a value"))?;
             flags.push((name.to_string(), value.clone()));
         }
-        Some(Self { flags })
+        Ok(Self { flags })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -154,15 +181,7 @@ fn cmd_run(args: &Args) -> ExitCode {
         Some(Ok(n)) if n > 0 => n,
         _ => return fail("--queue-capacity must be a positive integer"),
     };
-    let mut options = match args.get("flush-bytes").map(str::parse::<usize>) {
-        None => TcpOptions::default(),
-        Some(Ok(n)) if n > 0 => TcpOptions {
-            flush_start: n,
-            flush_max: n.saturating_mul(16),
-            ..TcpOptions::default()
-        },
-        _ => return fail("--flush-bytes must be a positive integer"),
-    };
+    let mut options = TcpOptions::default();
     match args.get("io-threads").map(str::parse::<usize>) {
         None => {}
         Some(Ok(n)) => options.io_threads = n,
@@ -402,12 +421,16 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = argv.split_first() else {
         return usage();
     };
-    let Some(args) = Args::parse(rest) else {
-        return usage();
+    let (known, command): (_, fn(&Args) -> ExitCode) = match cmd.as_str() {
+        "train" => (TRAIN_FLAGS, cmd_train),
+        "run" => (RUN_FLAGS, cmd_run),
+        _ => return usage(),
     };
-    match cmd.as_str() {
-        "train" => cmd_train(&args),
-        "run" => cmd_run(&args),
-        _ => usage(),
+    match Args::parse(rest, known) {
+        Ok(args) => command(&args),
+        Err(msg) => {
+            let _ = fail(&format!("{cmd}: {msg}"));
+            usage()
+        }
     }
 }

@@ -31,48 +31,16 @@ use crate::wire::{
     NO_CLASS,
 };
 
-/// Per-session pipeline tuning. Defaults mirror the toolkit's
-/// `GestureHandlerConfig` so a served session behaves like a local one.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-session pipeline tuning. The interaction knobs are the toolkit's
+/// too, so a served session behaves like a local one.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PipelineConfig {
-    /// Whether eager recognition (the mid-gesture phase transition) is
-    /// enabled.
-    pub eager: bool,
-    /// Jitter filter threshold: collected points closer than this to the
-    /// previous kept point are discarded (Rubine used 3 px).
-    pub min_point_distance: f64,
-    /// Optional rejection: minimum estimated probability for a
-    /// classification to be acted on.
-    pub min_probability: Option<f64>,
-    /// Maximum sanitizer repairs tolerated within one interaction before
-    /// it is cancelled — a corrupted-beyond-repair stream must not be
-    /// classified.
-    pub fault_budget: u32,
+    /// The interaction machine's tuning: eager recognition, jitter
+    /// filter, rejection floor, and the per-interaction fault budget
+    /// (sanitizer repairs count against it).
+    pub interaction: InteractionConfig,
     /// Sanitizer tuning for this session's stream.
     pub sanitizer: SanitizerConfig,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self {
-            eager: true,
-            min_point_distance: 3.0,
-            min_probability: None,
-            fault_budget: 8,
-            sanitizer: SanitizerConfig::default(),
-        }
-    }
-}
-
-impl PipelineConfig {
-    fn interaction(&self) -> InteractionConfig {
-        InteractionConfig {
-            eager: self.eager,
-            min_point_distance: self.min_point_distance,
-            min_probability: self.min_probability,
-            fault_budget: self.fault_budget,
-        }
-    }
 }
 
 /// Number of [`OutcomeKind`] variants, for the per-session outcome
@@ -92,8 +60,7 @@ fn count_outcome(counts: &mut [u32; OUTCOME_KIND_COUNT], kind: OutcomeKind) {
 /// The machine's collection buffers and the sanitizer's scratch buffer
 /// are *cleared*, not dropped, between interactions: after the first
 /// gesture has warmed them up, feeding an event performs no heap
-/// allocation — the serving-layer counterpart of `EagerSession`'s
-/// zero-allocation claim.
+/// allocation.
 pub struct SessionPipeline {
     session: u64,
     config: PipelineConfig,
@@ -116,7 +83,7 @@ impl SessionPipeline {
         Self {
             session,
             sanitizer: EventSanitizer::with_config(config.sanitizer.clone()),
-            interaction: Interaction::new(config.interaction()),
+            interaction: Interaction::new(config.interaction),
             config,
             cleaned: Vec::new(),
             last_seq: 0,
@@ -260,7 +227,7 @@ impl SessionPipeline {
         let mut p = Self::new(snapshot.session, snapshot.config.clone());
         p.sanitizer.restore_state(snapshot.sanitizer);
         p.interaction = Interaction::restore(
-            snapshot.config.interaction(),
+            snapshot.config.interaction,
             snapshot.phase,
             snapshot.interaction_faults,
             &snapshot.points,
@@ -410,10 +377,10 @@ impl SessionSnapshot {
         put_u16(out, Self::VERSION);
         put_u64(out, self.session);
         let mut flags = 0u8;
-        if self.config.eager {
+        if self.config.interaction.eager {
             flags |= SNAP_EAGER;
         }
-        if self.config.min_probability.is_some() {
+        if self.config.interaction.min_probability.is_some() {
             flags |= SNAP_HAS_MIN_PROB;
         }
         if self.sanitizer.last_t.is_some() {
@@ -426,11 +393,11 @@ impl SessionSnapshot {
             flags |= SNAP_INTERACTION_OPEN;
         }
         out.push(flags);
-        put_f64(out, self.config.min_point_distance);
-        if let Some(p) = self.config.min_probability {
+        put_f64(out, self.config.interaction.min_point_distance);
+        if let Some(p) = self.config.interaction.min_probability {
             put_f64(out, p);
         }
-        put_u32(out, self.config.fault_budget);
+        put_u32(out, self.config.interaction.fault_budget);
         put_f64(out, self.config.sanitizer.reorder_window_ms);
         put_f64(out, self.config.sanitizer.grab_timeout_ms);
         if let Some(t) = self.sanitizer.last_t {
@@ -574,10 +541,12 @@ impl SessionSnapshot {
         let snapshot = Self {
             session,
             config: PipelineConfig {
-                eager: flags & SNAP_EAGER != 0,
-                min_point_distance,
-                min_probability,
-                fault_budget,
+                interaction: InteractionConfig {
+                    eager: flags & SNAP_EAGER != 0,
+                    min_point_distance,
+                    min_probability,
+                    fault_budget,
+                },
                 sanitizer: SanitizerConfig {
                     reorder_window_ms,
                     grab_timeout_ms,
@@ -780,10 +749,8 @@ mod tests {
     #[test]
     fn snapshot_restore_preserves_outcome_counts_and_faulted_state() {
         let rec = recognizer();
-        let config = PipelineConfig {
-            min_probability: Some(0.25),
-            ..PipelineConfig::default()
-        };
+        let mut config = PipelineConfig::default();
+        config.interaction.min_probability = Some(0.25);
         let clean: Vec<InputEvent> = clean_stream(3).into_iter().map(|(_, e)| e).collect();
         let corrupted = seq_events(grandma_synth::FaultInjector::new(0x5EED).corrupt(&clean));
         let close_seq = corrupted.len() as u32;
@@ -862,10 +829,8 @@ mod tests {
     #[test]
     fn fault_budget_cancels_interaction() {
         let rec = recognizer();
-        let config = PipelineConfig {
-            fault_budget: 1,
-            ..PipelineConfig::default()
-        };
+        let mut config = PipelineConfig::default();
+        config.interaction.fault_budget = 1;
         let mut pipeline = SessionPipeline::new(4, config);
         let mut out = Vec::new();
         let events = clean_stream(1);

@@ -104,6 +104,11 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 /// connection per reactor round.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// Retained-capacity ceiling for a connection's encode buffer: after a
+/// burst drains, the buffer shrinks back to at most this many bytes so
+/// thousands of mostly idle connections stay cheap.
+const RETAIN_OUT: usize = 64 * 1024;
+
 /// A connection whose pending-write buffer outgrows this is a slow (or
 /// stalled) consumer and is dropped rather than buffered without bound.
 const MAX_PENDING_WRITE: usize = 16 * 1024 * 1024;
@@ -185,14 +190,6 @@ impl PollBackend {
 /// Transport tuning for the reactor front-end.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpOptions {
-    /// Initial capacity hint for a connection's encode buffer; replies
-    /// coalesce here between flushes, so this is the natural write size
-    /// under load.
-    pub flush_start: usize,
-    /// Retained-capacity ceiling for per-connection buffers: after a
-    /// burst drains, encode buffers shrink back to at most this many
-    /// bytes so thousands of mostly idle connections stay cheap.
-    pub flush_max: usize,
     /// Reactor I/O threads; `0` picks `min(4, available cores)`.
     pub io_threads: usize,
     /// Connections beyond this are shed at accept time.
@@ -207,8 +204,6 @@ pub struct TcpOptions {
 impl Default for TcpOptions {
     fn default() -> Self {
         Self {
-            flush_start: 4 * 1024,
-            flush_max: 64 * 1024,
             io_threads: 0,
             max_connections: 65_536,
             idle_timeout_ms: 0,
@@ -218,16 +213,6 @@ impl Default for TcpOptions {
 }
 
 impl TcpOptions {
-    /// `flush_start` clamped to something sane.
-    fn start_bytes(&self) -> usize {
-        self.flush_start.clamp(64, 1 << 20)
-    }
-
-    /// `flush_max` clamped to at least the start threshold.
-    fn max_bytes(&self) -> usize {
-        self.flush_max.max(self.start_bytes())
-    }
-
     /// The I/O thread count after applying the `min(4, cores)` default.
     fn resolved_io_threads(&self) -> usize {
         if self.io_threads > 0 {
@@ -343,8 +328,8 @@ impl Conn {
     /// `pending_out()`, which [`MAX_PENDING_WRITE`] bounds. The
     /// prefix-outweighs-tail threshold keeps the memmove amortized O(1)
     /// per flushed byte.
-    fn compact_out(&mut self, retain_cap: usize) {
-        if self.out_at > 0 && (self.out_at >= self.pending_out() || self.out_at >= retain_cap) {
+    fn compact_out(&mut self) {
+        if self.out_at > 0 && (self.out_at >= self.pending_out() || self.out_at >= RETAIN_OUT) {
             self.out.drain(..self.out_at);
             self.out_at = 0;
         }
@@ -619,7 +604,7 @@ fn queue_frame(c: &mut Conn, metrics: &ServiceMetrics, frame: &ServerFrame) {
 /// Writes as much pending output as the socket will take. Returns
 /// `false` when the connection died. Sets `want_write` (and leaves the
 /// remainder queued) on a full socket buffer.
-fn flush_conn(c: &mut Conn, metrics: &ServiceMetrics, retain_cap: usize) -> bool {
+fn flush_conn(c: &mut Conn, metrics: &ServiceMetrics) -> bool {
     while c.out_at < c.out.len() {
         let pending = c.out.get(c.out_at..).unwrap_or(&[]);
         if pending.is_empty() {
@@ -635,13 +620,13 @@ fn flush_conn(c: &mut Conn, metrics: &ServiceMetrics, retain_cap: usize) -> bool
                     // for POLLOUT rather than burning a sure EAGAIN.
                     metrics.writes_short.fetch_add(1, Ordering::Relaxed);
                     c.want_write = true;
-                    c.compact_out(retain_cap);
+                    c.compact_out();
                     return true;
                 }
             }
             Err(ref e) if e.kind() == ErrorKind::WouldBlock => {
                 c.want_write = true;
-                c.compact_out(retain_cap);
+                c.compact_out();
                 return true;
             }
             Err(ref e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -653,8 +638,8 @@ fn flush_conn(c: &mut Conn, metrics: &ServiceMetrics, retain_cap: usize) -> bool
     c.out.clear();
     c.out_at = 0;
     c.want_write = false;
-    if c.out.capacity() > retain_cap {
-        c.out.shrink_to(retain_cap);
+    if c.out.capacity() > RETAIN_OUT {
+        c.out.shrink_to(RETAIN_OUT);
     }
     true
 }
@@ -978,8 +963,8 @@ fn sync_interest(poller: &mut Poller, conn_id: u64, c: &mut Conn) -> bool {
 /// connections actually touched this round (shard replies or readiness)
 /// — never as a full sweep. Returns `false` when the connection must be
 /// torn down.
-fn maintain_conn(c: &mut Conn, metrics: &ServiceMetrics, retain_cap: usize) -> bool {
-    if c.pending_out() > 0 && !c.want_write && !flush_conn(c, metrics, retain_cap) {
+fn maintain_conn(c: &mut Conn, metrics: &ServiceMetrics) -> bool {
+    if c.pending_out() > 0 && !c.want_write && !flush_conn(c, metrics) {
         return false;
     }
     if c.pending_out() > MAX_PENDING_WRITE {
@@ -1012,7 +997,6 @@ fn io_loop(
     backend: Backend,
 ) {
     let metrics = router.metrics().clone();
-    let retain_cap = options.max_bytes();
     let idle_timeout = options.idle_timeout();
     // Reap ticks: a quarter of the window bounds the overshoot.
     let idle_tick_ms = (options.idle_timeout_ms / 4).clamp(5, 500);
@@ -1147,7 +1131,7 @@ fn io_loop(
             if c.dead {
                 continue;
             }
-            if !maintain_conn(c, &metrics, retain_cap) {
+            if !maintain_conn(c, &metrics) {
                 c.dead = true;
                 dead.push(conn_id);
                 continue;
@@ -1257,7 +1241,7 @@ fn io_loop(
             }
             if ev.writable() {
                 c.want_write = false;
-                if !flush_conn(c, &metrics, retain_cap) {
+                if !flush_conn(c, &metrics) {
                     c.dead = true;
                     dead.push(conn_id);
                     continue;
@@ -1297,7 +1281,7 @@ fn io_loop(
             // Flush what dispatch queued and install any interest
             // transition (pending-out appeared/drained, half-close
             // flipped write-only).
-            if !maintain_conn(c, &metrics, retain_cap) {
+            if !maintain_conn(c, &metrics) {
                 c.dead = true;
                 dead.push(conn_id);
                 continue;
@@ -1442,7 +1426,6 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (stream, _) = listener.accept().expect("accept");
-        let retain_cap = TcpOptions::default().max_bytes();
         let mut c = Conn {
             stream,
             reply: ReplyTx::bridged(1, Arc::new(ReactorBridge { io: Vec::new() })),
@@ -1468,10 +1451,10 @@ mod tests {
             produced += 1024;
             c.out_at += 1000;
             consumed += 1000;
-            c.compact_out(retain_cap);
+            c.compact_out();
             assert_eq!(c.pending_out(), produced - consumed);
             assert!(
-                c.out.len() <= c.pending_out() + retain_cap,
+                c.out.len() <= c.pending_out() + RETAIN_OUT,
                 "flushed prefix must be reclaimed: len {} pending {} after {} bytes",
                 c.out.len(),
                 c.pending_out(),

@@ -2,6 +2,7 @@
 //! and loaded back must serve *identically* to the in-memory original —
 //! same frames, same outcomes, over both transports.
 
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -121,4 +122,44 @@ fn routed_service_on_a_loaded_model_matches_the_in_memory_reference() {
         );
     }
     router.shutdown();
+}
+
+/// Runs `serve run` on a model file holding `text`, plus `extra` flags,
+/// with stdin closed so a server that does start exits at once. Returns
+/// the exit code and stderr.
+fn serve_run(tag: &str, text: &str, extra: &[&str]) -> (Option<i32>, String) {
+    let model =
+        std::env::temp_dir().join(format!("grandma-serve-{tag}-{}.txt", std::process::id()));
+    std::fs::write(&model, text).expect("write model");
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .arg("run")
+        .arg("--model")
+        .arg(&model)
+        .args(extra)
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn serve");
+    std::fs::remove_file(&model).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
+}
+
+#[test]
+fn a_misspelled_flag_is_refused() {
+    let model = trained().to_text();
+    let (code, stderr) = serve_run("flag", &model, &["--wal-dri", "/nonexistent"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("unknown flag `--wal-dri`"), "{stderr}");
+}
+
+#[test]
+fn a_model_whose_mask_disagrees_with_its_classifiers_fails_the_load() {
+    // Drop the timing features from the mask but keep the 13-wide
+    // classifiers: the first eager check would index past the features.
+    let all = format!("mask {:04x}", FeatureMask::all().bits());
+    let narrow = format!("mask {:04x}", FeatureMask::without_timing().bits());
+    let model = trained().to_text().replacen(&all, &narrow, 1);
+    let (code, stderr) = serve_run("mask", &model, &[]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("does not match the mask"), "{stderr}");
 }

@@ -19,8 +19,8 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use grandma_core::{EagerRecognizer, Interaction, InteractionConfig, InteractionPhase, Step};
-pub use grandma_core::{InteractionOutcome, PhaseTransition};
+use grandma_core::{EagerRecognizer, Interaction, InteractionPhase, Step};
+pub use grandma_core::{InteractionConfig, InteractionOutcome, PhaseTransition};
 use grandma_events::{Button, EventKind, InputEvent, StreamFault};
 use grandma_geom::Gesture;
 use grandma_sem::{eval, GestureSemantics, SemError, Value};
@@ -61,35 +61,24 @@ impl GestureClass {
 pub struct GestureHandlerConfig {
     /// Which button starts a gesture.
     pub button: Button,
-    /// Whether eager recognition (transition 3) is enabled. Figure 3's
-    /// walkthrough has it off; §5's evaluations have it on.
-    pub eager: bool,
-    /// Jitter filter: collected points closer than this to the previous
-    /// kept point are discarded (Rubine used 3 px).
-    pub min_point_distance: f64,
     /// Whether a mouse-down over the background (no view) starts a
     /// gesture. GDP gestures at the top window, so `true` there.
     pub over_background: bool,
-    /// Optional rejection: minimum estimated probability for the
-    /// classification to be acted upon.
-    pub min_probability: Option<f64>,
-    /// Maximum number of stream faults tolerated within one interaction
-    /// (non-finite samples seen by the handler plus any faults reported
-    /// via [`GestureHandler::note_faults`]). Exceeding it cancels the
-    /// interaction: a corrupted-beyond-repair stream must not be
-    /// classified.
-    pub fault_budget: usize,
+    /// The interaction machine's tuning. Eager recognition (transition 3)
+    /// is off in Figure 3's walkthrough and on in §5's evaluations. The
+    /// fault budget counts non-finite samples seen by the handler plus
+    /// any faults reported via [`GestureHandler::note_faults`]; exceeding
+    /// it cancels the interaction, since a corrupted-beyond-repair stream
+    /// must not be classified.
+    pub interaction: InteractionConfig,
 }
 
 impl Default for GestureHandlerConfig {
     fn default() -> Self {
         Self {
             button: Button::Left,
-            eager: true,
-            min_point_distance: 3.0,
             over_background: true,
-            min_probability: None,
-            fault_budget: 8,
+            interaction: InteractionConfig::default(),
         }
     }
 }
@@ -167,12 +156,7 @@ impl GestureHandler {
             recognizer.full_classifier().num_classes(),
             "one GestureClass per recognizer class"
         );
-        let interaction = Interaction::new(InteractionConfig {
-            eager: config.eager,
-            min_point_distance: config.min_point_distance,
-            min_probability: config.min_probability,
-            fault_budget: u32::try_from(config.fault_budget).unwrap_or(u32::MAX),
-        });
+        let interaction = Interaction::new(config.interaction);
         Self {
             recognizer,
             config,
@@ -207,7 +191,7 @@ impl GestureHandler {
     /// Reports stream faults (typically from an upstream
     /// [`grandma_events::EventSanitizer`]) against the interaction in
     /// progress. They are attached to the interaction's trace and count
-    /// toward [`GestureHandlerConfig::fault_budget`]; exhausting the
+    /// toward the interaction's fault budget; exhausting the
     /// budget cancels the interaction. Faults reported while idle are
     /// dropped — there is no interaction to charge them to.
     pub fn note_faults(&mut self, faults: &[StreamFault]) {
@@ -465,9 +449,11 @@ mod tests {
         Rc::new(rec)
     }
 
+    /// A root gesture handler on the default button, tuned by
+    /// `interaction`.
     fn handler_with(
         recorder_msgs: &GestureSemantics,
-        config: GestureHandlerConfig,
+        interaction: InteractionConfig,
     ) -> (Interface, Rc<RefCell<GestureHandler>>, grandma_sem::ObjRef) {
         let mut interface = Interface::new();
         let app = obj_ref(Recorder::new());
@@ -476,6 +462,10 @@ mod tests {
             GestureClass::with_semantics("ru", recorder_msgs.clone()),
             GestureClass::named("rd"),
         ];
+        let config = GestureHandlerConfig {
+            interaction,
+            ..GestureHandlerConfig::default()
+        };
         let gh = Rc::new(RefCell::new(GestureHandler::new(
             recognizer(),
             classes,
@@ -514,7 +504,7 @@ mod tests {
     #[test]
     fn eager_transition_enters_manipulation_early() {
         let (mut interface, gh, app) =
-            handler_with(&semantics_counting(), GestureHandlerConfig::default());
+            handler_with(&semantics_counting(), InteractionConfig::default());
         let g = &training()[0][0];
         run_gesture(&mut interface, g, None);
         let gh = gh.borrow();
@@ -530,9 +520,9 @@ mod tests {
 
     #[test]
     fn mouse_up_transition_omits_manipulation() {
-        let config = GestureHandlerConfig {
+        let config = InteractionConfig {
             eager: false,
-            ..GestureHandlerConfig::default()
+            ..InteractionConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
         let g = &training()[0][1];
@@ -546,9 +536,9 @@ mod tests {
 
     #[test]
     fn dwell_timeout_triggers_transition() {
-        let config = GestureHandlerConfig {
+        let config = InteractionConfig {
             eager: false,
-            ..GestureHandlerConfig::default()
+            ..InteractionConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
         let g = &training()[0][2];
@@ -565,7 +555,7 @@ mod tests {
     #[test]
     fn eager_fires_before_timeout_would() {
         let (mut interface, gh, _) =
-            handler_with(&semantics_counting(), GestureHandlerConfig::default());
+            handler_with(&semantics_counting(), InteractionConfig::default());
         let g = &training()[0][3];
         run_gesture(&mut interface, g, Some((15, 400.0)));
         let gh = gh.borrow();
@@ -579,7 +569,7 @@ mod tests {
             manip: Expr::Nil,
             done: Expr::Nil,
         };
-        let (mut interface, _, _) = handler_with(&semantics, GestureHandlerConfig::default());
+        let (mut interface, _, _) = handler_with(&semantics, InteractionConfig::default());
         run_gesture(&mut interface, &training()[0][0], None);
         assert_eq!(
             interface.env().lookup("recog").unwrap().as_num(),
@@ -594,7 +584,7 @@ mod tests {
             manip: Expr::Nil,
             done: Expr::Nil,
         };
-        let (mut interface, gh, _) = handler_with(&semantics, GestureHandlerConfig::default());
+        let (mut interface, gh, _) = handler_with(&semantics, InteractionConfig::default());
         run_gesture(&mut interface, &training()[0][0], None);
         let gh = gh.borrow();
         assert_eq!(gh.traces().len(), 1, "interaction completed despite error");
@@ -604,7 +594,7 @@ mod tests {
     #[test]
     fn consecutive_interactions_reset_state() {
         let (mut interface, gh, _) =
-            handler_with(&semantics_counting(), GestureHandlerConfig::default());
+            handler_with(&semantics_counting(), InteractionConfig::default());
         run_gesture(&mut interface, &training()[0][0], None);
         run_gesture(&mut interface, &training()[1][0], None);
         let gh = gh.borrow();
@@ -615,10 +605,10 @@ mod tests {
 
     #[test]
     fn rejection_threshold_suppresses_semantics() {
-        let config = GestureHandlerConfig {
+        let config = InteractionConfig {
             eager: false,
             min_probability: Some(1.1), // impossible: always reject
-            ..GestureHandlerConfig::default()
+            ..InteractionConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
         run_gesture(&mut interface, &training()[0][0], None);
@@ -631,7 +621,7 @@ mod tests {
     #[test]
     fn grab_break_cancels_collection_without_semantics() {
         let (mut interface, gh, _) =
-            handler_with(&semantics_counting(), GestureHandlerConfig::default());
+            handler_with(&semantics_counting(), InteractionConfig::default());
         let g = &training()[0][0];
         let mut events = gesture_events(g, Button::Left);
         // Replace everything from point 5 on with a grab break.
@@ -653,7 +643,7 @@ mod tests {
     #[test]
     fn grab_break_cancels_manipulation_and_releases_the_grab() {
         let (mut interface, gh, _) =
-            handler_with(&semantics_counting(), GestureHandlerConfig::default());
+            handler_with(&semantics_counting(), InteractionConfig::default());
         let g = &training()[0][0];
         let events = gesture_events(g, Button::Left);
         // Feed all but the mouse-up, then break the grab.
@@ -679,7 +669,7 @@ mod tests {
     #[test]
     fn non_finite_samples_are_skipped_and_logged() {
         let (mut interface, gh, _) =
-            handler_with(&semantics_counting(), GestureHandlerConfig::default());
+            handler_with(&semantics_counting(), InteractionConfig::default());
         let g = &training()[0][0];
         let events = gesture_events(g, Button::Left);
         for (i, e) in events.iter().enumerate() {
@@ -706,9 +696,9 @@ mod tests {
 
     #[test]
     fn fault_budget_exhaustion_cancels_the_interaction() {
-        let config = GestureHandlerConfig {
+        let config = InteractionConfig {
             fault_budget: 2,
-            ..GestureHandlerConfig::default()
+            ..InteractionConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
         let g = &training()[0][0];
@@ -735,9 +725,9 @@ mod tests {
 
     #[test]
     fn note_faults_counts_toward_the_budget() {
-        let config = GestureHandlerConfig {
+        let config = InteractionConfig {
             fault_budget: 1,
-            ..GestureHandlerConfig::default()
+            ..InteractionConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
         let g = &training()[0][0];
@@ -759,7 +749,7 @@ mod tests {
 
     #[test]
     fn note_faults_while_idle_is_dropped() {
-        let (_, gh, _) = handler_with(&semantics_counting(), GestureHandlerConfig::default());
+        let (_, gh, _) = handler_with(&semantics_counting(), InteractionConfig::default());
         gh.borrow_mut()
             .note_faults(&[StreamFault::NonFiniteTimestamp { repaired: false }]);
         assert!(!gh.borrow().interaction_in_progress());
@@ -770,11 +760,11 @@ mod tests {
     fn outcomes_map_to_transitions() {
         // Mouse-up transition → Recognized; eager transition → Manipulated.
         let (mut interface, gh, _) =
-            handler_with(&semantics_counting(), GestureHandlerConfig::default());
+            handler_with(&semantics_counting(), InteractionConfig::default());
         run_gesture(&mut interface, &training()[0][0], None);
-        let eager_cfg = GestureHandlerConfig {
+        let eager_cfg = InteractionConfig {
             eager: false,
-            ..GestureHandlerConfig::default()
+            ..InteractionConfig::default()
         };
         let (mut iface2, gh2, _) = handler_with(&semantics_counting(), eager_cfg);
         run_gesture(&mut iface2, &training()[0][1], None);
@@ -790,9 +780,9 @@ mod tests {
 
     #[test]
     fn rejection_outcome_is_terminal_and_returns_to_idle() {
-        let config = GestureHandlerConfig {
+        let config = InteractionConfig {
             min_probability: Some(1.1),
-            ..GestureHandlerConfig::default()
+            ..InteractionConfig::default()
         };
         let (mut interface, gh, _) = handler_with(&semantics_counting(), config);
         run_gesture(&mut interface, &training()[0][0], None);
@@ -818,14 +808,14 @@ mod tests {
         let timeout = |t: f64| InputEvent::new(EventKind::Timeout, 72.0, 0.0, t);
         let g = &training()[0][0];
         let events = gesture_events(g, Button::Left);
-        let no_eager = GestureHandlerConfig {
+        let no_eager = InteractionConfig {
             eager: false,
-            ..GestureHandlerConfig::default()
+            ..InteractionConfig::default()
         };
 
         // Collecting: the right-button up is swallowed and collection
         // carries on to the left-button up.
-        let (mut interface, gh, _) = handler_with(&semantics_counting(), no_eager.clone());
+        let (mut interface, gh, _) = handler_with(&semantics_counting(), no_eager);
         for e in &events[..5] {
             interface.dispatch(e);
         }
@@ -843,7 +833,7 @@ mod tests {
         }
 
         // Manipulating: the right-button up does not end manipulation.
-        let (mut interface, gh, _) = handler_with(&semantics_counting(), no_eager.clone());
+        let (mut interface, gh, _) = handler_with(&semantics_counting(), no_eager);
         for e in &events[..13] {
             interface.dispatch(e);
         }
@@ -861,7 +851,7 @@ mod tests {
         }
 
         // Draining: any up ends a rejected interaction.
-        let rejecting = GestureHandlerConfig {
+        let rejecting = InteractionConfig {
             min_probability: Some(1.1),
             ..no_eager
         };
@@ -881,7 +871,7 @@ mod tests {
     #[test]
     fn jitter_filter_drops_close_points() {
         let (mut interface, gh, _) =
-            handler_with(&semantics_counting(), GestureHandlerConfig::default());
+            handler_with(&semantics_counting(), InteractionConfig::default());
         // A gesture whose points are all within 1 px: only the first
         // survives the 3 px filter, so classification happens at mouse-up
         // with one point.

@@ -44,8 +44,8 @@ mod view;
 
 pub use drag::DragHandler;
 pub use gesture_handler::{
-    GestureClass, GestureHandler, GestureHandlerConfig, InteractionOutcome, InteractionTrace,
-    PhaseTransition,
+    GestureClass, GestureHandler, GestureHandlerConfig, InteractionConfig, InteractionOutcome,
+    InteractionTrace, PhaseTransition,
 };
 pub use handler::{handler_ref, Ctx, EventHandler, HandlerRef, HandlerResult, Interface};
 pub use view::{View, ViewId, ViewStore};

@@ -1,10 +1,16 @@
-//! Watch the ambiguous/unambiguous classifier work point by point on the
-//! U/D example of Figures 5-7: both classes share a horizontal prelude and
-//! only diverge after the corner.
+//! Watch eager recognition work point by point on the U/D example of
+//! Figures 5-7: both classes share a horizontal prelude and only diverge
+//! after the corner. Each gesture's mouse events go through the two-phase
+//! interaction machine, which reports when the prefix became unambiguous
+//! and hands the rest of the gesture to manipulation.
 //!
 //! Run: `cargo run --example eager_demo`
 
-use grandma::core::{EagerConfig, EagerRecognizer, FeatureMask};
+use grandma::core::{
+    EagerConfig, EagerRecognizer, FeatureMask, Interaction, InteractionConfig, InteractionPhase,
+    Step,
+};
+use grandma::events::{gesture_events, Button};
 use grandma::synth::datasets;
 
 fn main() {
@@ -12,6 +18,12 @@ fn main() {
     let (eager, _) =
         EagerRecognizer::train(&data.training, &FeatureMask::all(), &EagerConfig::default())
             .expect("training succeeds");
+    // The training gestures were not jitter-filtered, so collection keeps
+    // every point too.
+    let mut interaction = Interaction::new(InteractionConfig {
+        min_point_distance: 0.0,
+        ..InteractionConfig::default()
+    });
 
     for labeled in &data.testing {
         println!(
@@ -19,34 +31,35 @@ fn main() {
             data.class_names[labeled.class],
             labeled.gesture.len()
         );
-        // Per-point verdicts: '.' while ambiguous, the class letter at the
-        // moment of recognition, '-' afterwards (manipulation phase).
-        let mut session = eager.session();
-        let mut verdicts = String::new();
-        for &p in labeled.gesture.points() {
-            match session.feed(p) {
-                Some(class) => verdicts.push_str(data.class_names[class]),
-                None if session.decided().is_some() => verdicts.push('-'),
-                None => verdicts.push('.'),
+        // Per-point marks: '.' while collecting (still ambiguous), the
+        // class letter at the phase transition, '-' per manipulation move.
+        let (mut marks, mut transition) = (String::new(), String::new());
+        for event in gesture_events(&labeled.gesture, Button::Left) {
+            interaction.feed(&eager, event, &mut |step| match step {
+                Step::Recognized {
+                    trigger,
+                    class,
+                    gesture,
+                } => {
+                    let name = class.map_or("?", |c| data.class_names[usize::from(c)]);
+                    marks.push_str(name);
+                    transition = format!("{trigger:?} -> '{name}' after {} points", gesture.len());
+                }
+                Step::Manipulate { .. } => marks.push('-'),
+                _ => {}
+            });
+            if interaction.phase() == InteractionPhase::Collecting {
+                marks.push('.');
             }
         }
-        println!("  {verdicts}");
-        match session.recognition_point() {
-            Some(at) => println!(
-                "  -> unambiguous after {at} points; ground-truth corner at point {}\n",
-                labeled.min_points.unwrap_or(0)
-            ),
-            None => {
-                let class = session.finish().expect("classifies at mouse-up");
-                println!(
-                    "  -> stayed ambiguous; classified '{}' at mouse-up\n",
-                    data.class_names[class]
-                );
-            }
-        }
+        println!(
+            "  {marks}\n  {transition}; ground-truth corner at point {}\n",
+            labeled.min_points.unwrap_or(0)
+        );
     }
     println!(
         "legend: '.' = still ambiguous (collection phase), class letter = the\n\
-         eager recognition moment, '-' = manipulation phase."
+         phase transition (Eager mid-gesture, or MouseUp when the gesture\n\
+         stayed ambiguous), '-' = manipulation phase."
     );
 }

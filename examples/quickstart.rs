@@ -1,10 +1,13 @@
 //! Quickstart: train a Rubine classifier and an eager recognizer on the
-//! paper's eight-direction gesture set, then watch eager recognition fire
-//! mid-gesture.
+//! paper's eight-direction gesture set, then run one gesture through the
+//! two-phase interaction and watch eager recognition fire mid-gesture.
 //!
 //! Run: `cargo run --example quickstart`
 
-use grandma::core::{Classifier, EagerConfig, EagerRecognizer, FeatureMask};
+use grandma::core::{
+    Classifier, EagerConfig, EagerRecognizer, FeatureMask, Interaction, InteractionConfig, Step,
+};
+use grandma::events::{gesture_events, Button};
 use grandma::synth::datasets;
 
 fn main() {
@@ -18,13 +21,11 @@ fn main() {
     //    thirteen incremental features.
     let classifier =
         Classifier::train(&data.training, &FeatureMask::all()).expect("training succeeds");
-    let mut correct = 0;
-    for labeled in &data.testing {
-        let result = classifier.classify(&labeled.gesture);
-        if result.class == labeled.class {
-            correct += 1;
-        }
-    }
+    let correct = data
+        .testing
+        .iter()
+        .filter(|l| classifier.classify(&l.gesture).class == l.class)
+        .count();
     println!(
         "full classifier: {correct}/{} test gestures correct",
         data.testing.len()
@@ -43,24 +44,36 @@ fn main() {
         report.auc_classes.len()
     );
 
-    // 4. Stream one gesture point by point; the session reports the class
-    //    at the moment the prefix becomes unambiguous.
+    // 4. The two-phase interaction (§1, §3.2): stream one gesture's
+    //    mouse events through the interaction machine. It collects points
+    //    until the prefix is unambiguous, classifies there, and reports
+    //    the rest of the gesture as manipulation. The training gestures
+    //    were not jitter-filtered, so collection keeps every point too.
     let sample = &data.testing[0];
-    let mut session = eager.session();
-    for &point in sample.gesture.points() {
-        if let Some(class) = session.feed(point) {
-            println!(
-                "eagerly recognized '{}' after {} of {} points ({:.0}% of the gesture)",
-                data.class_names[class],
-                session.points_seen(),
+    let mut interaction = Interaction::new(InteractionConfig {
+        min_point_distance: 0.0,
+        ..InteractionConfig::default()
+    });
+    let mut moves = 0;
+    for event in gesture_events(&sample.gesture, Button::Left) {
+        interaction.feed(&eager, event, &mut |step| match step {
+            Step::Recognized {
+                trigger,
+                class,
+                gesture,
+            } => println!(
+                "{trigger:?} recognition: '{}' after {} of {} points ({:.0}% of the gesture)",
+                class.map_or("?", |c| data.class_names[usize::from(c)]),
+                gesture.len(),
                 sample.gesture.len(),
-                100.0 * session.points_seen() as f64 / sample.gesture.len() as f64,
-            );
-            break;
-        }
+                100.0 * gesture.len() as f64 / sample.gesture.len() as f64,
+            ),
+            Step::Manipulate { .. } => moves += 1,
+            Step::Finished { outcome, .. } => {
+                println!("{outcome:?} after {moves} manipulation moves")
+            }
+            Step::Began | Step::Fault(_) => {}
+        });
     }
-    println!(
-        "(truth: '{}'; the remaining points would drive the manipulation phase)",
-        data.class_names[sample.class]
-    );
+    println!("(truth: '{}')", data.class_names[sample.class]);
 }

@@ -28,6 +28,22 @@ cargo test --workspace -q
 echo "== experiments runner (release) =="
 cargo run -q -p grandma-bench --release --bin experiments > target/experiments.txt
 
+# gesturebench (the BENCHMARK.json benchmark) is its own cargo workspace
+# built against these crates' public API, so compile it here: an API
+# change that breaks the benchmark fails the gate, not the benchmark
+# run. The build rewrites gesturebench/Cargo.lock (the committed lock
+# lacks grandma-core's grandma-events edge), so the lock is set aside
+# first and put back even when the build fails.
+echo "== gesturebench build (release) =="
+cp gesturebench/Cargo.lock target/gesturebench-Cargo.lock
+bench_status=0
+cargo build --release --manifest-path gesturebench/Cargo.toml || bench_status=$?
+cp target/gesturebench-Cargo.lock gesturebench/Cargo.lock
+if [ "$bench_status" -ne 0 ]; then
+    echo "gesturebench failed to build" >&2
+    exit "$bench_status"
+fi
+
 # grandma-lint is the always-on static-analysis gate: panic-freedom,
 # wire-protocol lockstep, hot-path alloc/index hygiene, float-comparison
 # and unsafe-code policy, plus the interprocedural concurrency rules

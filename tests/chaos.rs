@@ -31,7 +31,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use grandma::core::{EagerConfig, EagerRecognizer, FeatureMask};
+use grandma::core::{EagerConfig, EagerRecognizer, FeatureMask, InteractionConfig};
 use grandma::events::{
     Button, DwellDetector, EventScript, EventSanitizer, InputEvent, SanitizerConfig,
 };
@@ -410,12 +410,16 @@ fn handler_and_served_session_agree_on_every_interaction() {
     }
     let (mut interactions, mut eager, mut timeout) = (0, 0, 0);
     for (i, (eager_on, stream)) in streams.iter().enumerate() {
-        let handler_config = GestureHandlerConfig {
+        let interaction = InteractionConfig {
             eager: *eager_on,
+            ..InteractionConfig::default()
+        };
+        let handler_config = GestureHandlerConfig {
+            interaction,
             ..GestureHandlerConfig::default()
         };
         let pipeline_config = PipelineConfig {
-            eager: *eager_on,
+            interaction,
             ..PipelineConfig::default()
         };
         let (traces, served) = replay_sanitized_traces(&recognizer, handler_config, stream);

@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use grandma::core::{EagerConfig, EagerRecognizer, FeatureMask};
+use grandma::core::{EagerConfig, EagerRecognizer, FeatureMask, InteractionConfig};
 use grandma::events::{gesture_events, Button, DwellDetector, EventKind, InputEvent};
 use grandma::synth::datasets;
 use grandma::toolkit::{
@@ -33,7 +33,10 @@ fn gesture_handler(eager: bool) -> Rc<RefCell<GestureHandler>> {
         recognizer(),
         names.iter().map(|n| GestureClass::named(n)).collect(),
         GestureHandlerConfig {
-            eager,
+            interaction: InteractionConfig {
+                eager,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         },
     )))
@@ -403,7 +406,10 @@ fn enclosed_attribute_lists_models_inside_the_gesture() {
         GestureHandlerConfig {
             // Recognize at mouse-up so the gesture's full extent (the
             // whole lasso) defines <enclosed>, as in GDP's group.
-            eager: false,
+            interaction: InteractionConfig {
+                eager: false,
+                ..InteractionConfig::default()
+            },
             ..GestureHandlerConfig::default()
         },
     )));
