@@ -69,7 +69,11 @@ impl Default for ClusterView {
 impl ClusterView {
     /// Builds the consistent-hash ring over the registered node ids.
     pub fn ring(&self) -> HashRing {
-        HashRing::new(self.seed, self.vnodes, self.nodes.iter().map(|n| n.id.clone()))
+        HashRing::new(
+            self.seed,
+            self.vnodes,
+            self.nodes.iter().map(|n| n.id.clone()),
+        )
     }
 
     /// The record for `id`, if registered.
@@ -276,7 +280,9 @@ impl<'a> Parser<'a> {
                     n = n
                         .checked_mul(10)
                         .and_then(|n| n.checked_add(u64::from(b - b'0')))
-                        .ok_or(DiscoveryError::Parse { what: "number range" })?;
+                        .ok_or(DiscoveryError::Parse {
+                            what: "number range",
+                        })?;
                     self.pos += 1;
                     any = true;
                 }
@@ -321,9 +327,10 @@ impl<'a> Parser<'a> {
                     let rest = self.bytes.get(self.pos..).unwrap_or(&[]);
                     let s = std::str::from_utf8(rest)
                         .map_err(|_| DiscoveryError::Parse { what: "utf-8" })?;
-                    let c = s.chars().next().ok_or(DiscoveryError::Parse {
-                        what: "string end",
-                    })?;
+                    let c = s
+                        .chars()
+                        .next()
+                        .ok_or(DiscoveryError::Parse { what: "string end" })?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -408,7 +415,10 @@ pub fn write_cluster(path: &Path, view: &ClusterView) -> std::io::Result<()> {
 }
 
 fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     name.push(format!(".tmp.{}", std::process::id()));
     path.with_file_name(name)
 }
@@ -424,7 +434,10 @@ const LOCK_STEAL_AFTER: Duration = Duration::from_secs(2);
 
 impl RegistryLock {
     fn acquire(file: &Path) -> std::io::Result<Self> {
-        let mut name = file.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+        let mut name = file
+            .file_name()
+            .map(|n| n.to_os_string())
+            .unwrap_or_default();
         name.push(".lock");
         let path = file.with_file_name(name);
         let start = Instant::now();
@@ -509,10 +522,8 @@ mod tests {
     use super::*;
 
     fn tmp_file(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "grandma-cluster-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("grandma-cluster-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir.join("cluster.json")
     }

@@ -111,10 +111,7 @@ impl HashRing {
         }
         let h = mix(session ^ self.seed);
         let at = self.points.partition_point(|&(p, _)| p < h);
-        let &(_, idx) = self
-            .points
-            .get(at)
-            .or_else(|| self.points.first())?;
+        let &(_, idx) = self.points.get(at).or_else(|| self.points.first())?;
         self.nodes.get(idx as usize).map(String::as_str)
     }
 }

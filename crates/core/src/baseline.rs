@@ -77,10 +77,7 @@ impl TemplateRecognizer {
     ///
     /// Returns [`TrainError`] when fewer than two classes are given or a
     /// class is empty.
-    pub fn train(
-        per_class: &[Vec<Gesture>],
-        config: &TemplateConfig,
-    ) -> Result<Self, TrainError> {
+    pub fn train(per_class: &[Vec<Gesture>], config: &TemplateConfig) -> Result<Self, TrainError> {
         if per_class.len() < 2 {
             return Err(TrainError::TooFewClasses {
                 got: per_class.len(),
@@ -265,8 +262,7 @@ mod tests {
 
     #[test]
     fn rotation_sensitivity_is_configurable() {
-        let sensitive =
-            TemplateRecognizer::train(&training(), &TemplateConfig::default()).unwrap();
+        let sensitive = TemplateRecognizer::train(&training(), &TemplateConfig::default()).unwrap();
         let invariant = TemplateRecognizer::train(
             &training(),
             &TemplateConfig {
@@ -315,10 +311,7 @@ mod tests {
             Err(TrainError::TooFewClasses { got: 1 })
         ));
         assert!(matches!(
-            TemplateRecognizer::train(
-                &[vec![l_shape(0.1)], vec![]],
-                &TemplateConfig::default()
-            ),
+            TemplateRecognizer::train(&[vec![l_shape(0.1)], vec![]], &TemplateConfig::default()),
             Err(TrainError::EmptyClass { class: 1 })
         ));
     }

@@ -129,8 +129,12 @@ pub fn move_accidentally_complete(
             if !matches!(records[idx].assigned, AucClassKind::Complete(_)) {
                 continue;
             }
-            let (nearest_class, nearest_dist) =
-                nearest_incomplete(&records[idx].features, &mean_caches, inverse_covariance, &mut ws);
+            let (nearest_class, nearest_dist) = nearest_incomplete(
+                &records[idx].features,
+                &mean_caches,
+                inverse_covariance,
+                &mut ws,
+            );
             if cascading || nearest_dist < threshold {
                 records[idx].assigned = AucClassKind::Incomplete(nearest_class);
                 moved += 1;

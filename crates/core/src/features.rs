@@ -585,10 +585,7 @@ mod tests {
         let degenerates = [
             Gesture::from_points(vec![Point::new(1.0, 2.0, 3.0)]),
             Gesture::from_points(vec![Point::new(4.0, 4.0, 0.0); 5]),
-            Gesture::from_points(vec![
-                Point::new(0.0, 0.0, 50.0),
-                Point::new(6.0, 8.0, 50.0),
-            ]),
+            Gesture::from_points(vec![Point::new(0.0, 0.0, 50.0), Point::new(6.0, 8.0, 50.0)]),
         ];
         for g in &degenerates {
             let v = FeatureExtractor::extract(g, &FeatureMask::all());

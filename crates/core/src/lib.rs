@@ -85,9 +85,7 @@ pub mod multistroke;
 pub mod persist;
 
 pub use classifier::{Classification, Classifier, LinearClassifier, TrainError};
-pub use eager::{
-    AucClassKind, EagerConfig, EagerRecognizer, EagerTrainReport, SubgestureRecord,
-};
+pub use eager::{AucClassKind, EagerConfig, EagerRecognizer, EagerTrainReport, SubgestureRecord};
 pub use features::{FeatureExtractor, FeatureMask, PointFilter, FEATURE_COUNT, FEATURE_NAMES};
 pub use interaction::{
     Interaction, InteractionConfig, InteractionOutcome, InteractionPhase, PhaseTransition, Step,

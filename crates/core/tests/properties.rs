@@ -164,7 +164,9 @@ fn classifier_probability_is_a_probability() {
 #[test]
 fn training_examples_classify_to_their_own_class() {
     for seed in 0..16usize {
-        let jitters: Vec<f64> = (0..8).map(|i| 0.05 + (i + seed % 4) as f64 * 0.03).collect();
+        let jitters: Vec<f64> = (0..8)
+            .map(|i| 0.05 + (i + seed % 4) as f64 * 0.03)
+            .collect();
         let data = two_class_training(&jitters);
         let c = Classifier::train(&data, &FeatureMask::all()).unwrap();
         for (class, gestures) in data.iter().enumerate() {
@@ -180,7 +182,9 @@ fn eager_conservatism_on_training_set() {
     // D(s) = true on a training prefix implies the full classifier
     // already classifies that prefix as the gesture's class.
     for seed in 0..8usize {
-        let jitters: Vec<f64> = (0..8).map(|i| 0.05 + (i + seed % 4) as f64 * 0.03).collect();
+        let jitters: Vec<f64> = (0..8)
+            .map(|i| 0.05 + (i + seed % 4) as f64 * 0.03)
+            .collect();
         let data = two_class_training(&jitters);
         let (rec, _) =
             EagerRecognizer::train(&data, &FeatureMask::all(), &EagerConfig::default()).unwrap();
@@ -204,7 +208,9 @@ fn eager_conservatism_on_training_set() {
 #[test]
 fn eager_run_decision_point_is_stable_under_replay() {
     for seed in 0..8usize {
-        let jitters: Vec<f64> = (0..8).map(|i| 0.05 + (i + seed % 4) as f64 * 0.03).collect();
+        let jitters: Vec<f64> = (0..8)
+            .map(|i| 0.05 + (i + seed % 4) as f64 * 0.03)
+            .collect();
         let data = two_class_training(&jitters);
         let (rec, _) =
             EagerRecognizer::train(&data, &FeatureMask::all(), &EagerConfig::default()).unwrap();

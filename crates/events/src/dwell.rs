@@ -309,9 +309,9 @@ mod tests {
         let mut d = DwellDetector::paper_default();
         let stream = [
             down(0.0, 0.0, 1000.0),
-            mv(10.0, 0.0, 100.0),   // warp backwards (ignored by the clock)
-            mv(20.0, 0.0, 1050.0),  // real movement re-arms at clock 1050
-            mv(20.5, 0.0, 1300.0),  // 250 ms genuinely still
+            mv(10.0, 0.0, 100.0),  // warp backwards (ignored by the clock)
+            mv(20.0, 0.0, 1050.0), // real movement re-arms at clock 1050
+            mv(20.5, 0.0, 1300.0), // 250 ms genuinely still
         ];
         let expanded = d.expand(&stream);
         let timeouts: Vec<&InputEvent> = expanded

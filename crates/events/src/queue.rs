@@ -153,7 +153,14 @@ mod tests {
         // timestamp could panic or (worse) corrupt the BinaryHeap's
         // ordering invariants. total_cmp gives NaN a defined place: last.
         let mut q = EventQueue::new();
-        for &t in &[f64::NAN, 20.0, f64::INFINITY, 10.0, f64::NEG_INFINITY, f64::NAN] {
+        for &t in &[
+            f64::NAN,
+            20.0,
+            f64::INFINITY,
+            10.0,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
             q.push(mv(t));
         }
         let ts: Vec<f64> = q.drain_ordered().iter().map(|e| e.t).collect();

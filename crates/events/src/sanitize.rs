@@ -349,7 +349,8 @@ impl EventSanitizer {
                 self.interaction_open = true;
             }
             EventKind::MouseUp { .. } | EventKind::GrabBreak if !self.interaction_open => {
-                self.faults.push(StreamFault::UnmatchedMouseUp { t: event.t });
+                self.faults
+                    .push(StreamFault::UnmatchedMouseUp { t: event.t });
                 return;
             }
             EventKind::MouseUp { .. } | EventKind::GrabBreak => {
@@ -525,7 +526,10 @@ mod tests {
         let (out, faults) = EventSanitizer::sanitize(&stream);
         assert_contract(&out);
         assert_eq!(out[1].t, 0.0, "time stands still under repair");
-        assert_eq!(faults, vec![StreamFault::NonFiniteTimestamp { repaired: true }]);
+        assert_eq!(
+            faults,
+            vec![StreamFault::NonFiniteTimestamp { repaired: true }]
+        );
     }
 
     #[test]

@@ -127,7 +127,11 @@ impl Matrix {
     /// ```
     pub fn mul_vec_into(&self, v: &[f64], out: &mut [f64]) {
         assert_eq!(v.len(), self.cols, "dimension mismatch in mul_vec_into");
-        assert_eq!(out.len(), self.rows, "output length mismatch in mul_vec_into");
+        assert_eq!(
+            out.len(),
+            self.rows,
+            "output length mismatch in mul_vec_into"
+        );
         for (r, slot) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (value, x) in self.row(r).iter().zip(v.iter()) {

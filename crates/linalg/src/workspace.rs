@@ -64,7 +64,12 @@ impl Workspace {
     /// # Panics
     ///
     /// Panics if the dimensions do not agree.
-    pub fn mahalanobis_squared(&mut self, x: &[f64], mean: &[f64], inverse_covariance: &Matrix) -> f64 {
+    pub fn mahalanobis_squared(
+        &mut self,
+        x: &[f64],
+        mean: &[f64],
+        inverse_covariance: &Matrix,
+    ) -> f64 {
         assert_eq!(x.len(), mean.len(), "dimension mismatch in mahalanobis");
         self.reserve(x.len());
         let centered = &mut self.centered[..x.len()];
@@ -139,8 +144,7 @@ mod tests {
         let mut ws = Workspace::new();
         let direct = ws.mahalanobis_squared(&x, &mu, &m);
         let w = m.mul_vector(&Vector::from_slice(&mu));
-        let via_identity =
-            ws.quadratic_form(&x, &m) - 2.0 * w.dot_slice(&x) + w.dot_slice(&mu);
+        let via_identity = ws.quadratic_form(&x, &m) - 2.0 * w.dot_slice(&x) + w.dot_slice(&mu);
         assert!((direct - via_identity).abs() < 1e-12);
     }
 }

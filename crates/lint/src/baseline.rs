@@ -196,8 +196,18 @@ mod tests {
     #[test]
     fn round_trip_is_stable_and_all_baselined() {
         let findings = vec![
-            finding("channel-unwrap", "crates/a/src/x.rs", 9, "a.lock().expect(\"l\");"),
-            finding("channel-unwrap", "crates/a/src/x.rs", 4, "a.lock().expect(\"l\");"),
+            finding(
+                "channel-unwrap",
+                "crates/a/src/x.rs",
+                9,
+                "a.lock().expect(\"l\");",
+            ),
+            finding(
+                "channel-unwrap",
+                "crates/a/src/x.rs",
+                4,
+                "a.lock().expect(\"l\");",
+            ),
             finding("no-panic", "crates/b/src/y.rs", 2, "z.unwrap();"),
         ];
         let rendered = render(&findings, &Baseline::default());

@@ -151,17 +151,17 @@ impl FileSummary {
 /// workspace one, so it resolves to a leaf instead of colliding with
 /// same-named workspace fns (e.g. `mem::take` vs `PoolHandle::take`).
 const STD_MODULES: &[&str] = &[
-    "std", "core", "alloc", "mem", "ptr", "thread", "process", "env", "fs", "io", "iter",
-    "cmp", "fmt", "str", "slice", "array", "mpsc", "atomic", "time", "net", "hint",
+    "std", "core", "alloc", "mem", "ptr", "thread", "process", "env", "fs", "io", "iter", "cmp",
+    "fmt", "str", "slice", "array", "mpsc", "atomic", "time", "net", "hint",
 ];
 
 /// Idents that look like calls (`ident (`) but are control flow or
 /// bindings, never callees.
 const NON_CALL_KEYWORDS: &[&str] = &[
-    "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "in", "as",
-    "fn", "let", "mut", "ref", "move", "impl", "dyn", "where", "pub", "use", "mod", "struct",
-    "enum", "union", "trait", "type", "const", "static", "unsafe", "extern", "crate", "super",
-    "Some", "Ok", "Err", "None",
+    "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "in", "as", "fn",
+    "let", "mut", "ref", "move", "impl", "dyn", "where", "pub", "use", "mod", "struct", "enum",
+    "union", "trait", "type", "const", "static", "unsafe", "extern", "crate", "super", "Some",
+    "Ok", "Err", "None",
 ];
 
 /// Index of the `)` matching the `(` at `open`, or `tokens.len()`.
@@ -233,15 +233,15 @@ fn find_impl_blocks(lexed: &Lexed<'_>, out: &mut Vec<ImplBlock>) {
         // `impl` in type position (`-> impl Iterator`, `x: impl Fn()`)
         // opens no block; only item-position `impl`/`trait` count.
         if i > 0 {
-            let type_position = lexed
-                .tokens
-                .get(i - 1)
-                .is_some_and(|t| match t.kind {
-                    TokenKind::Punct => {
-                        matches!(lexed.text(t), "->" | "(" | "," | ":" | "<" | "=" | "&" | "+")
-                    }
-                    _ => false,
-                });
+            let type_position = lexed.tokens.get(i - 1).is_some_and(|t| match t.kind {
+                TokenKind::Punct => {
+                    matches!(
+                        lexed.text(t),
+                        "->" | "(" | "," | ":" | "<" | "=" | "&" | "+"
+                    )
+                }
+                _ => false,
+            });
             if type_position {
                 continue;
             }
@@ -323,14 +323,11 @@ fn find_rwlock_names(lexed: &Lexed<'_>, out: &mut Vec<String>) {
                 }
                 break;
             }
-            let wrapper = lexed
-                .tokens
-                .get(j)
-                .is_some_and(|t| match t.kind {
-                    TokenKind::Punct => matches!(lexed.text(t), "<" | "::"),
-                    TokenKind::Ident => true,
-                    _ => false,
-                });
+            let wrapper = lexed.tokens.get(j).is_some_and(|t| match t.kind {
+                TokenKind::Punct => matches!(lexed.text(t), "<" | "::"),
+                TokenKind::Ident => true,
+                _ => false,
+            });
             if !wrapper {
                 break;
             }
@@ -460,7 +457,9 @@ fn find_guard_regions(
                 j += 1;
             }
             if let Some(name) = ident_text(lexed, j) {
-                if name != "_" && is_punct(lexed, j + 1, "=") && !is_ident(lexed, j + 2, "match")
+                if name != "_"
+                    && is_punct(lexed, j + 1, "=")
+                    && !is_ident(lexed, j + 2, "match")
                     && !is_ident(lexed, j + 2, "if")
                 {
                     let depth = analysis.brace_depth.get(i).copied().unwrap_or(0);
@@ -481,17 +480,14 @@ fn find_guard_regions(
                         k += 1;
                     }
                     if !moves_out {
-                        if let Some((key, _)) =
-                            lock_in_range(lexed, analysis, j + 2, k, depth)
-                        {
+                        if let Some((key, _)) = lock_in_range(lexed, analysis, j + 2, k, depth) {
                             // Region: from after the `;` to the end of
                             // the enclosing block or `drop(name)`.
                             let name = name.to_string();
                             let mut end = k + 1;
                             while end < hi {
                                 if is_punct(lexed, end, "}")
-                                    && analysis.brace_depth.get(end).copied().unwrap_or(0)
-                                        == depth
+                                    && analysis.brace_depth.get(end).copied().unwrap_or(0) == depth
                                 {
                                     break;
                                 }
@@ -773,7 +769,9 @@ impl<'a> CallGraph<'a> {
 
     /// Is `key` a known RwLock field name anywhere in the workspace?
     pub fn is_rwlock_key(&self, key: &str) -> bool {
-        self.rwlock_keys.binary_search_by(|k| k.as_str().cmp(key)).is_ok()
+        self.rwlock_keys
+            .binary_search_by(|k| k.as_str().cmp(key))
+            .is_ok()
     }
 
     /// Resolve a call made from `from_crate` (inside `impl from_owner`,
@@ -872,9 +870,9 @@ impl<'a> CallGraph<'a> {
                     // Receiver-agnostic method: any impl/trait fn by name,
                     // but never a free fn (methods live in impls).
                     None => self.fn_summary(id).is_some_and(|f| f.owner.is_some()),
-                    Some(want) => {
-                        self.fn_summary(id).is_some_and(|f| f.owner.as_deref() == want)
-                    }
+                    Some(want) => self
+                        .fn_summary(id)
+                        .is_some_and(|f| f.owner.as_deref() == want),
                 };
                 unit_ok && owner_ok
             })
@@ -887,10 +885,7 @@ impl<'a> CallGraph<'a> {
     pub fn to_dot(&self) -> String {
         let node = |id: FnId| -> String {
             let file = self.files.get(id.0).map(|f| f.path.as_str()).unwrap_or("?");
-            let name = self
-                .fn_summary(id)
-                .map(|f| f.name.as_str())
-                .unwrap_or("?");
+            let name = self.fn_summary(id).map(|f| f.name.as_str()).unwrap_or("?");
             format!("{file}::{name}")
         };
         let mut nodes: Vec<String> = Vec::new();
@@ -1015,20 +1010,16 @@ fn touch() {}
             );
             assert_eq!(f.guard_regions[0].key, "m", "{shape}");
             let region = &f.guard_regions[0];
-            let inside = f
-                .calls
-                .iter()
-                .any(|c| c.callee == "touch" && c.tok >= region.tok_start && c.tok < region.tok_end);
+            let inside = f.calls.iter().any(|c| {
+                c.callee == "touch" && c.tok >= region.tok_start && c.tok < region.tok_end
+            });
             assert!(inside, "{shape}: touch() must land inside the guard region");
         }
     }
 
     #[test]
     fn resolution_is_crate_scoped() {
-        let a = summary_of(
-            "crates/serve/src/a.rs",
-            "pub fn caller() { helper(); }\n",
-        );
+        let a = summary_of("crates/serve/src/a.rs", "pub fn caller() { helper(); }\n");
         let b = summary_of("crates/serve/src/b.rs", "pub fn helper() {}\n");
         let c = summary_of("crates/core/src/c.rs", "pub fn helper() {}\n");
         let files = vec![a, b, c];
@@ -1071,7 +1062,9 @@ fn touch() {}
                 krate: None,
             },
         };
-        assert!(graph.resolve(&unqualified, Some("serve"), None, None).is_empty());
+        assert!(graph
+            .resolve(&unqualified, Some("serve"), None, None)
+            .is_empty());
     }
 
     #[test]
@@ -1100,7 +1093,10 @@ fn touch() {}
             .iter()
             .position(|f| f.name == "parse")
             .expect("parse fn");
-        assert_eq!(graph.resolve(call, Some("serve"), None, None), vec![(0, parse_id)]);
+        assert_eq!(
+            graph.resolve(call, Some("serve"), None, None),
+            vec![(0, parse_id)]
+        );
     }
 
     #[test]

@@ -68,7 +68,9 @@ impl<'g> Cx<'g> {
         let mut trans_locks: Vec<BTreeSet<String>> = vec![BTreeSet::new(); ids.len()];
         for (n, &id) in ids.iter().enumerate() {
             let Some(file) = graph.file(id) else { continue };
-            let Some(f) = graph.fn_summary(id) else { continue };
+            let Some(f) = graph.fn_summary(id) else {
+                continue;
+            };
             for call in &f.calls {
                 for target in graph.resolve(
                     call,
@@ -317,9 +319,9 @@ fn rule_reactor_blocking(cx: &Cx<'_>, out: &mut Vec<Finding>) {
                     if !seen.insert((fi, call.tok)) {
                         continue;
                     }
-                    let Some(path) =
-                        cx.bfs_chain(&starts, |n| cx.direct_block.get(n).is_some_and(Option::is_some))
-                    else {
+                    let Some(path) = cx.bfs_chain(&starts, |n| {
+                        cx.direct_block.get(n).is_some_and(Option::is_some)
+                    }) else {
                         continue;
                     };
                     let (chain, leaf) = cx.chain_with_leaf(&path, |n| {
@@ -637,8 +639,12 @@ pub fn ba(a: &std::sync::Mutex<u32>, b: &std::sync::Mutex<u32>) {
             .filter(|f| f.rule == "lock-order-cycle")
             .collect();
         assert_eq!(cycle.len(), 2, "both edges of the a/b cycle: {cycle:?}");
-        assert!(cycle.iter().any(|f| f.message.contains("`b` while holding `a`")));
-        assert!(cycle.iter().any(|f| f.message.contains("`a` while holding `b`")));
+        assert!(cycle
+            .iter()
+            .any(|f| f.message.contains("`b` while holding `a`")));
+        assert!(cycle
+            .iter()
+            .any(|f| f.message.contains("`a` while holding `b`")));
         assert!(!cycle[0].call_chain.is_empty());
     }
 

@@ -40,7 +40,13 @@ pub struct Finding {
 impl Finding {
     /// Stable sort key: path, then line, then rule, then snippet, then chain.
     pub fn sort_key(&self) -> (&str, u32, &str, &str, &[String]) {
-        (&self.path, self.line, self.rule, &self.snippet, &self.call_chain)
+        (
+            &self.path,
+            self.line,
+            self.rule,
+            &self.snippet,
+            &self.call_chain,
+        )
     }
 }
 

@@ -99,8 +99,8 @@ fn is_ident_continue(b: u8) -> bool {
 /// Multi-character punctuation, longest first so greedy matching is correct.
 const PUNCT3: &[&str] = &["..=", "...", "<<=", ">>="];
 const PUNCT2: &[&str] = &[
-    "==", "!=", "<=", ">=", "=>", "->", "::", "..", "&&", "||", "+=", "-=", "*=", "/=", "%=",
-    "^=", "&=", "|=", "<<", ">>",
+    "==", "!=", "<=", ">=", "=>", "->", "::", "..", "&&", "||", "+=", "-=", "*=", "/=", "%=", "^=",
+    "&=", "|=", "<<", ">>",
 ];
 
 struct Scanner<'a> {
@@ -310,11 +310,19 @@ impl<'a> Scanner<'a> {
             while is_ident_continue(self.peek(0)) {
                 self.bump();
             }
-            if self.src.get(suffix_start..self.pos).is_some_and(|s| s.starts_with('f')) {
+            if self
+                .src
+                .get(suffix_start..self.pos)
+                .is_some_and(|s| s.starts_with('f'))
+            {
                 float = true;
             }
         }
-        let kind = if float { TokenKind::Float } else { TokenKind::Int };
+        let kind = if float {
+            TokenKind::Float
+        } else {
+            TokenKind::Int
+        };
         self.push_token(kind, start, line);
     }
 
@@ -426,7 +434,9 @@ mod tests {
         assert!(toks
             .iter()
             .any(|(k, t)| *k == TokenKind::Lifetime && t == "'conn"));
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::Char && t == "'x'"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Char && t == "'x'"));
         assert!(toks
             .iter()
             .any(|(k, t)| *k == TokenKind::Lifetime && t == "'static"));
@@ -435,11 +445,7 @@ mod tests {
     #[test]
     fn numbers_float_vs_int_vs_range() {
         let toks = kinds("0x7e57 1e12 2.5 0..4 x.0 1.5f64 42u16");
-        let by_text = |needle: &str| {
-            toks.iter()
-                .find(|(_, t)| t == needle)
-                .map(|(k, _)| *k)
-        };
+        let by_text = |needle: &str| toks.iter().find(|(_, t)| t == needle).map(|(k, _)| *k);
         assert_eq!(by_text("0x7e57"), Some(TokenKind::Int));
         assert_eq!(by_text("1e12"), Some(TokenKind::Float));
         assert_eq!(by_text("2.5"), Some(TokenKind::Float));

@@ -97,10 +97,9 @@ pub fn file_meta(rel_path: &str) -> FileMeta {
     let is_test_file = parts
         .iter()
         .any(|p| matches!(*p, "tests" | "examples" | "benches"));
-    let is_bin = parts.contains(&"bin")
-        || parts.last().is_some_and(|p| *p == "main.rs");
-    let is_lib_root = rel_path == "src/lib.rs"
-        || matches!(parts.as_slice(), ["crates", _, "src", "lib.rs"]);
+    let is_bin = parts.contains(&"bin") || parts.last().is_some_and(|p| *p == "main.rs");
+    let is_lib_root =
+        rel_path == "src/lib.rs" || matches!(parts.as_slice(), ["crates", _, "src", "lib.rs"]);
     FileMeta {
         rel_path: rel_path.to_string(),
         crate_name,
@@ -147,10 +146,7 @@ pub fn lint_files(files: &[(String, String)], config: &Config) -> Vec<Finding> {
 /// Fixtures and unit tests use this; interprocedural rules then see only
 /// same-file calls, which is exactly what self-contained fixtures want.
 pub fn lint_source(rel_path: &str, src: &str, config: &Config) -> Vec<Finding> {
-    lint_files(
-        &[(rel_path.to_string(), src.to_string())],
-        config,
-    )
+    lint_files(&[(rel_path.to_string(), src.to_string())], config)
 }
 
 /// Render the whole-workspace call graph as deterministic DOT
@@ -164,8 +160,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     if !dir.is_dir() {
         return Ok(());
     }
-    let entries =
-        fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
+    let entries = fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
         let path = entry.path();
@@ -204,8 +199,7 @@ pub fn workspace_files(root: &Path) -> Result<Vec<(String, String)>, String> {
         if rel.starts_with("crates/lint/tests/fixtures/") {
             continue;
         }
-        let src =
-            fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let src = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         out.push((rel, src));
     }
     Ok(out)

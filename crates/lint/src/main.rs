@@ -95,9 +95,11 @@ fn discover_root() -> Result<PathBuf, String> {
             return Ok(dir);
         }
         if !dir.pop() {
-            return Err("could not find workspace root (no crates/lint/Cargo.toml above cwd); \
+            return Err(
+                "could not find workspace root (no crates/lint/Cargo.toml above cwd); \
                         pass --root"
-                .to_string());
+                    .to_string(),
+            );
         }
     }
 }
@@ -108,7 +110,12 @@ fn run() -> Result<ExitCode, String> {
 
     if opts.list_rules {
         for rule in RULES {
-            println!("{:<20} {:<8} {}", rule.id, rule.severity.as_str(), rule.summary);
+            println!(
+                "{:<20} {:<8} {}",
+                rule.id,
+                rule.severity.as_str(),
+                rule.summary
+            );
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -188,9 +195,7 @@ fn run() -> Result<ExitCode, String> {
         if matched.stale.len() == 1 { "y" } else { "ies" },
     );
 
-    let gate = errors > 0
-        || !matched.stale.is_empty()
-        || (opts.deny_warnings && warnings > 0);
+    let gate = errors > 0 || !matched.stale.is_empty() || (opts.deny_warnings && warnings > 0);
     Ok(if gate {
         ExitCode::from(1)
     } else {

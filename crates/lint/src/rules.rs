@@ -13,7 +13,14 @@ use crate::{Config, FileMeta};
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Methods whose results must not be unwrapped in non-test code (R3).
-const CHANNEL_OPS: &[&str] = &["lock", "send", "try_send", "recv", "try_recv", "recv_timeout"];
+const CHANNEL_OPS: &[&str] = &[
+    "lock",
+    "send",
+    "try_send",
+    "recv",
+    "try_recv",
+    "recv_timeout",
+];
 
 /// Channel calls that must not run while a Mutex guard is live (R3).
 const GUARDED_OPS: &[&str] = &["send", "try_send", "recv", "try_recv", "recv_timeout"];
@@ -136,18 +143,27 @@ fn rule_hot_path(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
         // Keywords before `[` mean a type or literal (`&mut [f64]`,
         // `return [0; 4]`), not an index.
         if is_punct(lexed, i, "[") && i > 0 {
-            let indexes_expr = lexed
-                .tokens
-                .get(i - 1)
-                .is_some_and(|prev| match prev.kind {
-                    TokenKind::Ident => !matches!(
-                        lexed.text(prev),
-                        "mut" | "in" | "as" | "return" | "if" | "else" | "match" | "move"
-                            | "ref" | "dyn" | "impl" | "where" | "break" | "continue"
-                    ),
-                    TokenKind::Punct => matches!(lexed.text(prev), ")" | "]"),
-                    _ => false,
-                });
+            let indexes_expr = lexed.tokens.get(i - 1).is_some_and(|prev| match prev.kind {
+                TokenKind::Ident => !matches!(
+                    lexed.text(prev),
+                    "mut"
+                        | "in"
+                        | "as"
+                        | "return"
+                        | "if"
+                        | "else"
+                        | "match"
+                        | "move"
+                        | "ref"
+                        | "dyn"
+                        | "impl"
+                        | "where"
+                        | "break"
+                        | "continue"
+                ),
+                TokenKind::Punct => matches!(lexed.text(prev), ")" | "]"),
+                _ => false,
+            });
             if indexes_expr {
                 ctx.emit(
                     out,
@@ -382,8 +398,7 @@ fn rule_guard_held_channel(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
                         let mut end = k + 1;
                         while end < tokens.len() {
                             if is_punct(lexed, end, "}")
-                                && ctx.analysis.brace_depth.get(end).copied().unwrap_or(0)
-                                    == depth
+                                && ctx.analysis.brace_depth.get(end).copied().unwrap_or(0) == depth
                             {
                                 break;
                             }
@@ -757,7 +772,9 @@ fn rule_wire(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
     let mentions_min = module_docs.contains("MIN_WIRE_VERSION");
     // `MIN_WIRE_VERSION` contains `WIRE_VERSION` as a substring; strip it
     // before checking that the current version is documented on its own.
-    let mentions_cur = module_docs.replace("MIN_WIRE_VERSION", "").contains("WIRE_VERSION");
+    let mentions_cur = module_docs
+        .replace("MIN_WIRE_VERSION", "")
+        .contains("WIRE_VERSION");
     if !mentions_min || !mentions_cur {
         ctx.emit(
             out,

@@ -40,7 +40,12 @@ fn load_fixtures() -> Vec<Fixture> {
         let rel = lines
             .next()
             .and_then(|l| l.strip_prefix("path "))
-            .unwrap_or_else(|| panic!("{}: first line must be `path <rel>`", expected_path.display()))
+            .unwrap_or_else(|| {
+                panic!(
+                    "{}: first line must be `path <rel>`",
+                    expected_path.display()
+                )
+            })
             .trim()
             .to_string();
         let mut want = Vec::new();
@@ -62,7 +67,12 @@ fn load_fixtures() -> Vec<Fixture> {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
-        out.push(Fixture { stem, rel, src, want });
+        out.push(Fixture {
+            stem,
+            rel,
+            src,
+            want,
+        });
     }
     out
 }
@@ -74,7 +84,11 @@ fn findings_for(rel: &str, src: &str) -> Vec<Finding> {
 #[test]
 fn golden_fixtures_match() {
     let fixtures = load_fixtures();
-    assert!(fixtures.len() >= 20, "expected >= 20 fixtures, got {}", fixtures.len());
+    assert!(
+        fixtures.len() >= 20,
+        "expected >= 20 fixtures, got {}",
+        fixtures.len()
+    );
     for fx in &fixtures {
         let got: Vec<(String, u32)> = findings_for(&fx.rel, &fx.src)
             .iter()
@@ -97,12 +111,20 @@ fn every_rule_has_firing_and_suppressed_coverage() {
                 && (fx.src.contains(&format!("lint:allow({}", rule.id))
                     || fx.src.contains(&format!(", {})", rule.id)))
         });
-        assert!(suppressed, "no suppressed fixture covers rule `{}`", rule.id);
+        assert!(
+            suppressed,
+            "no suppressed fixture covers rule `{}`",
+            rule.id
+        );
     }
     // Suppressed fixtures must actually produce zero findings.
     for fx in &fixtures {
         if fx.stem.ends_with("_suppressed") {
-            assert!(fx.want.is_empty(), "suppressed fixture `{}` expects findings", fx.stem);
+            assert!(
+                fx.want.is_empty(),
+                "suppressed fixture `{}` expects findings",
+                fx.stem
+            );
             assert!(
                 findings_for(&fx.rel, &fx.src).is_empty(),
                 "suppressed fixture `{}` still fires",
@@ -118,7 +140,11 @@ fn json_output_is_schema_stable_across_runs() {
     let rows = |f: &[Fixture]| -> String {
         let mut findings: Vec<(Finding, &str)> = Vec::new();
         for fx in f {
-            findings.extend(findings_for(&fx.rel, &fx.src).into_iter().map(|x| (x, "new")));
+            findings.extend(
+                findings_for(&fx.rel, &fx.src)
+                    .into_iter()
+                    .map(|x| (x, "new")),
+            );
         }
         findings.sort_by(|a, b| a.0.sort_key().cmp(&b.0.sort_key()));
         render_json(&findings)

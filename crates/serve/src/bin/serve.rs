@@ -60,7 +60,9 @@ use std::sync::Arc;
 
 use grandma_cluster::{read_cluster, register_node, remove_node};
 use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
-use grandma_serve::sys::{poll_fds, raise_nofile_limit, PollFd, SignalPipe, POLLIN, SIGINT, SIGTERM};
+use grandma_serve::sys::{
+    poll_fds, raise_nofile_limit, PollFd, SignalPipe, POLLIN, SIGINT, SIGTERM,
+};
 use grandma_serve::{
     hand_off, FsyncPolicy, PollBackend, ServeConfig, SessionRouter, TcpOptions, TcpService,
     WalConfig, WalDirLock,
@@ -149,7 +151,8 @@ fn cmd_train(args: &Args) -> ExitCode {
         Some(Err(_)) => return fail("--per-class must be an integer"),
     };
     let data = datasets::eight_way(seed, per_class, 0);
-    let trained = EagerRecognizer::train(&data.training, &FeatureMask::all(), &EagerConfig::default());
+    let trained =
+        EagerRecognizer::train(&data.training, &FeatureMask::all(), &EagerConfig::default());
     let (rec, report) = match trained {
         Ok(pair) => pair,
         Err(e) => return fail(&format!("training failed: {e:?}")),
@@ -341,9 +344,9 @@ fn cmd_run(args: &Args) -> ExitCode {
         let _ = remove_node(path, &node_id);
         match drain_and_handoff(&router, path) {
             (moved, 0) => eprintln!("serve: handed off {moved} sessions"),
-            (moved, failed) => eprintln!(
-                "serve: handed off {moved} sessions, {failed} left for WAL recovery"
-            ),
+            (moved, failed) => {
+                eprintln!("serve: handed off {moved} sessions, {failed} left for WAL recovery")
+            }
         }
     }
     // Graceful: stop accepting, drain the shards; with a WAL this also

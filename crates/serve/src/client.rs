@@ -159,13 +159,15 @@ fn prune_window(window: &mut VecDeque<(u32, InputEvent)>, acked: u32) {
 /// *not* fed.
 fn acked_seq(frame: &ServerFrame, session: u64) -> Option<u32> {
     match *frame {
-        ServerFrame::Recognized { session: s, seq, .. }
-        | ServerFrame::Manipulate { session: s, seq, .. }
-        | ServerFrame::Outcome { session: s, seq, .. }
-            if s == session =>
-        {
-            Some(seq)
+        ServerFrame::Recognized {
+            session: s, seq, ..
         }
+        | ServerFrame::Manipulate {
+            session: s, seq, ..
+        }
+        | ServerFrame::Outcome {
+            session: s, seq, ..
+        } if s == session => Some(seq),
         _ => None,
     }
 }
@@ -695,7 +697,12 @@ mod tests {
     #[test]
     fn window_prunes_only_proven_seqs() {
         use grandma_events::EventKind;
-        let ev = |seq: u32| (seq, InputEvent::new(EventKind::MouseMove, 0.0, 0.0, seq as f64));
+        let ev = |seq: u32| {
+            (
+                seq,
+                InputEvent::new(EventKind::MouseMove, 0.0, 0.0, seq as f64),
+            )
+        };
         let mut window: VecDeque<(u32, InputEvent)> = (1..=5).map(ev).collect();
         prune_window(&mut window, 0);
         assert_eq!(window.len(), 5, "last_seq 0 = nothing processed");
@@ -737,7 +744,10 @@ mod tests {
         let started = Instant::now();
         match ReconnectingClient::connect(addr, 1, policy) {
             Err(ClientError::GaveUp { attempts, .. }) => assert_eq!(attempts, 3),
-            other => panic!("expected GaveUp, got {other:?}", other = other.map(|_| "Ok")),
+            other => panic!(
+                "expected GaveUp, got {other:?}",
+                other = other.map(|_| "Ok")
+            ),
         }
         assert!(
             started.elapsed() < Duration::from_secs(5),
@@ -759,11 +769,9 @@ mod tests {
             detach_on_disconnect: true,
             ..ServeConfig::default()
         };
-        let mut service = TcpService::start(
-            SessionRouter::new(recognizer(), config),
-            "127.0.0.1:0",
-        )
-        .expect("bind");
+        let mut service =
+            TcpService::start(SessionRouter::new(recognizer(), config), "127.0.0.1:0")
+                .expect("bind");
         let data = datasets::eight_way(0x7e57, 0, 2);
         let events = EventScript::new()
             .then_gesture(&data.testing[0].gesture, Button::Left)

@@ -530,12 +530,7 @@ mod tests {
 
     /// Moves every session off `from` onto `to` via drain + Handoff,
     /// acking each snapshot, and drops `from` from the registry.
-    fn migrate_all(
-        file: &Path,
-        from_id: &str,
-        from: &SessionRouter,
-        to: &SessionRouter,
-    ) -> usize {
+    fn migrate_all(file: &Path, from_id: &str, from: &SessionRouter, to: &SessionRouter) -> usize {
         let snapshots = from.drain_sessions();
         let moved = snapshots.len();
         for snapshot in snapshots {
@@ -583,7 +578,11 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut client = ClusterClient::connect(&file, session, policy).expect("connect");
-        assert_eq!(client.addr(), svc_a.local_addr(), "must dial the ring owner");
+        assert_eq!(
+            client.addr(),
+            svc_a.local_addr(),
+            "must dial the ring owner"
+        );
         let mut moved_frames = Vec::new();
         for &event in &events[..cut] {
             client.send_event(event).expect("send");
@@ -597,7 +596,9 @@ mod tests {
         router_a.shutdown();
 
         for &event in &events[cut..] {
-            client.send_event(event).expect("send survives the dead node");
+            client
+                .send_event(event)
+                .expect("send survives the dead node");
         }
         moved_frames.extend(client.close().expect("close"));
         assert_eq!(client.addr(), svc_b.local_addr(), "ends on the successor");

@@ -15,9 +15,8 @@ use std::time::Duration;
 
 use crate::router::{SessionRouter, ShardMsg, SubmitError};
 use crate::wire::{
-    decode_client_view, decode_server, encode_client, encode_server, ClientFrame,
-    ClientFrameView, FaultCode, OutcomeKind, ServerFrame, WireError, MIN_WIRE_VERSION,
-    WIRE_VERSION,
+    decode_client_view, decode_server, encode_client, encode_server, ClientFrame, ClientFrameView,
+    FaultCode, OutcomeKind, ServerFrame, WireError, MIN_WIRE_VERSION, WIRE_VERSION,
 };
 
 /// Why a duplex operation failed.
@@ -214,7 +213,9 @@ mod tests {
                 version: WIRE_VERSION,
             })
             .expect("hello");
-        client.send(&ClientFrame::Open { session: 77 }).expect("open");
+        client
+            .send(&ClientFrame::Open { session: 77 })
+            .expect("open");
         for &(seq, event) in &events {
             client
                 .send(&ClientFrame::Event {
@@ -241,7 +242,9 @@ mod tests {
     fn frames_before_hello_are_rejected() {
         let router = SessionRouter::new(recognizer(), ServeConfig::default());
         let mut client = Duplex::connect(router.clone());
-        client.send(&ClientFrame::Open { session: 1 }).expect("send");
+        client
+            .send(&ClientFrame::Open { session: 1 })
+            .expect("send");
         let frame = client
             .recv_timeout(Duration::from_secs(5))
             .expect("recv")

@@ -169,7 +169,9 @@ impl ServiceMetrics {
             wal_bytes: AtomicU64::new(0),
             wal_syncs: AtomicU64::new(0),
             replay_ms: AtomicU64::new(0),
-            shards: (0..shards.max(1)).map(|_| ShardMetrics::default()).collect(),
+            shards: (0..shards.max(1))
+                .map(|_| ShardMetrics::default())
+                .collect(),
         }
     }
 

@@ -517,7 +517,15 @@ impl SessionRouter {
                 .name(format!("grandma-shard-{shard}"))
                 .spawn(move || {
                     let (config, wrap) = (worker_config, worker_wrap.as_ref());
-                    shard_worker(shard, rx, worker_rec, worker_metrics, config, worker_pool, wrap)
+                    shard_worker(
+                        shard,
+                        rx,
+                        worker_rec,
+                        worker_metrics,
+                        config,
+                        worker_pool,
+                        wrap,
+                    )
                 });
             match handle {
                 Ok(h) => {
@@ -927,7 +935,10 @@ impl Journal {
     /// (availability over durability, loudly on stderr) rather than
     /// faulting live traffic, and the held replies go out.
     fn disable(&mut self, what: &str, e: &std::io::Error) {
-        eprintln!("serve: shard {}: WAL disabled ({what} failed: {e})", self.shard);
+        eprintln!(
+            "serve: shard {}: WAL disabled ({what} failed: {e})",
+            self.shard
+        );
         self.wal = None;
         self.release();
     }
@@ -971,7 +982,8 @@ impl Shard {
 
     fn open_session(&mut self, conn: u64, session: u64, seq: u32, reply: ReplyTx) {
         if let Err(code) = self.admit(session) {
-            self.journal.send(&reply, ServerFrame::Fault { session, seq, code });
+            self.journal
+                .send(&reply, ServerFrame::Fault { session, seq, code });
             return;
         }
         let pipeline = match self.pipeline_pool.pop() {
@@ -983,7 +995,9 @@ impl Shard {
         };
         // Write-ahead: the accepted Open is durable before the session
         // exists.
-        self.journal.append(conn, |buf| encode_client(&ClientFrame::Open { session }, buf));
+        self.journal.append(conn, |buf| {
+            encode_client(&ClientFrame::Open { session }, buf)
+        });
         self.sessions.insert(
             session,
             SessionEntry {
@@ -1011,23 +1025,33 @@ impl Shard {
         // foreign connection must not be able to distinguish (or touch)
         // someone else's session.
         let Some(entry) = self.sessions.get_mut(&session).filter(|e| e.conn == conn) else {
-            self.metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
-            self.journal.send(reply, ServerFrame::Fault {
-                session,
-                seq: first_seq(events),
-                code: FaultCode::UnknownSession,
-            });
+            self.metrics
+                .unknown_sessions
+                .fetch_add(1, Ordering::Relaxed);
+            self.journal.send(
+                reply,
+                ServerFrame::Fault {
+                    session,
+                    seq: first_seq(events),
+                    code: FaultCode::UnknownSession,
+                },
+            );
             return false;
         };
         // Write-ahead: the accepted records are written, as one
         // EventBatch record, before the pipeline mutates; their replies
         // wait for the group's sync.
-        self.journal
-            .append(conn, |buf| crate::wire::encode_event_batch(session, events, buf));
+        self.journal.append(conn, |buf| {
+            crate::wire::encode_event_batch(session, events, buf)
+        });
         // Replay dedup: a freshly restored session skips replayed
         // records already folded into its snapshot (see
         // `SessionEntry::restored_watermark`).
-        let watermark = if conn == 0 { entry.restored_watermark } else { None };
+        let watermark = if conn == 0 {
+            entry.restored_watermark
+        } else {
+            None
+        };
         let (mut applied, mut points, mut repairs) = (0u64, 0u64, 0u64);
         self.scratch.clear();
         let start = Instant::now();
@@ -1039,21 +1063,29 @@ impl Shard {
             if matches!(event.kind, EventKind::MouseMove) {
                 points += 1;
             }
-            let fed = entry.pipeline.feed(&self.recognizer, seq, event, &mut self.scratch);
+            let fed = entry
+                .pipeline
+                .feed(&self.recognizer, seq, event, &mut self.scratch);
             repairs += u64::from(fed);
         }
         let shard_metrics = self.metrics.shard(self.index);
         shard_metrics
             .busy_ns
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.metrics.events_ingested.fetch_add(applied, Ordering::Relaxed);
+        self.metrics
+            .events_ingested
+            .fetch_add(applied, Ordering::Relaxed);
         shard_metrics.events.fetch_add(applied, Ordering::Relaxed);
         if points > 0 {
-            self.metrics.points_ingested.fetch_add(points, Ordering::Relaxed);
+            self.metrics
+                .points_ingested
+                .fetch_add(points, Ordering::Relaxed);
             shard_metrics.points.fetch_add(points, Ordering::Relaxed);
         }
         if repairs > 0 {
-            self.metrics.faults_repaired.fetch_add(repairs, Ordering::Relaxed);
+            self.metrics
+                .faults_repaired
+                .fetch_add(repairs, Ordering::Relaxed);
         }
         self.journal.send_all(&entry.reply, &mut self.scratch);
         true
@@ -1062,20 +1094,30 @@ impl Shard {
 
     fn close_session(&mut self, conn: u64, session: u64, seq: u32, reply: ReplyTx) {
         let owned = self.sessions.get(&session).is_some_and(|e| e.conn == conn);
-        let entry = if owned { self.sessions.remove(&session) } else { None };
+        let entry = if owned {
+            self.sessions.remove(&session)
+        } else {
+            None
+        };
         let Some(entry) = entry else {
-            self.metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
-            self.journal.send(&reply, ServerFrame::Fault {
-                session,
-                seq,
-                code: FaultCode::UnknownSession,
-            });
+            self.metrics
+                .unknown_sessions
+                .fetch_add(1, Ordering::Relaxed);
+            self.journal.send(
+                &reply,
+                ServerFrame::Fault {
+                    session,
+                    seq,
+                    code: FaultCode::UnknownSession,
+                },
+            );
             return;
         };
         // Write-ahead: the accepted Close is durable before the session
         // is finalized, so replay closes it too.
-        self.journal
-            .append(conn, |buf| encode_client(&ClientFrame::Close { session, seq }, buf));
+        self.journal.append(conn, |buf| {
+            encode_client(&ClientFrame::Close { session, seq }, buf)
+        });
         self.finish_session(entry, seq);
     }
 
@@ -1086,7 +1128,12 @@ impl Shard {
         self.scratch.clear();
         // Spelled as an associated call so the lint's call graph resolves
         // it to the pipeline alone, not to every `close` method.
-        SessionPipeline::close(&mut entry.pipeline, &self.recognizer, seq, &mut self.scratch);
+        SessionPipeline::close(
+            &mut entry.pipeline,
+            &self.recognizer,
+            seq,
+            &mut self.scratch,
+        );
         self.metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
         self.journal.send_all(&entry.reply, &mut self.scratch);
         if self.pipeline_pool.len() < PIPELINE_POOL_MAX {
@@ -1101,11 +1148,14 @@ impl Shard {
     fn install_snapshot(&mut self, conn: u64, snapshot: Box<SessionSnapshot>, reply: ReplyTx) {
         let session = snapshot.session;
         if let Err(code) = self.admit(session) {
-            self.journal.send(&reply, ServerFrame::Fault {
-                session,
-                seq: 0,
-                code,
-            });
+            self.journal.send(
+                &reply,
+                ServerFrame::Fault {
+                    session,
+                    seq: 0,
+                    code,
+                },
+            );
             return;
         }
         // Write-ahead: journal an accepted peer handoff before the ack,
@@ -1125,10 +1175,15 @@ impl Shard {
         };
         self.sessions.insert(session, entry);
         if reply.is_sink() {
-            self.metrics.recovered_sessions.fetch_add(1, Ordering::Relaxed);
+            self.metrics
+                .recovered_sessions
+                .fetch_add(1, Ordering::Relaxed);
         } else {
-            self.metrics.sessions_handed_off.fetch_add(1, Ordering::Relaxed);
-            self.journal.send(&reply, ServerFrame::HandoffAck { session, last_seq });
+            self.metrics
+                .sessions_handed_off
+                .fetch_add(1, Ordering::Relaxed);
+            self.journal
+                .send(&reply, ServerFrame::HandoffAck { session, last_seq });
         }
     }
 
@@ -1140,21 +1195,31 @@ impl Shard {
                 // The session is live again; any future replay identity
                 // mismatch is caught by ownership.
                 entry.restored_watermark = None;
-                self.journal.send(&reply, ServerFrame::Resumed {
-                    session,
-                    last_seq: entry.pipeline.last_seq(),
-                });
-                self.metrics.sessions_resumed.fetch_add(1, Ordering::Relaxed);
+                self.journal.send(
+                    &reply,
+                    ServerFrame::Resumed {
+                        session,
+                        last_seq: entry.pipeline.last_seq(),
+                    },
+                );
+                self.metrics
+                    .sessions_resumed
+                    .fetch_add(1, Ordering::Relaxed);
             }
             // Unknown, or owned by a *different* live connection: same
             // opaque fault as any foreign touch.
             _ => {
-                self.metrics.unknown_sessions.fetch_add(1, Ordering::Relaxed);
-                self.journal.send(&reply, ServerFrame::Fault {
-                    session,
-                    seq: 0,
-                    code: FaultCode::UnknownSession,
-                });
+                self.metrics
+                    .unknown_sessions
+                    .fetch_add(1, Ordering::Relaxed);
+                self.journal.send(
+                    &reply,
+                    ServerFrame::Fault {
+                        session,
+                        seq: 0,
+                        code: FaultCode::UnknownSession,
+                    },
+                );
             }
         }
     }
@@ -1187,7 +1252,9 @@ impl Shard {
                 reply,
             } => {
                 if self.ingest(conn, session, &events, &reply) {
-                    self.metrics.batches_ingested.fetch_add(1, Ordering::Relaxed);
+                    self.metrics
+                        .batches_ingested
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 self.pool.put(events);
             }
@@ -1197,7 +1264,11 @@ impl Shard {
                 seq,
                 reply,
             } => self.close_session(conn, session, seq, reply),
-            ShardMsg::Resume { conn, session, reply } => self.resume(conn, session, reply),
+            ShardMsg::Resume {
+                conn,
+                session,
+                reply,
+            } => self.resume(conn, session, reply),
             ShardMsg::Detach { conn } => {
                 for entry in self.sessions.values_mut() {
                     if entry.conn == conn {
@@ -1277,15 +1348,16 @@ fn shard_worker(
     log_wrap: Option<&LogWrap>,
 ) {
     // A failed WAL open degrades to running without a WAL.
-    let wal = config.wal.and_then(|wal_config| {
-        match WalShard::open_with(wal_config, index, log_wrap) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                eprintln!("serve: shard {index}: WAL disabled (open failed: {e})");
-                None
-            }
-        }
-    });
+    let wal =
+        config.wal.and_then(
+            |wal_config| match WalShard::open_with(wal_config, index, log_wrap) {
+                Ok(w) => Some(w),
+                Err(e) => {
+                    eprintln!("serve: shard {index}: WAL disabled (open failed: {e})");
+                    None
+                }
+            },
+        );
     let mut shard = Shard {
         index,
         recognizer,
@@ -1792,7 +1864,10 @@ mod tests {
             // buffer, so the next round exercises a pool hit.
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
             while router.batch_pool().idle_len() == 0 {
-                assert!(std::time::Instant::now() < deadline, "buffer never recycled");
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "buffer never recycled"
+                );
                 std::thread::yield_now();
             }
         }
@@ -1807,7 +1882,10 @@ mod tests {
         let _ = recv_until_closed(&rx);
         router.shutdown();
         let (hits, misses) = router.batch_pool().stats();
-        assert!(hits >= 3, "steady state must recycle: {hits} hits, {misses} misses");
+        assert!(
+            hits >= 3,
+            "steady state must recycle: {hits} hits, {misses} misses"
+        );
         let snap = router.metrics().snapshot();
         assert_eq!(snap.batches_ingested, 4);
         assert_eq!(snap.events_ingested, 4 * events.len() as u64);
@@ -1829,7 +1907,9 @@ mod tests {
                 reply: tx.into(),
             })
             .unwrap();
-        let frame = rx.recv_timeout(Duration::from_secs(5)).expect("fault frame");
+        let frame = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("fault frame");
         assert!(matches!(
             frame,
             ServerFrame::Fault {
@@ -1857,7 +1937,9 @@ mod tests {
                 reply: tx.into(),
             })
             .unwrap();
-        let frame = rx.recv_timeout(Duration::from_secs(5)).expect("fault frame");
+        let frame = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("fault frame");
         assert!(matches!(
             frame,
             ServerFrame::Fault {
@@ -2174,8 +2256,12 @@ mod tests {
         let overlapping: Vec<(u32, InputEvent)> = events[split - 4..split]
             .iter()
             .map(|&(seq, e)| {
-                let poison =
-                    InputEvent::new(EventKind::MouseMove, e.x + 500.0, e.y - 300.0, e.t + 60_000.0);
+                let poison = InputEvent::new(
+                    EventKind::MouseMove,
+                    e.x + 500.0,
+                    e.y - 300.0,
+                    e.t + 60_000.0,
+                );
                 (seq, poison)
             })
             .chain(events[split..replay_end].iter().copied())
@@ -2196,16 +2282,22 @@ mod tests {
         // Skipping is exact: the overlap leaves the same state as a
         // replay of only the records above the watermark.
         let above = run(&events[split..replay_end], false);
-        assert_eq!(single, above, "records at or below the watermark must be skipped");
+        assert_eq!(
+            single, above,
+            "records at or below the watermark must be skipped"
+        );
     }
 
     #[test]
     fn reinstall_waits_out_a_full_queue_instead_of_dropping_sessions() {
-        let router = SessionRouter::new(recognizer(), ServeConfig {
-            shards: 1,
-            queue_capacity: 1,
-            ..ServeConfig::default()
-        });
+        let router = SessionRouter::new(
+            recognizer(),
+            ServeConfig {
+                shards: 1,
+                queue_capacity: 1,
+                ..ServeConfig::default()
+            },
+        );
         let pause = router.pause_shard(0).expect("pause");
         // Waits (bounded) for the shard's queue depth; the assertions
         // come after the release, so a miss cannot strand the worker.
@@ -2260,10 +2352,13 @@ mod tests {
 
     #[test]
     fn drain_empties_every_shard_and_sorts_snapshots() {
-        let router = SessionRouter::new(recognizer(), ServeConfig {
-            shards: 3,
-            ..ServeConfig::default()
-        });
+        let router = SessionRouter::new(
+            recognizer(),
+            ServeConfig {
+                shards: 3,
+                ..ServeConfig::default()
+            },
+        );
         let conn = router.new_conn_id();
         let (tx, _rx) = std::sync::mpsc::channel::<ServerFrame>();
         for session in [9u64, 2, 31, 14] {
@@ -2343,9 +2438,15 @@ mod tests {
         // No fence installed: everything is ours.
         assert_eq!(router.owner_redirect(1), None);
         let peer: SocketAddr = "127.0.0.1:9001".parse().unwrap();
-        router.set_fence(Arc::new(move |session| {
-            if session % 2 == 1 { Some(peer) } else { None }
-        }));
+        router.set_fence(Arc::new(
+            move |session| {
+                if session % 2 == 1 {
+                    Some(peer)
+                } else {
+                    None
+                }
+            },
+        ));
         assert_eq!(router.owner_redirect(1), Some(peer));
         assert_eq!(router.owner_redirect(2), None);
         router.shutdown();
@@ -2353,10 +2454,13 @@ mod tests {
 
     #[test]
     fn shard_of_is_stable_and_in_range() {
-        let router = SessionRouter::new(recognizer(), ServeConfig {
-            shards: 4,
-            ..ServeConfig::default()
-        });
+        let router = SessionRouter::new(
+            recognizer(),
+            ServeConfig {
+                shards: 4,
+                ..ServeConfig::default()
+            },
+        );
         for s in 0..100u64 {
             let a = router.shard_of(s);
             assert_eq!(a, router.shard_of(s));
@@ -2417,8 +2521,7 @@ mod tests {
     }
 
     fn wal_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("grandma-router-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("grandma-router-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -2550,7 +2653,10 @@ mod tests {
         control.entered.wait();
         let early = rx.recv_timeout(Duration::from_millis(100));
         control.released.wait();
-        assert!(early.is_err(), "a reply left before its sync landed: {early:?}");
+        assert!(
+            early.is_err(),
+            "a reply left before its sync landed: {early:?}"
+        );
 
         let mut frames = Vec::new();
         while let Ok(frame) = rx.recv_timeout(Duration::from_secs(10)) {
@@ -2561,7 +2667,13 @@ mod tests {
             }
         }
         let closed_at = frames.iter().position(|f| {
-            matches!(f, ServerFrame::Outcome { outcome: OutcomeKind::Closed, .. })
+            matches!(
+                f,
+                ServerFrame::Outcome {
+                    outcome: OutcomeKind::Closed,
+                    ..
+                }
+            )
         });
         let outcome_at = frames.iter().position(|f| {
             matches!(f, ServerFrame::Outcome { outcome, .. } if *outcome != OutcomeKind::Closed)
@@ -2582,7 +2694,11 @@ mod tests {
             ],
             "replies are released in the order they were produced"
         );
-        assert_eq!(control.syncs.load(Ordering::SeqCst), 2, "one sync for the whole group");
+        assert_eq!(
+            control.syncs.load(Ordering::SeqCst),
+            2,
+            "one sync for the whole group"
+        );
         router.shutdown();
         let snap = router.metrics().snapshot();
         assert_eq!(snap.wal_appends, 4, "Open, batch, Close, Handoff");
@@ -2641,12 +2757,15 @@ mod tests {
     #[test]
     fn queued_batches_commit_in_bounded_groups_ahead_of_a_checkpoint() {
         let dir = wal_dir("groups");
-        let router = SessionRouter::new(recognizer(), ServeConfig {
-            shards: 1,
-            queue_capacity: 256,
-            wal: Some(WalConfig::new(&dir, FsyncPolicy::Sync)),
-            ..ServeConfig::default()
-        });
+        let router = SessionRouter::new(
+            recognizer(),
+            ServeConfig {
+                shards: 1,
+                queue_capacity: 256,
+                wal: Some(WalConfig::new(&dir, FsyncPolicy::Sync)),
+                ..ServeConfig::default()
+            },
+        );
         let rec = recognizer();
         let records = gesture_records();
         let close_seq = records.len() as u32 + 1;
@@ -2673,14 +2792,23 @@ mod tests {
             submit_batch(&router, conn, 3, batch, &tx);
         }
         let checkpoint = Arc::new(Barrier::new(2));
-        router.submit(ShardMsg::Checkpoint(checkpoint.clone())).unwrap();
+        router
+            .submit(ShardMsg::Checkpoint(checkpoint.clone()))
+            .unwrap();
         pause.release();
         checkpoint.wait();
         let mut live = drain_frames(&rx);
         assert!(!head_frames.is_empty());
-        assert_eq!(live, head_frames, "every grouped reply is out before the barrier");
+        assert_eq!(
+            live, head_frames,
+            "every grouped reply is out before the barrier"
+        );
         let syncs = router.metrics().snapshot().wal_syncs - before;
-        assert_eq!(syncs, n.div_ceil(GROUP_MAX as u64) + 1, "groups plus the compaction");
+        assert_eq!(
+            syncs,
+            n.div_ceil(GROUP_MAX as u64) + 1,
+            "groups plus the compaction"
+        );
 
         // The tail goes to the log after the snapshot; the Resume fence
         // answers once its groups are committed.
@@ -2695,7 +2823,9 @@ mod tests {
             })
             .unwrap();
         loop {
-            let frame = rx.recv_timeout(Duration::from_secs(10)).expect("tail replies");
+            let frame = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("tail replies");
             if matches!(frame, ServerFrame::Resumed { .. }) {
                 break;
             }
@@ -2719,11 +2849,16 @@ mod tests {
         assert_eq!(live, expected, "the grouped live run matches the pipeline");
 
         // Recovering the image finishes byte-identically to the live run.
-        let recovered = SessionRouter::new(recognizer(), ServeConfig {
-            shards: 1,
-            ..ServeConfig::default()
-        });
-        recovered.recover(&WalConfig::new(&image, FsyncPolicy::Async)).unwrap();
+        let recovered = SessionRouter::new(
+            recognizer(),
+            ServeConfig {
+                shards: 1,
+                ..ServeConfig::default()
+            },
+        );
+        recovered
+            .recover(&WalConfig::new(&image, FsyncPolicy::Async))
+            .unwrap();
         let conn = recovered.new_conn_id();
         let (tx, rx) = std::sync::mpsc::channel();
         recovered
@@ -2759,13 +2894,19 @@ mod tests {
     fn wal_syncs_stay_zero_without_a_wal_and_under_async() {
         for (tag, wal) in [
             ("none", None),
-            ("async", Some(WalConfig::new(wal_dir("async"), FsyncPolicy::Async))),
+            (
+                "async",
+                Some(WalConfig::new(wal_dir("async"), FsyncPolicy::Async)),
+            ),
         ] {
-            let router = SessionRouter::new(recognizer(), ServeConfig {
-                shards: 1,
-                wal: wal.clone(),
-                ..ServeConfig::default()
-            });
+            let router = SessionRouter::new(
+                recognizer(),
+                ServeConfig {
+                    shards: 1,
+                    wal: wal.clone(),
+                    ..ServeConfig::default()
+                },
+            );
             let conn = router.new_conn_id();
             let (tx, rx) = std::sync::mpsc::channel();
             open_committed(&router, conn, 8, &tx);

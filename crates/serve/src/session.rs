@@ -518,11 +518,10 @@ impl SessionSnapshot {
                 .into())
             }
         };
-        let count = usize::try_from(cur.u32("point count")?).map_err(|_| {
-            WireError::IntOutOfRange {
+        let count =
+            usize::try_from(cur.u32("point count")?).map_err(|_| WireError::IntOutOfRange {
                 what: "point count",
-            }
-        })?;
+            })?;
         // A point is 24 bytes; refuse counts the remaining bytes cannot
         // hold before reserving anything.
         if count.saturating_mul(24) > cur.remaining() {
@@ -615,7 +614,8 @@ mod tests {
         let data = datasets::eight_way(0x7e57, 0, 4);
         let mut script = EventScript::new();
         for i in 0..n {
-            script = script.then_gesture(&data.testing[i % data.testing.len()].gesture, Button::Left);
+            script =
+                script.then_gesture(&data.testing[i % data.testing.len()].gesture, Button::Left);
         }
         seq_events(script.into_events())
     }
@@ -664,8 +664,7 @@ mod tests {
         let clean: Vec<InputEvent> = clean_stream(4).into_iter().map(|(_, e)| e).collect();
         let corrupted = seq_events(FaultInjector::new(0xBAD).corrupt(&clean));
         let close_seq = corrupted.len() as u32;
-        let frames =
-            run_events_inproc(&rec, 2, &PipelineConfig::default(), &corrupted, close_seq);
+        let frames = run_events_inproc(&rec, 2, &PipelineConfig::default(), &corrupted, close_seq);
         // Terminal marker present, pipeline survived.
         assert!(matches!(
             frames.last(),
@@ -674,8 +673,7 @@ mod tests {
                 ..
             })
         ));
-        let rerun =
-            run_events_inproc(&rec, 2, &PipelineConfig::default(), &corrupted, close_seq);
+        let rerun = run_events_inproc(&rec, 2, &PipelineConfig::default(), &corrupted, close_seq);
         assert_eq!(frames, rerun, "corruption replays deterministically");
     }
 
@@ -703,8 +701,7 @@ mod tests {
         let rec = recognizer();
         let events = clean_stream(2);
         let close_seq = events.len() as u32;
-        let reference =
-            run_events_inproc(&rec, 21, &PipelineConfig::default(), &events, close_seq);
+        let reference = run_events_inproc(&rec, 21, &PipelineConfig::default(), &events, close_seq);
         // Cut the stream at every boundary — idle, mid-collection,
         // mid-manipulation — snapshot, restore, and finish on the
         // restored pipeline. The combined output must be byte-identical

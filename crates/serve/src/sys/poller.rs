@@ -133,9 +133,7 @@ impl Poller {
     /// Each token must be registered at most once at a time.
     pub fn register(&mut self, token: u64, fd: RawFd, interest: i16) -> io::Result<()> {
         match &mut self.imp {
-            Imp::Poll {
-                interest: map, ..
-            } => {
+            Imp::Poll { interest: map, .. } => {
                 map.insert(token, (fd, interest));
                 Ok(())
             }
@@ -149,9 +147,7 @@ impl Poller {
     /// `epoll_ctl(MOD)` count equals the transition count.
     pub fn modify(&mut self, token: u64, fd: RawFd, interest: i16) -> io::Result<()> {
         match &mut self.imp {
-            Imp::Poll {
-                interest: map, ..
-            } => {
+            Imp::Poll { interest: map, .. } => {
                 map.insert(token, (fd, interest));
                 Ok(())
             }
@@ -166,9 +162,7 @@ impl Poller {
     /// entries when an fd number is recycled).
     pub fn deregister(&mut self, token: u64, fd: RawFd) -> io::Result<()> {
         match &mut self.imp {
-            Imp::Poll {
-                interest: map, ..
-            } => {
+            Imp::Poll { interest: map, .. } => {
                 map.remove(&token);
                 Ok(())
             }

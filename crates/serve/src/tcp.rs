@@ -412,7 +412,14 @@ impl TcpService {
             let handle = std::thread::Builder::new()
                 .name(format!("grandma-io-{index}"))
                 .spawn(move || {
-                    io_loop(shared, replies, thread_router, thread_bridge, options, backend)
+                    io_loop(
+                        shared,
+                        replies,
+                        thread_router,
+                        thread_bridge,
+                        options,
+                        backend,
+                    )
                 })?;
             io_threads.push(handle);
         }
@@ -1023,7 +1030,10 @@ fn io_loop(
         }
     };
     // The waker is registered exactly once; its interest never changes.
-    if poller.register(WAKER_TOKEN, shared.waker.fd(), POLLIN).is_err() {
+    if poller
+        .register(WAKER_TOKEN, shared.waker.fd(), POLLIN)
+        .is_err()
+    {
         return;
     }
     let mut conns: HashMap<u64, Conn> = HashMap::new();
@@ -1056,7 +1066,10 @@ fn io_loop(
         let fresh = std::mem::take(&mut *lock_or_recover(&shared.registrations));
         let now = Instant::now();
         for (conn_id, stream) in fresh {
-            if poller.register(conn_id, stream.as_raw_fd(), POLLIN).is_err() {
+            if poller
+                .register(conn_id, stream.as_raw_fd(), POLLIN)
+                .is_err()
+            {
                 // Unwatchable (epoll interest-set exhaustion): shed it
                 // — an unregistered connection would hang silently.
                 metrics.connections_shed.fetch_add(1, Ordering::Relaxed);
@@ -1187,7 +1200,14 @@ fn io_loop(
 
         for conn_id in dead.drain(..) {
             if let Some(c) = conns.remove(&conn_id) {
-                teardown(conn_id, c, &mut poller, &router, &metrics, &mut pending_closes);
+                teardown(
+                    conn_id,
+                    c,
+                    &mut poller,
+                    &router,
+                    &metrics,
+                    &mut pending_closes,
+                );
             }
         }
 
@@ -1293,7 +1313,14 @@ fn io_loop(
         }
         for conn_id in dead.drain(..) {
             if let Some(c) = conns.remove(&conn_id) {
-                teardown(conn_id, c, &mut poller, &router, &metrics, &mut pending_closes);
+                teardown(
+                    conn_id,
+                    c,
+                    &mut poller,
+                    &router,
+                    &metrics,
+                    &mut pending_closes,
+                );
             }
         }
     }
@@ -1310,7 +1337,14 @@ fn io_loop(
     let ids: Vec<u64> = conns.keys().copied().collect();
     for conn_id in ids {
         if let Some(c) = conns.remove(&conn_id) {
-            teardown(conn_id, c, &mut poller, &router, &metrics, &mut pending_closes);
+            teardown(
+                conn_id,
+                c,
+                &mut poller,
+                &router,
+                &metrics,
+                &mut pending_closes,
+            );
         }
     }
     for _ in 0..CLOSE_RETRY_ROUNDS {
@@ -2029,7 +2063,13 @@ mod tests {
         // Session 13 belongs to the peer; session 14 is ours.
         encode_client(&ClientFrame::Open { session: 13 }, &mut bytes);
         encode_client(&ClientFrame::Open { session: 14 }, &mut bytes);
-        encode_client(&ClientFrame::Close { session: 14, seq: 0 }, &mut bytes);
+        encode_client(
+            &ClientFrame::Close {
+                session: 14,
+                seq: 0,
+            },
+            &mut bytes,
+        );
         stream.write_all(&bytes).expect("write");
         let frames = read_server_frames(&mut stream, 14);
         assert!(

@@ -313,7 +313,10 @@ impl WalShard {
     /// snapshot's `last_seq` watermark.
     pub fn compact(&mut self, snapshots: &[SessionSnapshot]) -> std::io::Result<()> {
         let snap_path = self.config.snap_path(self.shard);
-        let tmp_path = self.config.dir.join(format!("shard-{}.snap.tmp", self.shard));
+        let tmp_path = self
+            .config
+            .dir
+            .join(format!("shard-{}.snap.tmp", self.shard));
         let mut bytes = Vec::new();
         let mut payload = Vec::new();
         for snapshot in snapshots {
@@ -400,10 +403,7 @@ impl WalDirLock {
                         Some(pid) if pid_alive(pid) => {
                             return Err(std::io::Error::new(
                                 std::io::ErrorKind::WouldBlock,
-                                format!(
-                                    "wal dir {} is locked by live pid {pid}",
-                                    dir.display()
-                                ),
+                                format!("wal dir {} is locked by live pid {pid}", dir.display()),
                             ));
                         }
                         _ => {
@@ -521,10 +521,7 @@ mod tests {
     use grandma_events::{EventKind, InputEvent};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "grandma-wal-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("grandma-wal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -542,7 +539,10 @@ mod tests {
         // Standard IEEE check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]
@@ -567,7 +567,10 @@ mod tests {
     fn one_sync_covers_every_record_written_before_it() {
         let config = WalConfig::new(tmp_dir("halves"), FsyncPolicy::Sync);
         let mut wal = WalShard::open(config.clone(), 0).expect("open");
-        assert!(!wal.sync().expect("sync"), "nothing written, nothing to sync");
+        assert!(
+            !wal.sync().expect("sync"),
+            "nothing written, nothing to sync"
+        );
         let frames: Vec<ClientFrame> = (1..=3).map(event_frame).collect();
         let mut bytes = Vec::new();
         for frame in &frames {

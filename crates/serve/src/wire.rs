@@ -753,7 +753,10 @@ impl<'a> Cur<'a> {
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Malformed { what })?;
+        let end = self
+            .pos
+            .checked_add(n)
+            .ok_or(WireError::Malformed { what })?;
         let slice = self
             .buf
             .get(self.pos..end)
@@ -795,8 +798,12 @@ fn next_body(buf: &[u8]) -> Result<Option<(&[u8], usize)>, WireError> {
     let Some(prefix) = buf.get(..4) else {
         return Ok(None);
     };
-    let len = usize::try_from(u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]))
-        .map_err(|_| WireError::IntOutOfRange { what: "frame length" })?;
+    let len = usize::try_from(u32::from_le_bytes([
+        prefix[0], prefix[1], prefix[2], prefix[3],
+    ]))
+    .map_err(|_| WireError::IntOutOfRange {
+        what: "frame length",
+    })?;
     if len == 0 {
         return Err(WireError::EmptyFrame);
     }
@@ -1284,7 +1291,10 @@ mod tests {
                 1e12,
             ),
         });
-        roundtrip_client(ClientFrame::Close { session: 7, seq: 43 });
+        roundtrip_client(ClientFrame::Close {
+            session: 7,
+            seq: 43,
+        });
         roundtrip_client(ClientFrame::Resume {
             session: 7,
             last_seq: 41,
@@ -1495,11 +1505,17 @@ mod tests {
 
     #[test]
     fn zero_length_and_bad_tag_are_typed_errors() {
-        assert_eq!(decode_client(&0u32.to_le_bytes()), Err(WireError::EmptyFrame));
+        assert_eq!(
+            decode_client(&0u32.to_le_bytes()),
+            Err(WireError::EmptyFrame)
+        );
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&1u32.to_le_bytes());
         bytes.push(0x7f);
-        assert_eq!(decode_client(&bytes), Err(WireError::UnknownTag { tag: 0x7f }));
+        assert_eq!(
+            decode_client(&bytes),
+            Err(WireError::UnknownTag { tag: 0x7f })
+        );
     }
 
     #[test]
@@ -1510,7 +1526,10 @@ mod tests {
         let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) + 1;
         bytes[..4].copy_from_slice(&len.to_le_bytes());
         bytes.push(0xEE);
-        assert_eq!(decode_client(&bytes), Err(WireError::TrailingBytes { extra: 1 }));
+        assert_eq!(
+            decode_client(&bytes),
+            Err(WireError::TrailingBytes { extra: 1 })
+        );
     }
 
     fn batch_events(n: usize) -> Vec<(u32, InputEvent)> {
@@ -1641,8 +1660,14 @@ mod tests {
     #[test]
     fn batch_floats_cross_the_wire_bit_exact() {
         let events = vec![
-            (0, InputEvent::new(EventKind::MouseMove, f64::NAN, f64::INFINITY, -0.0)),
-            (1, InputEvent::new(EventKind::MouseMove, f64::NEG_INFINITY, 1e-310, f64::NAN)),
+            (
+                0,
+                InputEvent::new(EventKind::MouseMove, f64::NAN, f64::INFINITY, -0.0),
+            ),
+            (
+                1,
+                InputEvent::new(EventKind::MouseMove, f64::NEG_INFINITY, 1e-310, f64::NAN),
+            ),
         ];
         let mut bytes = Vec::new();
         encode_event_batch(5, &events, &mut bytes);
@@ -1661,7 +1686,13 @@ mod tests {
     fn frame_buffer_views_survive_byte_at_a_time_chunking() {
         let mut bytes = Vec::new();
         encode_event_batch(7, &batch_events(40), &mut bytes);
-        encode_client(&ClientFrame::Close { session: 7, seq: 40 }, &mut bytes);
+        encode_client(
+            &ClientFrame::Close {
+                session: 7,
+                seq: 40,
+            },
+            &mut bytes,
+        );
         let mut fb = FrameBuffer::new();
         let mut batch_records = Vec::new();
         let mut got_close = false;
@@ -1672,7 +1703,10 @@ mod tests {
                     Some(ClientFrameView::EventBatch(batch)) => {
                         batch_records.extend(batch.iter());
                     }
-                    Some(ClientFrameView::Close { session: 7, seq: 40 }) => got_close = true,
+                    Some(ClientFrameView::Close {
+                        session: 7,
+                        seq: 40,
+                    }) => got_close = true,
                     Some(other) => panic!("unexpected frame {other:?}"),
                     None => break,
                 }

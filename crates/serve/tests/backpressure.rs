@@ -40,7 +40,9 @@ fn full_shard_queue_rejects_busy_and_depth_stays_bounded() {
             version: WIRE_VERSION,
         })
         .expect("hello");
-    client.send(&ClientFrame::Open { session: 1 }).expect("open");
+    client
+        .send(&ClientFrame::Open { session: 1 })
+        .expect("open");
     // Hold the shard still so the queue genuinely fills, deterministically
     // even on a single-core box.
     std::thread::sleep(Duration::from_millis(50));
@@ -135,7 +137,9 @@ fn busy_rejections_are_deterministic_for_a_fixed_schedule() {
                 version: WIRE_VERSION,
             })
             .expect("hello");
-        client.send(&ClientFrame::Open { session: 1 }).expect("open");
+        client
+            .send(&ClientFrame::Open { session: 1 })
+            .expect("open");
         for seq in 0..64 {
             client
                 .send(&ClientFrame::Event {
@@ -173,7 +177,10 @@ fn corrupted_event_streams_over_tcp_never_panic_the_service() {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
         let clean = EventScript::new()
-            .then_gesture(&data.testing[wave as usize % data.testing.len()].gesture, Button::Left)
+            .then_gesture(
+                &data.testing[wave as usize % data.testing.len()].gesture,
+                Button::Left,
+            )
             .into_events();
         let corrupted = FaultInjector::new(0xDEAD ^ wave).corrupt(&clean);
         let session = 100 + wave;
@@ -252,7 +259,13 @@ fn corrupted_event_streams_over_tcp_never_panic_the_service() {
         &mut bytes,
     );
     encode_client(&ClientFrame::Open { session: 999 }, &mut bytes);
-    encode_client(&ClientFrame::Close { session: 999, seq: 0 }, &mut bytes);
+    encode_client(
+        &ClientFrame::Close {
+            session: 999,
+            seq: 0,
+        },
+        &mut bytes,
+    );
     stream.write_all(&bytes).expect("write");
     let mut fb = FrameBuffer::new();
     let mut chunk = [0u8; 1024];
@@ -320,11 +333,14 @@ fn busy_probes() -> Vec<(ClientFrame, (u64, u32))> {
 /// A one-slot shard queue behind a parked worker, with the slot taken:
 /// every further submit is rejected `Busy`.
 fn jammed_router() -> (Arc<SessionRouter>, grandma_serve::router::ShardPause) {
-    let router = SessionRouter::new(recognizer(), ServeConfig {
-        shards: 1,
-        queue_capacity: 1,
-        ..ServeConfig::default()
-    });
+    let router = SessionRouter::new(
+        recognizer(),
+        ServeConfig {
+            shards: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        },
+    );
     let pause = router.pause_shard(0).expect("pause");
     // Bounded wait for the worker to take the Pause off the queue.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -362,7 +378,9 @@ fn busy_faults_echo_one_correlation_for_every_frame_kind_over_duplex() {
             version: WIRE_VERSION,
         })
         .expect("hello");
-    client.send(&ClientFrame::Open { session: 999 }).expect("fill the slot");
+    client
+        .send(&ClientFrame::Open { session: 999 })
+        .expect("fill the slot");
     let mut probes = busy_probes();
     // Duplex bounces a busy Close too (TCP retries it instead).
     probes.push((ClientFrame::Close { session: 1, seq: 9 }, (1, 9)));

@@ -72,7 +72,10 @@ fn frames_to_bytes(frames: &[ServerFrame]) -> Vec<u8> {
     bytes
 }
 
-fn reference_bytes(rec: &EagerRecognizer, streams: &HashMap<u64, Vec<(u32, InputEvent)>>) -> HashMap<u64, Vec<u8>> {
+fn reference_bytes(
+    rec: &EagerRecognizer,
+    streams: &HashMap<u64, Vec<(u32, InputEvent)>>,
+) -> HashMap<u64, Vec<u8>> {
     streams
         .iter()
         .map(|(&session, events)| {

@@ -142,7 +142,10 @@ fn drive_connection(
     let mut chunk = [0u8; 8192];
     while closed < sessions.len() {
         let n = match stream.read(&mut chunk) {
-            Ok(0) => panic!("server EOF with {closed}/{} sessions closed", sessions.len()),
+            Ok(0) => panic!(
+                "server EOF with {closed}/{} sessions closed",
+                sessions.len()
+            ),
             Ok(n) => n,
             Err(e) => panic!("read failed with {closed} closed: {e}"),
         };

@@ -77,10 +77,8 @@ fn routed_service_on_a_loaded_model_matches_the_in_memory_reference() {
     // file back, serve the loaded model — compared against frames from
     // the in-memory recognizer.
     let original = trained();
-    let path = std::env::temp_dir().join(format!(
-        "grandma-serve-persist-{}.txt",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("grandma-serve-persist-{}.txt", std::process::id()));
     std::fs::write(&path, original.to_text()).expect("write model");
     let text = std::fs::read_to_string(&path).expect("read model");
     std::fs::remove_file(&path).ok();
@@ -89,8 +87,13 @@ fn routed_service_on_a_loaded_model_matches_the_in_memory_reference() {
     let router = SessionRouter::new(loaded, ServeConfig::default());
     for (session, events) in streams() {
         let close = events.len() as u32;
-        let expected =
-            run_events_inproc(&original, session, &PipelineConfig::default(), &events, close);
+        let expected = run_events_inproc(
+            &original,
+            session,
+            &PipelineConfig::default(),
+            &events,
+            close,
+        );
         let mut client = Duplex::connect(router.clone());
         client
             .send(&ClientFrame::Hello {

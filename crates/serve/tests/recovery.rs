@@ -106,7 +106,11 @@ fn copy_wal(from: &std::path::Path, to: &std::path::Path) {
 fn crash_and_recover(
     tag: &str,
     mangle: impl FnOnce(&std::path::Path),
-) -> (Vec<Vec<ServerFrame>>, grandma_serve::RecoveryReport, Vec<Vec<ServerFrame>>) {
+) -> (
+    Vec<Vec<ServerFrame>>,
+    grandma_serve::RecoveryReport,
+    Vec<Vec<ServerFrame>>,
+) {
     let rec = recognizer();
     let live_dir = tmp_dir(&format!("{tag}-live"));
     let image_dir = tmp_dir(&format!("{tag}-image"));
@@ -151,9 +155,7 @@ fn crash_and_recover(
                 .filter(|f| frame_seq(f) <= prefix_end)
                 .count(),
         );
-        client
-            .send(&ClientFrame::Open { session })
-            .expect("open");
+        client.send(&ClientFrame::Open { session }).expect("open");
         for &(seq, event) in events.iter().filter(|&&(seq, _)| seq <= prefix_end) {
             client
                 .send(&ClientFrame::Event {
@@ -223,7 +225,10 @@ fn crash_and_recover(
             .expect("recv")
             .expect("resumed frame");
         match frame {
-            ServerFrame::Resumed { session: s, last_seq } => {
+            ServerFrame::Resumed {
+                session: s,
+                last_seq,
+            } => {
                 assert_eq!(s, session);
                 assert_eq!(
                     last_seq, prefix_ends[i],
@@ -356,8 +361,12 @@ fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
     let tail: Vec<(u32, InputEvent)> = events[cut - 5..cut]
         .iter()
         .map(|&(seq, e)| {
-            let poison =
-                InputEvent::new(EventKind::MouseMove, e.x + 500.0, e.y - 300.0, e.t + 60_000.0);
+            let poison = InputEvent::new(
+                EventKind::MouseMove,
+                e.x + 500.0,
+                e.y - 300.0,
+                e.t + 60_000.0,
+            );
             (seq, poison)
         })
         .chain(events[cut..end].iter().copied())
@@ -366,7 +375,8 @@ fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
         let dir = tmp_dir(tag);
         let wal = WalConfig::new(dir.clone(), FsyncPolicy::Async);
         let mut log = WalShard::open(wal.clone(), 0).expect("open shard log");
-        log.compact(std::slice::from_ref(&snapshot)).expect("write snapshot");
+        log.compact(std::slice::from_ref(&snapshot))
+            .expect("write snapshot");
         let mut bytes = Vec::new();
         if batched {
             for chunk in tail.chunks(7) {
@@ -396,10 +406,13 @@ fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
         }
         drop(log);
 
-        let router = SessionRouter::new(rec.clone(), ServeConfig {
-            shards: 1,
-            ..ServeConfig::default()
-        });
+        let router = SessionRouter::new(
+            rec.clone(),
+            ServeConfig {
+                shards: 1,
+                ..ServeConfig::default()
+            },
+        );
         let report = router.recover(&wal).expect("recover");
         let mut client = Duplex::connect(router.clone());
         client
@@ -455,9 +468,15 @@ fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
         last_seq: events[end - 1].0,
     }];
     expected.extend(
-        run_events_inproc(&rec, session, &PipelineConfig::default(), &events, close_seq)
-            .into_iter()
-            .filter(|f| frame_seq(f) > events[end - 1].0),
+        run_events_inproc(
+            &rec,
+            session,
+            &PipelineConfig::default(),
+            &events,
+            close_seq,
+        )
+        .into_iter()
+        .filter(|f| frame_seq(f) > events[end - 1].0),
     );
     assert_eq!(v1.1, frames_to_bytes(&expected));
 }
@@ -468,11 +487,14 @@ fn live_v1_events_are_journaled_as_event_batch_records() {
     let events = session_stream(session);
     let dir = tmp_dir("journal-kind");
     let wal = WalConfig::new(dir.clone(), FsyncPolicy::Async);
-    let router = SessionRouter::new(recognizer(), ServeConfig {
-        shards: 1,
-        wal: Some(wal.clone()),
-        ..ServeConfig::default()
-    });
+    let router = SessionRouter::new(
+        recognizer(),
+        ServeConfig {
+            shards: 1,
+            wal: Some(wal.clone()),
+            ..ServeConfig::default()
+        },
+    );
     let mut client = Duplex::connect(router.clone());
     client
         .send(&ClientFrame::Hello {
@@ -553,7 +575,9 @@ fn graceful_shutdown_seals_sessions_for_recovery() {
         .expect("hello");
     let events = session_stream(9);
     let cut = (events.len() / 2) as u32;
-    client.send(&ClientFrame::Open { session: 9 }).expect("open");
+    client
+        .send(&ClientFrame::Open { session: 9 })
+        .expect("open");
     for &(seq, event) in events.iter().filter(|&&(seq, _)| seq <= cut) {
         client
             .send(&ClientFrame::Event {
@@ -570,10 +594,7 @@ fn graceful_shutdown_seals_sessions_for_recovery() {
         &events,
         events.len() as u32 + 1,
     );
-    let want_prefix = baseline
-        .iter()
-        .filter(|f| frame_seq(f) <= cut)
-        .count();
+    let want_prefix = baseline.iter().filter(|f| frame_seq(f) <= cut).count();
     let mut received = Vec::new();
     while received.len() < want_prefix {
         received.push(

@@ -220,7 +220,10 @@ fn seeded_client_frames_round_trip_identically() {
             .expect("view decodes")
             .expect("view is complete");
         assert_eq!(view_consumed, consumed);
-        assert!(client_bit_eq(&view.into_frame(), &frame), "view mismatch at {i}");
+        assert!(
+            client_bit_eq(&view.into_frame(), &frame),
+            "view mismatch at {i}"
+        );
     }
 }
 
@@ -435,7 +438,9 @@ fn resume_frames_survive_one_byte_delivery_and_torn_tails() {
         let mut fb = FrameBuffer::new();
         fb.extend(&server_bytes[..cut]);
         assert!(
-            fb.next_server().expect("torn frame is not an error").is_none(),
+            fb.next_server()
+                .expect("torn frame is not an error")
+                .is_none(),
             "cut at {cut} produced a frame from a partial Resumed"
         );
         assert_eq!(fb.pending(), cut, "cut at {cut} dropped buffered bytes");

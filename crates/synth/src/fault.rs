@@ -170,10 +170,7 @@ mod tests {
     use grandma_geom::Gesture;
 
     fn clean_stream() -> Vec<InputEvent> {
-        let g = Gesture::from_xy(
-            &[(0.0, 0.0), (10.0, 0.0), (20.0, 5.0), (30.0, 10.0)],
-            10.0,
-        );
+        let g = Gesture::from_xy(&[(0.0, 0.0), (10.0, 0.0), (20.0, 5.0), (30.0, 10.0)], 10.0);
         EventScript::new()
             .then_gesture(&g, Button::Left)
             .then_gesture(&g, Button::Left)

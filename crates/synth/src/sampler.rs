@@ -33,7 +33,11 @@ pub struct SynthesizedGesture {
 ///
 /// Panics if the spec has fewer than two vertices (prevented by
 /// [`crate::PathBuilder::build`]).
-pub fn synthesize(spec: &PathSpec, variation: &Variation, rng: &mut SynthRng) -> SynthesizedGesture {
+pub fn synthesize(
+    spec: &PathSpec,
+    variation: &Variation,
+    rng: &mut SynthRng,
+) -> SynthesizedGesture {
     // Per-example global transform.
     let scale = (variation.size * normal(rng, 1.0, variation.size_sigma)).max(variation.size * 0.2);
     let theta = normal(rng, 0.0, variation.rotation_sigma);

@@ -33,7 +33,7 @@ use std::rc::Rc;
 
 use grandma::core::{EagerConfig, EagerRecognizer, FeatureMask, InteractionConfig};
 use grandma::events::{
-    Button, DwellDetector, EventScript, EventSanitizer, InputEvent, SanitizerConfig,
+    Button, DwellDetector, EventSanitizer, EventScript, InputEvent, SanitizerConfig,
 };
 use grandma::serve::{run_events_inproc, OutcomeKind, PipelineConfig, ServerFrame};
 use grandma::synth::{datasets, FaultInjector, FaultInjectorConfig, SynthRng};
@@ -295,8 +295,7 @@ fn pathological_profiles_cannot_panic_the_pipeline() {
         for case in 0..5 {
             let seed = 0xFACADE + (i * 100 + case) as u64;
             let clean = clean_session(seed, 3);
-            let corrupted =
-                FaultInjector::with_config(seed, profile.clone()).corrupt(&clean);
+            let corrupted = FaultInjector::with_config(seed, profile.clone()).corrupt(&clean);
             let outcomes = replay_sanitized(&recognizer, &corrupted);
             assert!(outcomes.iter().all(|&o| is_terminal(o)));
             // Raw path too.
@@ -332,7 +331,10 @@ struct Summary {
 }
 
 fn handler_summary(t: &InteractionTrace) -> Summary {
-    let mid_gesture = matches!(t.transition, PhaseTransition::Eager | PhaseTransition::Timeout);
+    let mid_gesture = matches!(
+        t.transition,
+        PhaseTransition::Eager | PhaseTransition::Timeout
+    );
     Summary {
         outcome: t.outcome,
         class: t.class,
@@ -425,7 +427,10 @@ fn handler_and_served_session_agree_on_every_interaction() {
         let (traces, served) = replay_sanitized_traces(&recognizer, handler_config, stream);
         let local: Vec<Summary> = traces.iter().map(handler_summary).collect();
         let remote = served_summaries(&recognizer, &pipeline_config, &served);
-        assert_eq!(local, remote, "stream {i}: handler and served session disagree");
+        assert_eq!(
+            local, remote,
+            "stream {i}: handler and served session disagree"
+        );
         interactions += local.len();
         for t in traces.iter().filter(|t| t.class.is_some()) {
             match t.transition {
@@ -435,6 +440,12 @@ fn handler_and_served_session_agree_on_every_interaction() {
             }
         }
     }
-    assert!(interactions >= 3_500, "only {interactions} interactions compared");
-    assert!(eager > 0 && timeout > 0, "eager {eager}, timeout {timeout} commits");
+    assert!(
+        interactions >= 3_500,
+        "only {interactions} interactions compared"
+    );
+    assert!(
+        eager > 0 && timeout > 0,
+        "eager {eager}, timeout {timeout} commits"
+    );
 }
