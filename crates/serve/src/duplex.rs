@@ -3,26 +3,32 @@
 //!
 //! `Duplex` exists for deterministic tests and for embedding the service
 //! in-process, but it is not a shortcut past the protocol: every client
-//! frame is *encoded to bytes and decoded back* before it reaches the
-//! router, and every server frame is encoded and decoded again on
-//! receipt. A frame that would not survive the TCP transport does not
-//! survive `Duplex` either, which is what makes "byte-identical to the
-//! in-process pipeline" a meaningful claim in the loopback test.
+//! frame is *encoded to bytes and decoded back* and then handled by the
+//! same connection protocol the TCP reactor runs — the hello gate, the
+//! cluster fence, the `Busy` policy that parks a `Close` and bounces
+//! every other frame, the protocol faults that end the connection, and
+//! the teardown that reaps its sessions when the `Duplex` is dropped.
+//! Every server frame is encoded and decoded again on receipt. A frame
+//! that would not survive the TCP transport does not survive `Duplex`
+//! either, which is what makes "byte-identical to the in-process
+//! pipeline" a meaningful claim in the loopback test.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::router::{SessionRouter, ShardMsg, SubmitError};
+use crate::connection::{Connection, Parked, PARK_RETRY};
+use crate::router::SessionRouter;
 use crate::wire::{
-    decode_client_view, decode_server, encode_client, encode_server, ClientFrame, ClientFrameView,
-    FaultCode, OutcomeKind, ServerFrame, WireError, MIN_WIRE_VERSION, WIRE_VERSION,
+    decode_client_view, decode_server, encode_client, encode_server, ClientFrame, OutcomeKind,
+    ServerFrame, WireError,
 };
 
 /// Why a duplex operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DuplexError {
-    /// The router has shut down.
+    /// The connection is closed: a protocol fault ended it, or the
+    /// router has shut down.
     Closed,
     /// A frame failed to survive its own encode→decode round trip —
     /// always a bug in the codec, surfaced rather than masked.
@@ -32,7 +38,7 @@ pub enum DuplexError {
 impl std::fmt::Display for DuplexError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DuplexError::Closed => write!(f, "router is shut down"),
+            DuplexError::Closed => write!(f, "connection is closed"),
             DuplexError::Codec(e) => write!(f, "codec round-trip failed: {e}"),
         }
     }
@@ -42,13 +48,14 @@ impl std::error::Error for DuplexError {}
 
 /// An in-process client connection. Each `Duplex` owns one reply channel,
 /// mirroring one TCP connection; sessions opened through it deliver their
-/// frames here.
+/// frames here. Dropping it tears the connection down like a dropped TCP
+/// connection: its open sessions are closed, or detached under
+/// [`crate::ServeConfig::detach_on_disconnect`].
 pub struct Duplex {
     router: Arc<SessionRouter>,
-    conn: u64,
-    reply_tx: Sender<ServerFrame>,
-    reply_rx: Receiver<ServerFrame>,
-    hello_ok: bool,
+    link: Connection,
+    parked: Parked,
+    replies: Receiver<ServerFrame>,
 }
 
 impl Duplex {
@@ -56,22 +63,27 @@ impl Duplex {
     /// send [`ClientFrame::Hello`] before anything else, and holds its
     /// own connection identity: sessions it opens belong to it alone.
     pub fn connect(router: Arc<SessionRouter>) -> Self {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        let conn = router.new_conn_id();
+        let (reply_tx, replies) = std::sync::mpsc::channel();
+        let link = Connection::new(router.new_conn_id(), reply_tx.into());
         Self {
             router,
-            conn,
-            reply_tx,
-            reply_rx,
-            hello_ok: false,
+            link,
+            parked: Parked::default(),
+            replies,
         }
     }
 
-    /// Sends one client frame through the full codec and into the
-    /// router. Backpressure (`Busy`) and protocol rejections surface as
-    /// [`ServerFrame::Fault`]s on the receive side, exactly as they do
-    /// over TCP; only codec bugs and a dead router are `Err`.
+    /// Sends one client frame through the full codec and the connection
+    /// protocol. Backpressure (`Busy`), redirects and protocol faults
+    /// surface as server frames on the receive side, exactly as they do
+    /// over TCP; a protocol fault also ends the connection, after which
+    /// every send is `Err(Closed)`. Only codec bugs and a closed
+    /// connection are `Err`.
     pub fn send(&mut self, frame: &ClientFrame) -> Result<(), DuplexError> {
+        if self.link.ended() {
+            return Err(DuplexError::Closed);
+        }
+        self.parked.resubmit(&self.router);
         // The wire round trip: what the TCP transport would do, down to
         // the zero-copy decode and the pooled batch buffer.
         let mut bytes = Vec::with_capacity(48);
@@ -81,58 +93,41 @@ impl Duplex {
             Ok(None) => return Err(DuplexError::Codec(WireError::EmptyFrame)),
             Err(e) => return Err(DuplexError::Codec(e)),
         };
-        if let ClientFrameView::Hello { version } = view {
-            if (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-                self.hello_ok = true;
-            } else {
-                self.connection_fault(FaultCode::VersionMismatch);
-            }
-            return Ok(());
+        let answer = self
+            .link
+            .receive(&self.router, &mut self.parked, Ok(view))
+            .map_err(|_| DuplexError::Closed)?;
+        if let Some(answer) = answer {
+            self.link.reply().send(answer);
         }
-        let reply = self.reply_tx.clone().into();
-        let owned = self.router.batch_pool().own_frame(view);
-        let msg = match ShardMsg::from_client(self.conn, owned, reply) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => return Ok(()),
-            // Mirror the TCP reader: an undecodable handoff snapshot is a
-            // protocol violation, answered with `BadFrame`.
-            Err(_) => {
-                self.connection_fault(FaultCode::BadFrame);
-                return Ok(());
-            }
-        };
-        if !self.hello_ok {
-            let _ = self.reply_tx.send(msg.fault(FaultCode::BadFrame));
-            return Ok(());
+        if self.link.ended() {
+            self.link.teardown(&self.router, &mut self.parked);
         }
-        let busy = msg.fault(FaultCode::Busy);
-        match self.router.submit(msg) {
-            Ok(()) => Ok(()),
-            Err(SubmitError::Busy) => {
-                let _ = self.reply_tx.send(busy);
-                Ok(())
-            }
-            Err(SubmitError::Closed) => Err(DuplexError::Closed),
-        }
-    }
-
-    /// A fault about the connection rather than one session.
-    fn connection_fault(&self, code: FaultCode) {
-        let _ = self.reply_tx.send(ServerFrame::Fault {
-            session: 0,
-            seq: 0,
-            code,
-        });
+        Ok(())
     }
 
     /// Receives the next server frame, waiting up to `timeout`. The frame
     /// is pushed through its own encode→decode round trip before being
     /// returned. `Ok(None)` on timeout or when every sender is gone.
+    /// While a `Close` is parked behind a full shard queue, the wait
+    /// retries it every millisecond, as the reactor's poll tick does.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<ServerFrame>, DuplexError> {
-        let frame = match self.reply_rx.recv_timeout(timeout) {
-            Ok(frame) => frame,
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => return Ok(None),
+        let deadline = Instant::now() + timeout;
+        let frame = loop {
+            self.parked.resubmit(&self.router);
+            let left = deadline.saturating_duration_since(Instant::now());
+            let wait = if self.parked.is_empty() {
+                left
+            } else {
+                left.min(PARK_RETRY)
+            };
+            match self.replies.recv_timeout(wait) {
+                Ok(frame) => break frame,
+                Err(RecvTimeoutError::Timeout) if wait < left => continue,
+                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => return Ok(None),
+            }
         };
+        self.link.settle(&frame);
         let mut bytes = Vec::with_capacity(48);
         encode_server(&frame, &mut bytes);
         match decode_server(&bytes) {
@@ -167,10 +162,12 @@ impl Duplex {
         }
         Ok(out)
     }
+}
 
-    /// The router this connection talks to.
-    pub fn router(&self) -> &Arc<SessionRouter> {
-        &self.router
+impl Drop for Duplex {
+    fn drop(&mut self) {
+        self.link.teardown(&self.router, &mut self.parked);
+        self.parked.drain_or_abandon(&self.router);
     }
 }
 
@@ -178,6 +175,7 @@ impl Duplex {
 mod tests {
     use super::*;
     use crate::router::ServeConfig;
+    use crate::wire::{FaultCode, WIRE_VERSION};
     use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
     use grandma_events::{Button, EventScript};
     use grandma_synth::datasets;
@@ -249,13 +247,19 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("recv")
             .expect("fault frame");
-        assert!(matches!(
+        // As over TCP: a connection fault, and the connection is over.
+        assert_eq!(
             frame,
             ServerFrame::Fault {
+                session: 0,
+                seq: 0,
                 code: FaultCode::BadFrame,
-                ..
             }
-        ));
+        );
+        let hello = ClientFrame::Hello {
+            version: WIRE_VERSION,
+        };
+        assert_eq!(client.send(&hello), Err(DuplexError::Closed));
         router.shutdown();
     }
 
@@ -354,13 +358,18 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("recv")
             .expect("fault frame");
-        assert!(matches!(
+        assert_eq!(
             frame,
             ServerFrame::Fault {
+                session: 0,
+                seq: 0,
                 code: FaultCode::VersionMismatch,
-                ..
             }
-        ));
+        );
+        assert_eq!(
+            client.send(&ClientFrame::Open { session: 1 }),
+            Err(DuplexError::Closed)
+        );
         router.shutdown();
     }
 }

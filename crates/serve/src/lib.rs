@@ -15,8 +15,10 @@
 //! gesture handler shares, a [`SessionRouter`] that shards sessions
 //! across a fixed pool of worker threads with bounded queues and `Busy`
 //! backpressure, two transports — the in-process [`Duplex`] for
-//! deterministic tests and a `std::net` [`TcpService`] — and lock-free
-//! [`ServiceMetrics`] snapshotted to JSON.
+//! deterministic tests and a `std::net` [`TcpService`] — that run one
+//! sans-IO connection protocol (hello gate, cluster fence, session
+//! ledger, `Busy` policy, teardown), and lock-free [`ServiceMetrics`]
+//! snapshotted to JSON.
 //!
 //! Wire v2 adds the serve fast path: `EventBatch` frames carry many
 //! events per syscall, decoded zero-copy via [`ClientFrameView`], routed
@@ -66,6 +68,7 @@
 
 pub mod client;
 pub mod cluster_client;
+mod connection;
 pub mod duplex;
 pub mod metrics;
 pub mod pool;
@@ -87,7 +90,6 @@ pub use router::{
 };
 pub use session::{
     run_events_inproc, PipelineConfig, SessionPipeline, SessionSnapshot, SnapshotError,
-    OUTCOME_KIND_COUNT,
 };
 pub use tcp::{PollBackend, TcpOptions, TcpService};
 pub use wal::{FsyncPolicy, WalConfig, WalDirLock, WAL_LOCK_FILE};
@@ -95,5 +97,6 @@ pub use wire::{
     decode_client, decode_client_view, decode_server, encode_client, encode_event_batch,
     encode_server, ClientFrame, ClientFrameView, EventBatchIter, EventBatchView, FaultCode,
     FrameBuffer, OutcomeKind, ServerFrame, WireError, EVENT_RECORD_LEN, MAX_BATCH_EVENTS,
-    MAX_BATCH_FRAME_LEN, MAX_FRAME_LEN, MAX_HANDOFF_FRAME_LEN, MIN_WIRE_VERSION, WIRE_VERSION,
+    MAX_BATCH_FRAME_LEN, MAX_FRAME_LEN, MAX_HANDOFF_FRAME_LEN, MIN_WIRE_VERSION,
+    OUTCOME_KIND_COUNT, WIRE_VERSION,
 };

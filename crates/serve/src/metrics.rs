@@ -10,6 +10,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::wire::{OutcomeKind, OUTCOME_KIND_COUNT};
+
 /// Per-shard counters.
 #[derive(Debug, Default)]
 pub struct ShardMetrics {
@@ -46,10 +48,6 @@ impl ShardMetrics {
     }
 }
 
-/// Counter index for [`ServiceMetrics::outcomes`]: Recognized,
-/// Manipulated, Cancelled, Rejected, Closed.
-pub const OUTCOME_KINDS: usize = 5;
-
 /// The service-wide counter set.
 #[derive(Debug)]
 pub struct ServiceMetrics {
@@ -67,8 +65,9 @@ pub struct ServiceMetrics {
     pub writer_flushes: AtomicU64,
     /// Server frames encoded into those writes.
     pub frames_sent: AtomicU64,
-    /// Interaction outcomes by kind (see [`OUTCOME_KINDS`]).
-    pub outcomes: [AtomicU64; OUTCOME_KINDS],
+    /// Interaction outcomes, indexed by the kind's wire byte:
+    /// Recognized, Manipulated, Cancelled, Rejected, Closed.
+    pub outcomes: [AtomicU64; OUTCOME_KIND_COUNT],
     /// Sanitizer repairs performed across all sessions.
     pub faults_repaired: AtomicU64,
     /// Frames rejected with `Busy` because a shard queue was full.
@@ -106,9 +105,10 @@ pub struct ServiceMetrics {
     pub accept_errors: AtomicU64,
     /// Connections reaped by the idle timeout.
     pub idle_reaped: AtomicU64,
-    /// Session `Close`s the shutdown drain gave up retrying against a
-    /// saturated shard queue; the router's own shutdown still finalizes
-    /// those sessions, but the orderly Close path lost them.
+    /// Parked `Close`s and `Detach`es the last drain (a reactor thread's
+    /// shutdown, a dropped `Duplex`) gave up retrying against a saturated
+    /// shard queue; the router's own shutdown still finalizes those
+    /// sessions, but the orderly path lost them.
     pub closes_abandoned: AtomicU64,
     /// Sessions rebuilt from WAL compaction snapshots during recovery.
     pub recovered_sessions: AtomicU64,
@@ -197,16 +197,8 @@ impl ServiceMetrics {
     }
 
     /// Records one interaction outcome by wire kind.
-    pub fn note_outcome(&self, kind: crate::wire::OutcomeKind) {
-        use crate::wire::OutcomeKind as K;
-        let idx = match kind {
-            K::Recognized => 0,
-            K::Manipulated => 1,
-            K::Cancelled => 2,
-            K::Rejected => 3,
-            K::Closed => 4,
-        };
-        if let Some(counter) = self.outcomes.get(idx) {
+    pub fn note_outcome(&self, kind: OutcomeKind) {
+        if let Some(counter) = self.outcomes.get(usize::from(kind.to_u8())) {
             counter.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -468,7 +460,7 @@ mod tests {
     fn snapshot_json_is_valid_enough() {
         let m = ServiceMetrics::new(2);
         m.sessions_opened.fetch_add(3, Ordering::Relaxed);
-        m.note_outcome(crate::wire::OutcomeKind::Manipulated);
+        m.note_outcome(OutcomeKind::Manipulated);
         let json = m.snapshot().to_json();
         assert!(json.contains("\"sessions_opened\": 3"));
         assert!(json.contains("\"manipulated\": 1"));

@@ -28,12 +28,11 @@
 //!
 //! One path in, one path to a session: every client frame becomes a
 //! shard message through `ShardMsg::from_client`, the one translation
-//! the TCP reactor, [`crate::Duplex`] and WAL replay share, so each
-//! transport keeps only its own policy (fence, handshake gate, close
-//! retry). A shard feeds `Event` and `EventBatch` through one ingest
-//! function and installs every snapshot — a peer's handoff, a
-//! compaction snapshot, a journaled handoff, a failed outbound handoff
-//! taken back — through the one `Handoff` path. `Event` stays a message
+//! the connection protocol (`connection.rs`, shared by the TCP reactor
+//! and [`crate::Duplex`]) and WAL replay use. A shard feeds `Event` and
+//! `EventBatch` through one ingest function and installs every snapshot
+//! — a peer's handoff, a compaction snapshot, a journaled handoff, a
+//! failed outbound handoff taken back — through the one `Handoff` path. `Event` stays a message
 //! of its own only so a v1 event crosses the queue without taking a
 //! pooled batch buffer.
 //!
@@ -263,12 +262,15 @@ pub enum ShardMsg {
         /// Outbound frame path of the resuming connection.
         reply: ReplyTx,
     },
-    /// Orphan every session owned by `conn`: owner reset to 0, reply
-    /// replaced with a sink. Sent to *all* shards on teardown when
-    /// [`ServeConfig::detach_on_disconnect`] is set.
+    /// Orphan `session` if `conn` owns it: owner reset to 0, reply
+    /// replaced with a sink. Sent for each session a connection still
+    /// has open at teardown when [`ServeConfig::detach_on_disconnect`]
+    /// is set.
     Detach {
         /// The disconnected connection's id.
         conn: u64,
+        /// Session id.
+        session: u64,
     },
     /// Install a session from a snapshot, orphaned (owner 0) until a
     /// client `Resume`s it. The same admission as `Open` applies:
@@ -405,10 +407,10 @@ impl ShardMsg {
             | ShardMsg::Event { session, .. }
             | ShardMsg::EventBatch { session, .. }
             | ShardMsg::Close { session, .. }
-            | ShardMsg::Resume { session, .. } => Some(*session),
+            | ShardMsg::Resume { session, .. }
+            | ShardMsg::Detach { session, .. } => Some(*session),
             ShardMsg::Handoff { snapshot, .. } => Some(snapshot.session),
-            ShardMsg::Detach { .. }
-            | ShardMsg::Drain { .. }
+            ShardMsg::Drain { .. }
             | ShardMsg::Checkpoint(_)
             | ShardMsg::Pause(_)
             | ShardMsg::Shutdown => None,
@@ -666,16 +668,6 @@ impl SessionRouter {
             self.metrics.shard(shard).note_dequeue();
         }
         sent
-    }
-
-    /// Orphans every session owned by `conn` on every shard (owner reset
-    /// to 0, replies discarded) so a reconnecting client can `Resume`
-    /// them. Called by transports on teardown when
-    /// [`ServeConfig::detach_on_disconnect`] is set.
-    pub fn detach_conn(&self, conn: u64) {
-        for shard in 0..self.shard_count() {
-            self.send_to(shard, ShardMsg::Detach { conn });
-        }
     }
 
     /// Installs (or replaces) the cluster ownership fence. Transports
@@ -1269,8 +1261,8 @@ impl Shard {
                 session,
                 reply,
             } => self.resume(conn, session, reply),
-            ShardMsg::Detach { conn } => {
-                for entry in self.sessions.values_mut() {
+            ShardMsg::Detach { conn, session } => {
+                if let Some(entry) = self.sessions.get_mut(&session) {
                     if entry.conn == conn {
                         entry.conn = 0;
                         entry.reply = ReplyTx::sink();

@@ -28,7 +28,7 @@ use grandma_geom::Point;
 
 use crate::wire::{
     fault_code_of, put_f64, put_u16, put_u32, put_u64, Cur, OutcomeKind, ServerFrame, WireError,
-    NO_CLASS,
+    NO_CLASS, OUTCOME_KIND_COUNT,
 };
 
 /// Per-session pipeline tuning. The interaction knobs are the toolkit's
@@ -42,10 +42,6 @@ pub struct PipelineConfig {
     /// Sanitizer tuning for this session's stream.
     pub sanitizer: SanitizerConfig,
 }
-
-/// Number of [`OutcomeKind`] variants, for the per-session outcome
-/// counters carried by [`SessionSnapshot`].
-pub const OUTCOME_KIND_COUNT: usize = 5;
 
 /// Counts one emitted outcome.
 fn count_outcome(counts: &mut [u32; OUTCOME_KIND_COUNT], kind: OutcomeKind) {

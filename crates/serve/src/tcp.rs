@@ -13,45 +13,22 @@
 //! Readiness dispatch is O(ready), not O(open): each connection
 //! registers with the poller once at accept (token = conn id, waker
 //! pipe = token 0), the reactor tracks the interest mask it last
-//! installed ([`Conn::interest`]) and issues a modify only on actual
-//! transitions (pending output appears/drains, half-close flips the
-//! connection write-only), and each wakeup walks only the returned
+//! installed in each connection's state and issues a modify only on
+//! actual transitions (pending output appears/drains, half-close flips
+//! the connection write-only), and each wakeup walks only the returned
 //! ready set instead of rebuilding and re-scanning a `pollfd` array.
 //! Maintenance work is driven by the same principle — only connections
 //! touched by shard replies or readiness get flushed/checked; the sole
 //! remaining O(open) scan is idle reaping, gated to at most one sweep
 //! per reap tick.
 //!
-//! Connection protocol (unchanged from the thread-per-connection
-//! transport it replaces — the loopback and batch-equivalence suites
-//! hold the reactor byte-identical):
-//!
-//! 1. The first frame must be a `Hello` whose version falls in
-//!    [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`]; anything else earns a
-//!    `Fault` and the connection is dropped. v1 clients speak
-//!    single-`Event` frames; v2 clients may also send `EventBatch`.
-//! 2. `Open`/`Event`/`EventBatch`/`Close` frames route to the session's
-//!    shard. A full shard queue bounces `Open`/`Event`/`EventBatch`
-//!    back as `Fault(Busy)`; a busy `Close` is queued transport-side
-//!    and retried each reactor iteration (losing it would leak the
-//!    session until teardown). The bytes are never buffered beyond the
-//!    bounded shard queue. When a cluster fence is installed
-//!    ([`SessionRouter::set_fence`]), `Open`/`Resume` for sessions the
-//!    ring maps to another node answer `NotOwner { owner }` instead of
-//!    being admitted; v4 `Handoff` frames bypass the fence (the sending
-//!    peer routed them here on purpose).
-//! 3. Undecodable bytes produce `Fault(BadFrame)`; the fault is flushed
-//!    and the connection closed. The decoder returns typed errors and
-//!    never panics, so hostile input costs one connection, not the
-//!    process.
-//! 4. On EOF, error, or idle timeout the reactor submits `Close` for
-//!    every session the connection still has open, so abandoned
-//!    connections cannot leak sessions.
-//! 5. Each connection holds a [`SessionRouter::new_conn_id`] identity
-//!    stamped on every message it routes; the shard rejects `Event`/
-//!    `Close` from any connection other than the session's opener with
-//!    `Fault(UnknownSession)`, so one connection can neither feed nor
-//!    tear down another's sessions.
+//! Every protocol decision — the hello gate, the cluster fence, the
+//! session ledger, the `Busy` policy, protocol faults and teardown — is
+//! made by the sans-IO connection protocol in `connection.rs`, which
+//! [`crate::Duplex`] runs too; a reactor connection adds only its
+//! socket, its read and write buffers, its poller interest and its
+//! timers. The loopback and batch-equivalence suites hold the reactor
+//! byte-identical.
 //!
 //! Reply path: shard workers deliver frames through a
 //! [`ReplyBridge`] keyed by conn id — `deliver` enqueues `(conn,
@@ -74,7 +51,7 @@
 //! shut down the router — the teardown `Close`s are queued ahead of the
 //! router's `Shutdown`, so they are processed first.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -84,13 +61,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::connection::{Connection, Parked, RouterGone, PARK_RETRY};
 use crate::metrics::ServiceMetrics;
-use crate::router::{ReplyBridge, ReplyTx, SessionRouter, ShardMsg, SubmitError};
+use crate::router::{ReplyBridge, ReplyTx, SessionRouter};
 use crate::sys::{Backend, Poller, Ready, Waker, POLLIN, POLLOUT};
-use crate::wire::{
-    encode_server, ClientFrameView, FaultCode, FrameBuffer, OutcomeKind, ServerFrame,
-    MIN_WIRE_VERSION, WIRE_VERSION,
-};
+use crate::wire::{encode_server, FrameBuffer, ServerFrame};
 
 /// First retry delay after `accept()` fails; doubles per consecutive
 /// failure up to [`ACCEPT_BACKOFF_MAX`], resetting on success.
@@ -112,12 +87,6 @@ const RETAIN_OUT: usize = 64 * 1024;
 /// A connection whose pending-write buffer outgrows this is a slow (or
 /// stalled) consumer and is dropped rather than buffered without bound.
 const MAX_PENDING_WRITE: usize = 16 * 1024 * 1024;
-
-/// Rounds the shutdown drain retries busy `Close`s (with a short sleep
-/// between rounds) before giving up and counting the remainder in
-/// `closes_abandoned`. During normal operation busy `Close`s are
-/// retried without limit — the retry list is bounded by open sessions.
-const CLOSE_RETRY_ROUNDS: usize = 64;
 
 /// How long a half-closed connection (peer sent EOF, e.g. via
 /// `shutdown(Write)`) is kept alive write-only to deliver in-flight
@@ -278,36 +247,28 @@ impl ReplyBridge for ReactorBridge {
     }
 }
 
-/// Per-connection reactor state: the frame decode buffer, the pending
-/// encode/write buffer, and the session-ownership bookkeeping that
-/// backs teardown.
+/// Per-connection reactor state: the socket, the frame decode buffer,
+/// the pending encode/write buffer, poller interest and timers, around
+/// the connection's protocol state.
 struct Conn {
     stream: TcpStream,
-    reply: ReplyTx,
     frames: FrameBuffer,
-    hello_ok: bool,
-    open_sessions: HashSet<u64>,
+    link: Connection,
     /// Encoded-but-unwritten reply bytes; `out_at` marks how much of
     /// the front has already reached the kernel.
     out: Vec<u8>,
     out_at: usize,
     /// Wait for a writable notification before trying to write again.
     want_write: bool,
-    /// Protocol fault sent: stop reading, flush `out`, then close.
-    closing: bool,
     /// Marked for teardown this round.
     dead: bool,
-    /// Reap sessions via `Close(seq=u32::MAX)` on teardown.
+    /// When the peer last sent bytes; the idle reaper's clock.
     last_activity: Instant,
     /// `Some(when)` after the peer sent EOF (half-close): the connection
     /// stays alive write-only until its pending replies drain (or
     /// [`DRAIN_WINDOW`] expires), so `shutdown(Write)` clients receive
     /// everything they are owed.
     read_closed: Option<Instant>,
-    /// Sessions owed a terminal reply (`Closed` outcome or a fault):
-    /// populated when a `Close` is dispatched, cleared when the terminal
-    /// frame is queued. The half-close drain waits on this set.
-    draining: HashSet<u64>,
     /// The interest mask currently installed in the poller for this
     /// connection. [`sync_interest`] issues a modify only when the
     /// desired mask differs, so on epoll the `epoll_ctl` count tracks
@@ -334,15 +295,6 @@ impl Conn {
             self.out_at = 0;
         }
     }
-}
-
-/// A `Close` that bounced off a full shard queue; retried every
-/// reactor round so backpressure cannot leak a session.
-struct PendingClose {
-    conn: u64,
-    session: u64,
-    seq: u32,
-    reply: ReplyTx,
 }
 
 /// The running TCP service. Dropping it shuts everything down.
@@ -651,267 +603,87 @@ fn flush_conn(c: &mut Conn, metrics: &ServiceMetrics) -> bool {
     true
 }
 
-/// Submits one `Close`, treating a shut-down router as done. Returns
-/// `false` when the shard queue was full and the close must be retried.
-fn try_close(router: &SessionRouter, conn: u64, session: u64, seq: u32, reply: &ReplyTx) -> bool {
-    let msg = ShardMsg::Close {
-        conn,
-        session,
-        seq,
-        reply: reply.clone(),
-    };
-    !matches!(router.submit(msg), Err(SubmitError::Busy))
-}
-
-/// Tears a connection down. Default: submits `Close` for every session
-/// it still has open (busy shards park the close on the retry list).
-/// With [`crate::ServeConfig::detach_on_disconnect`] the sessions are
-/// instead orphaned via [`SessionRouter::detach_conn`] so a
-/// reconnecting client can `Resume` them. Either way the socket is shut
-/// and the state dropped.
+/// Tears a connection down: the protocol reaps its still-open sessions
+/// (parking what a full shard queue turns away), then the socket is
+/// deregistered, shut and dropped.
 fn teardown(
     conn_id: u64,
     mut c: Conn,
     poller: &mut Poller,
     router: &SessionRouter,
     metrics: &ServiceMetrics,
-    pending_closes: &mut Vec<PendingClose>,
+    parked: &mut Parked,
 ) {
     // Deregister before the fd closes: a closed fd is auto-removed from
     // an epoll set, but doing it explicitly keeps both backends on one
     // discipline and cannot leave a stale entry if the fd number is
     // recycled by a racing accept.
     let _ = poller.deregister(conn_id, c.stream.as_raw_fd());
-    if router.detach_on_disconnect() {
-        c.open_sessions.clear();
-        router.detach_conn(conn_id);
-    } else {
-        for session in c.open_sessions.drain() {
-            if !try_close(router, conn_id, session, u32::MAX, &c.reply) {
-                pending_closes.push(PendingClose {
-                    conn: conn_id,
-                    session,
-                    seq: u32::MAX,
-                    reply: c.reply.clone(),
-                });
-            }
-        }
-    }
+    c.link.teardown(router, parked);
     let _ = c.stream.shutdown(Shutdown::Both);
     metrics.open_connections.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// Handles the peer's EOF (it finished sending — e.g. `shutdown(Write)`
 /// or a dropped socket). Returns `true` when the connection should stay
-/// alive write-only to drain what it is owed; `false` when it can be
-/// torn down right now. In close-on-disconnect mode the still-open
-/// sessions are closed here (the read side can never feed them again)
-/// and their terminal replies joined to the drain set; in detach mode
-/// they are left for teardown to orphan.
-fn half_close(
-    conn_id: u64,
-    c: &mut Conn,
-    router: &SessionRouter,
-    pending_closes: &mut Vec<PendingClose>,
-) -> bool {
-    if c.read_closed.is_some() || c.closing {
+/// alive write-only to deliver what it is owed; `false` when it can be
+/// torn down right now.
+fn half_close(c: &mut Conn, router: &SessionRouter, parked: &mut Parked) -> bool {
+    if c.read_closed.is_some() || c.link.ended() {
         return false;
     }
     c.read_closed = Some(Instant::now());
-    if !router.detach_on_disconnect() {
-        for session in std::mem::take(&mut c.open_sessions) {
-            c.draining.insert(session);
-            if !try_close(router, conn_id, session, u32::MAX, &c.reply) {
-                pending_closes.push(PendingClose {
-                    conn: conn_id,
-                    session,
-                    seq: u32::MAX,
-                    reply: c.reply.clone(),
-                });
-            }
+    c.link.eof(router, parked);
+    true
+}
+
+/// Decodes every complete frame in the connection's read buffer and
+/// hands it to the protocol, queueing whatever it answers. Returns
+/// `false` when the connection must die immediately (router gone); a
+/// protocol fault instead ends the connection so the fault frame is
+/// flushed before the socket closes.
+fn dispatch_frames(
+    c: &mut Conn,
+    router: &SessionRouter,
+    metrics: &ServiceMetrics,
+    parked: &mut Parked,
+) -> bool {
+    while !c.link.ended() {
+        let Some(frame) = c.frames.next_client_view().transpose() else {
+            return true;
+        };
+        match c.link.receive(router, parked, frame) {
+            Ok(Some(answer)) => queue_frame(c, metrics, &answer),
+            Ok(None) => {}
+            Err(RouterGone) => return false,
         }
     }
     true
 }
 
-/// Decodes and dispatches every complete frame in the connection's read
-/// buffer. Returns `false` when the connection must die immediately
-/// (router gone); protocol faults instead set `closing` so the fault
-/// frame is flushed before the socket closes.
-fn dispatch_frames(
-    conn_id: u64,
-    c: &mut Conn,
-    router: &SessionRouter,
-    metrics: &ServiceMetrics,
-    pending_closes: &mut Vec<PendingClose>,
-) -> bool {
-    loop {
-        if c.closing {
-            return true;
-        }
-        // Zero-copy decode: batch payloads are iterated straight out of
-        // the frame buffer; only the pooled `Vec` that crosses the
-        // shard channel is written to.
-        let frame = match c.frames.next_client_view() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return true,
-            Err(_) => {
-                metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
-                queue_frame(
-                    c,
-                    metrics,
-                    &ServerFrame::Fault {
-                        session: 0,
-                        seq: 0,
-                        code: FaultCode::BadFrame,
-                    },
-                );
-                c.closing = true;
-                return true;
-            }
-        };
-        if !c.hello_ok {
-            match frame {
-                ClientFrameView::Hello { version }
-                    if (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) =>
-                {
-                    c.hello_ok = true;
-                    continue;
-                }
-                ClientFrameView::Hello { .. } => {
-                    queue_frame(
-                        c,
-                        metrics,
-                        &ServerFrame::Fault {
-                            session: 0,
-                            seq: 0,
-                            code: FaultCode::VersionMismatch,
-                        },
-                    );
-                }
-                _ => {
-                    queue_frame(
-                        c,
-                        metrics,
-                        &ServerFrame::Fault {
-                            session: 0,
-                            seq: 0,
-                            code: FaultCode::BadFrame,
-                        },
-                    );
-                }
-            }
-            c.closing = true;
-            return true;
-        }
-        let owned = router.batch_pool().own_frame(frame);
-        let msg = match ShardMsg::from_client(conn_id, owned, c.reply.clone()) {
-            Ok(Some(msg)) => msg,
-            // A second Hello is harmless; ignore it.
-            Ok(None) => continue,
-            // An undecodable handoff snapshot is a protocol fault like
-            // any other undecodable frame: fault, flush, close.
-            Err(_) => {
-                metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
-                queue_frame(
-                    c,
-                    metrics,
-                    &ServerFrame::Fault {
-                        session: 0,
-                        seq: 0,
-                        code: FaultCode::BadFrame,
-                    },
-                );
-                c.closing = true;
-                return true;
-            }
-        };
-        // This transport's policy around the shared translation.
-        let mut admitted = None;
-        let mut closing = None;
-        match &msg {
-            ShardMsg::Open { session, .. } | ShardMsg::Resume { session, .. } => {
-                // Cluster fence: a session the ring maps elsewhere is
-                // redirected, never admitted or resumed here. Handoffs
-                // are deliberately not fenced: the sender routed the
-                // session here because the ring (as it sees it) maps it
-                // to this node, and a transfer must not bounce between
-                // nodes holding different registry generations.
-                if let Some(owner) = router.owner_redirect(*session) {
-                    metrics.not_owner_redirects.fetch_add(1, Ordering::Relaxed);
-                    queue_frame(
-                        c,
-                        metrics,
-                        &ServerFrame::NotOwner {
-                            session: *session,
-                            owner,
-                        },
-                    );
-                    continue;
-                }
-                // Optimistic: the shard may still reject the Open or
-                // Resume. That is harmless — the teardown Close carries
-                // our conn id, so it cannot touch a session some other
-                // connection owns.
-                admitted = Some(*session);
-            }
-            ShardMsg::Close { session, seq, .. } => {
-                c.open_sessions.remove(session);
-                // The session is now owed a terminal reply; the
-                // half-close drain waits for it.
-                c.draining.insert(*session);
-                closing = Some((*session, *seq));
-            }
-            _ => {}
-        }
-        let busy = msg.fault(FaultCode::Busy);
-        match (router.submit(msg), closing) {
-            (Ok(()), _) => {
-                if let Some(session) = admitted {
-                    c.open_sessions.insert(session);
-                }
-            }
-            // A busy Close is retried transport-side instead of bounced:
-            // losing it would leak the session, and the client is owed
-            // its Closed outcome.
-            (Err(SubmitError::Busy), Some((session, seq))) => pending_closes.push(PendingClose {
-                conn: conn_id,
-                session,
-                seq,
-                reply: c.reply.clone(),
-            }),
-            // A rejected batch's buffer was already recycled by submit.
-            (Err(SubmitError::Busy), None) => queue_frame(c, metrics, &busy),
-            (Err(SubmitError::Closed), Some(_)) => {}
-            (Err(SubmitError::Closed), None) => return false,
-        }
-    }
-}
-
 /// Reads everything the kernel has for this connection and dispatches
 /// it. Returns `false` on EOF or a dead socket.
 fn service_read(
-    conn_id: u64,
     c: &mut Conn,
     router: &SessionRouter,
     metrics: &ServiceMetrics,
     chunk: &mut [u8],
     now: Instant,
-    pending_closes: &mut Vec<PendingClose>,
+    parked: &mut Parked,
 ) -> bool {
     loop {
         match c.stream.read(chunk) {
             // EOF: the peer finished sending. Enter the write-only
             // half-close drain instead of dropping whatever replies are
             // still in flight (a `shutdown(Write)` client is owed them).
-            Ok(0) => return half_close(conn_id, c, router, pending_closes),
+            Ok(0) => return half_close(c, router, parked),
             Ok(n) => {
                 c.last_activity = now;
                 c.frames.extend(chunk.get(..n).unwrap_or(&[]));
-                if !dispatch_frames(conn_id, c, router, metrics, pending_closes) {
+                if !dispatch_frames(c, router, metrics, parked) {
                     return false;
                 }
-                if c.closing || n < chunk.len() {
+                if c.link.ended() || n < chunk.len() {
                     // Short read: the kernel buffer is drained; poll is
                     // level-triggered, so anything that races in will
                     // re-report.
@@ -929,13 +701,13 @@ fn service_read(
 ///
 /// Transition table (DESIGN.md §13): a fresh connection reads
 /// (`POLLIN`); queued output that hit a full socket buffer adds
-/// `POLLOUT` until it drains; a protocol fault (`closing`) or peer EOF
+/// `POLLOUT` until it drains; a protocol fault (`ended`) or peer EOF
 /// (`read_closed`) drops `POLLIN` — a level-triggered EOF/fault would
 /// otherwise re-report every wakeup; error conditions need no bits,
 /// both backends always report them.
 fn desired_interest(c: &Conn) -> i16 {
     let mut interest = 0i16;
-    if !c.closing && c.read_closed.is_none() {
+    if !c.link.ended() && c.read_closed.is_none() {
         interest |= POLLIN;
     }
     if c.want_write && c.pending_out() > 0 {
@@ -978,7 +750,7 @@ fn maintain_conn(c: &mut Conn, metrics: &ServiceMetrics) -> bool {
         metrics.connections_shed.fetch_add(1, Ordering::Relaxed);
         return false;
     }
-    if c.closing && c.pending_out() == 0 {
+    if c.link.ended() && c.pending_out() == 0 {
         return false;
     }
     true
@@ -1037,7 +809,7 @@ fn io_loop(
         return;
     }
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut pending_closes: Vec<PendingClose> = Vec::new();
+    let mut parked = Parked::default();
     let mut dead: Vec<u64> = Vec::new();
     let mut ready: Vec<Ready> = Vec::new();
     // Connections touched by shard replies this round, pending a
@@ -1082,18 +854,14 @@ fn io_loop(
                 conn_id,
                 Conn {
                     stream,
-                    reply,
                     frames: FrameBuffer::new(),
-                    hello_ok: false,
-                    open_sessions: HashSet::new(),
+                    link: Connection::new(conn_id, reply),
                     out: Vec::new(),
                     out_at: 0,
                     want_write: false,
-                    closing: false,
                     dead: false,
                     last_activity: now,
                     read_closed: None,
-                    draining: HashSet::new(),
                     interest: POLLIN,
                 },
             );
@@ -1106,29 +874,17 @@ fn io_loop(
         while let Ok((conn_id, frame)) = replies.try_recv() {
             if let Some(c) = conns.get_mut(&conn_id) {
                 if !c.dead {
-                    // A terminal reply settles the session's drain debt.
-                    match frame {
-                        ServerFrame::Outcome {
-                            session,
-                            outcome: OutcomeKind::Closed,
-                            ..
-                        }
-                        | ServerFrame::Fault { session, .. } => {
-                            c.draining.remove(&session);
-                        }
-                        _ => {}
-                    }
+                    c.link.settle(&frame);
                     queue_frame(c, &metrics, &frame);
                     touched.push(conn_id);
                 }
             }
         }
 
-        // Retry closes that bounced off full shard queues. Retried
-        // until they land (the 1 ms pending-close poll tick is the
-        // backoff): the list is bounded by open sessions, and dropping
-        // an entry would leak its session for the process lifetime.
-        pending_closes.retain(|pc| !try_close(&router, pc.conn, pc.session, pc.seq, &pc.reply));
+        // Retry what bounced off full shard queues until it lands (the
+        // PARK_RETRY poll tick is the backoff): dropping an entry would
+        // leak its session for the process lifetime.
+        parked.resubmit(&router);
 
         if shared.stop.load(Ordering::SeqCst) {
             break;
@@ -1163,14 +919,10 @@ fn io_loop(
                 let Some(c) = conns.get_mut(&conn_id) else {
                     return false;
                 };
-                if c.dead || c.read_closed.is_none() {
+                let Some(at) = c.read_closed.filter(|_| !c.dead) else {
                     return false;
-                }
-                let at = match c.read_closed {
-                    Some(at) => at,
-                    None => return false,
                 };
-                let drained = c.draining.is_empty() && c.pending_out() == 0;
+                let drained = !c.link.owes_replies() && c.pending_out() == 0;
                 if drained || now.duration_since(at) >= DRAIN_WINDOW {
                     c.dead = true;
                     dead.push(conn_id);
@@ -1200,19 +952,12 @@ fn io_loop(
 
         for conn_id in dead.drain(..) {
             if let Some(c) = conns.remove(&conn_id) {
-                teardown(
-                    conn_id,
-                    c,
-                    &mut poller,
-                    &router,
-                    &metrics,
-                    &mut pending_closes,
-                );
+                teardown(conn_id, c, &mut poller, &router, &metrics, &mut parked);
             }
         }
 
-        let timeout_ms = if !pending_closes.is_empty() {
-            1
+        let timeout_ms = if !parked.is_empty() {
+            PARK_RETRY.as_millis() as i32
         } else if !half_closed.is_empty() {
             // Tick so drain completion (shard replies already queued)
             // and the DRAIN_WINDOW deadline are noticed promptly.
@@ -1266,7 +1011,7 @@ fn io_loop(
                     dead.push(conn_id);
                     continue;
                 }
-            } else if !ev.readable() || c.closing {
+            } else if !ev.readable() || c.link.ended() {
                 // Ready, but neither branch can make progress: the
                 // kernel reported only error bits (POLLERR/POLLHUP/
                 // POLLNVAL — set regardless of requested events),
@@ -1278,17 +1023,9 @@ fn io_loop(
                 dead.push(conn_id);
                 continue;
             }
-            if ev.readable() && !c.closing {
+            if ev.readable() && !c.link.ended() {
                 let was_half_closed = c.read_closed.is_some();
-                if !service_read(
-                    conn_id,
-                    c,
-                    &router,
-                    &metrics,
-                    &mut chunk,
-                    now,
-                    &mut pending_closes,
-                ) {
+                if !service_read(c, &router, &metrics, &mut chunk, now, &mut parked) {
                     c.dead = true;
                     dead.push(conn_id);
                     continue;
@@ -1313,14 +1050,7 @@ fn io_loop(
         }
         for conn_id in dead.drain(..) {
             if let Some(c) = conns.remove(&conn_id) {
-                teardown(
-                    conn_id,
-                    c,
-                    &mut poller,
-                    &router,
-                    &metrics,
-                    &mut pending_closes,
-                );
+                teardown(conn_id, c, &mut poller, &router, &metrics, &mut parked);
             }
         }
     }
@@ -1334,43 +1064,19 @@ fn io_loop(
         let _ = stream.shutdown(Shutdown::Both);
         metrics.open_connections.fetch_sub(1, Ordering::Relaxed);
     }
-    let ids: Vec<u64> = conns.keys().copied().collect();
-    for conn_id in ids {
-        if let Some(c) = conns.remove(&conn_id) {
-            teardown(
-                conn_id,
-                c,
-                &mut poller,
-                &router,
-                &metrics,
-                &mut pending_closes,
-            );
-        }
+    for (conn_id, c) in conns.drain() {
+        teardown(conn_id, c, &mut poller, &router, &metrics, &mut parked);
     }
-    for _ in 0..CLOSE_RETRY_ROUNDS {
-        if pending_closes.is_empty() {
-            break;
-        }
-        pending_closes.retain(|pc| !try_close(&router, pc.conn, pc.session, pc.seq, &pc.reply));
-        if !pending_closes.is_empty() {
-            std::thread::sleep(Duration::from_micros(250));
-        }
-    }
-    // The router's Shutdown (queued after we exit) finalizes whatever
-    // sessions these would have closed, but record that the orderly
-    // Close path gave up on them.
-    if !pending_closes.is_empty() {
-        metrics
-            .closes_abandoned
-            .fetch_add(pending_closes.len() as u64, Ordering::Relaxed);
-    }
+    parked.drain_or_abandon(&router);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::router::ServeConfig;
-    use crate::wire::{encode_client, ClientFrame, OutcomeKind};
+    use crate::wire::{
+        encode_client, ClientFrame, FaultCode, OutcomeKind, MIN_WIRE_VERSION, WIRE_VERSION,
+    };
     use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
     use grandma_synth::datasets;
     use std::time::Duration;
@@ -1462,18 +1168,17 @@ mod tests {
         let (stream, _) = listener.accept().expect("accept");
         let mut c = Conn {
             stream,
-            reply: ReplyTx::bridged(1, Arc::new(ReactorBridge { io: Vec::new() })),
             frames: FrameBuffer::new(),
-            hello_ok: true,
-            open_sessions: HashSet::new(),
+            link: Connection::new(
+                1,
+                ReplyTx::bridged(1, Arc::new(ReactorBridge { io: Vec::new() })),
+            ),
             out: Vec::new(),
             out_at: 0,
             want_write: false,
-            closing: false,
             dead: false,
             last_activity: Instant::now(),
             read_closed: None,
-            draining: HashSet::new(),
             interest: POLLIN,
         };
         let (mut produced, mut consumed) = (0usize, 0usize);

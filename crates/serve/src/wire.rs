@@ -270,7 +270,13 @@ impl From<grandma_core::InteractionOutcome> for OutcomeKind {
     }
 }
 
+/// Number of [`OutcomeKind`] variants: the length of every per-kind
+/// counter array ([`crate::SessionSnapshot`]'s, [`crate::ServiceMetrics`]'s).
+pub const OUTCOME_KIND_COUNT: usize = 5;
+
 impl OutcomeKind {
+    /// The wire byte, which is also the kind's slot in a per-kind
+    /// counter array.
     pub(crate) fn to_u8(self) -> u8 {
         match self {
             OutcomeKind::Recognized => 0,

@@ -4,15 +4,17 @@
 //! connection, never the process.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma_events::{Button, EventKind, EventScript, InputEvent};
+use grandma_serve::router::ShardPause;
 use grandma_serve::{
-    encode_client, ClientFrame, Duplex, FaultCode, FrameBuffer, OutcomeKind, PipelineConfig,
-    ServeConfig, ServerFrame, SessionPipeline, SessionRouter, TcpService, WIRE_VERSION,
+    encode_client, run_events_inproc, ClientFrame, Duplex, FaultCode, FrameBuffer, OutcomeKind,
+    PipelineConfig, ReplyTx, ServeConfig, ServerFrame, SessionPipeline, SessionRouter, ShardMsg,
+    TcpOptions, TcpService, WIRE_VERSION,
 };
 use grandma_synth::{datasets, FaultInjector, SynthRng};
 
@@ -327,12 +329,34 @@ fn busy_probes() -> Vec<(ClientFrame, (u64, u32))> {
             (1, 0),
         ),
         (ClientFrame::Handoff { snapshot }, (3, 0)),
+        // Only a Close for a session the connection opened is parked;
+        // this one (its Open bounced) is answered like any other frame.
+        (ClientFrame::Close { session: 1, seq: 9 }, (1, 9)),
     ]
 }
 
-/// A one-slot shard queue behind a parked worker, with the slot taken:
-/// every further submit is rejected `Busy`.
-fn jammed_router() -> (Arc<SessionRouter>, grandma_serve::router::ShardPause) {
+/// Parks `router`'s only shard and takes the one slot of its queue with
+/// an `Open` from outside any connection under test: every further
+/// submit is rejected `Busy` until the pause is released.
+fn jam(router: &SessionRouter) -> ShardPause {
+    let pause = router.pause_shard(0).expect("pause");
+    // Bounded wait for the worker to take the Pause off the queue.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while router.metrics().snapshot().shards[0].queue_depth > 0 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let filler = ShardMsg::Open {
+        conn: router.new_conn_id(),
+        session: 999,
+        seq: 0,
+        reply: ReplyTx::sink(),
+    };
+    let _ = router.submit(filler);
+    pause
+}
+
+/// A one-slot shard queue behind a parked worker, with the slot taken.
+fn jammed_router() -> (Arc<SessionRouter>, ShardPause) {
     let router = SessionRouter::new(
         recognizer(),
         ServeConfig {
@@ -341,14 +365,7 @@ fn jammed_router() -> (Arc<SessionRouter>, grandma_serve::router::ShardPause) {
             ..ServeConfig::default()
         },
     );
-    let pause = router.pause_shard(0).expect("pause");
-    // Bounded wait for the worker to take the Pause off the queue.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while router.metrics().snapshot().shards[0].queue_depth > 0
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::yield_now();
-    }
+    let pause = jam(&router);
     (router, pause)
 }
 
@@ -365,9 +382,52 @@ fn busy_key(frame: ServerFrame) -> Result<(u64, u32), ServerFrame> {
     }
 }
 
-// Both tests collect every reply before releasing the shard and only
-// then assert: a panic while the worker is parked would leave the
-// router's shutdown blocked on the full queue.
+fn hello() -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_client(
+        &ClientFrame::Hello {
+            version: WIRE_VERSION,
+        },
+        &mut bytes,
+    );
+    bytes
+}
+
+/// Reads server frames off `stream` until `count` have arrived, the
+/// peer closes, or the read times out.
+fn read_frames(stream: &mut TcpStream, count: usize) -> Vec<ServerFrame> {
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let mut fb = FrameBuffer::new();
+    let mut chunk = [0u8; 1024];
+    let mut got = Vec::new();
+    while got.len() < count {
+        match fb.next_server() {
+            Ok(Some(frame)) => got.push(frame),
+            Ok(None) => match stream.read(&mut chunk) {
+                Ok(n) if n > 0 => fb.extend(&chunk[..n]),
+                _ => break,
+            },
+            Err(_) => break,
+        }
+    }
+    got
+}
+
+/// Polls `done` for up to ten seconds.
+fn eventually(mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
+}
+
+// The tests against a jammed router collect every reply before
+// releasing the shard and only then assert: a panic while the worker is
+// parked would leave the router's shutdown blocked on the full queue.
 
 #[test]
 fn busy_faults_echo_one_correlation_for_every_frame_kind_over_duplex() {
@@ -378,12 +438,7 @@ fn busy_faults_echo_one_correlation_for_every_frame_kind_over_duplex() {
             version: WIRE_VERSION,
         })
         .expect("hello");
-    client
-        .send(&ClientFrame::Open { session: 999 })
-        .expect("fill the slot");
-    let mut probes = busy_probes();
-    // Duplex bounces a busy Close too (TCP retries it instead).
-    probes.push((ClientFrame::Close { session: 1, seq: 9 }, (1, 9)));
+    let probes = busy_probes();
     let mut got = Vec::new();
     for (frame, _) in &probes {
         let reply = client
@@ -403,36 +458,344 @@ fn busy_faults_echo_one_correlation_for_every_frame_kind_over_tcp() {
     let (router, pause) = jammed_router();
     let mut service = TcpService::start(router.clone(), "127.0.0.1:0").expect("bind");
     let probes = busy_probes();
-    let mut bytes = Vec::new();
-    encode_client(
-        &ClientFrame::Hello {
-            version: WIRE_VERSION,
-        },
-        &mut bytes,
-    );
-    encode_client(&ClientFrame::Open { session: 999 }, &mut bytes);
+    let mut bytes = hello();
     for (frame, _) in &probes {
         encode_client(frame, &mut bytes);
     }
     let mut got = Vec::new();
     if let Ok(mut stream) = TcpStream::connect(service.local_addr()) {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         let _ = stream.write_all(&bytes);
-        let mut fb = FrameBuffer::new();
-        let mut chunk = [0u8; 1024];
-        while got.len() < probes.len() {
-            match fb.next_server() {
-                Ok(Some(frame)) => got.push(busy_key(frame)),
-                Ok(None) => match stream.read(&mut chunk) {
-                    Ok(n) if n > 0 => fb.extend(&chunk[..n]),
-                    _ => break,
-                },
-                Err(_) => break,
-            }
-        }
+        got = read_frames(&mut stream, probes.len());
     }
     pause.release();
     service.shutdown();
+    let got: Vec<_> = got.into_iter().map(busy_key).collect();
     let want: Vec<_> = probes.iter().map(|&(_, key)| Ok(key)).collect();
     assert_eq!(got, want);
+}
+
+#[test]
+fn closes_for_sessions_never_opened_bounce_busy_and_park_nothing() {
+    const BOGUS: u32 = 64;
+    let (router, pause) = jammed_router();
+    let mut service = TcpService::start(router.clone(), "127.0.0.1:0").expect("bind");
+    let mut bytes = hello();
+    for seq in 0..BOGUS {
+        let session = 5000 + u64::from(seq);
+        encode_client(&ClientFrame::Close { session, seq }, &mut bytes);
+    }
+    let mut got = Vec::new();
+    if let Ok(mut stream) = TcpStream::connect(service.local_addr()) {
+        let _ = stream.write_all(&bytes);
+        got = read_frames(&mut stream, BOGUS as usize);
+    }
+    pause.release();
+    // A parked Close would land once the shard runs again — at the
+    // latest in the I/O thread's shutdown drain, ahead of the router's
+    // Shutdown — and bounce there as UnknownSession.
+    service.shutdown();
+    let got: Vec<_> = got.into_iter().map(busy_key).collect();
+    let want: Vec<_> = (0..BOGUS)
+        .map(|seq| Ok((5000 + u64::from(seq), seq)))
+        .collect();
+    assert_eq!(got, want);
+    let snap = service.metrics().snapshot();
+    assert_eq!(
+        snap.unknown_sessions, 0,
+        "a bogus Close was parked: {snap:?}"
+    );
+}
+
+#[test]
+fn detach_teardown_does_not_stall_the_reactor() {
+    let router = SessionRouter::new(
+        recognizer(),
+        ServeConfig {
+            shards: 1,
+            queue_capacity: 1,
+            detach_on_disconnect: true,
+            ..ServeConfig::default()
+        },
+    );
+    let options = TcpOptions {
+        io_threads: 1,
+        ..TcpOptions::default()
+    };
+    let mut service = TcpService::start_with(router.clone(), "127.0.0.1:0", options).expect("bind");
+    let addr = service.local_addr();
+    let metrics = service.metrics().clone();
+    // The leaver opens two sessions, one at a time: the queue holds one
+    // message.
+    let mut leaver = TcpStream::connect(addr).expect("connect leaver");
+    leaver.write_all(&hello()).expect("hello");
+    for session in [1, 2] {
+        let mut bytes = Vec::new();
+        encode_client(&ClientFrame::Open { session }, &mut bytes);
+        leaver.write_all(&bytes).expect("open");
+        assert!(eventually(|| metrics.snapshot().sessions_opened == session));
+    }
+    let mut stayer = TcpStream::connect(addr).expect("connect stayer");
+    stayer.write_all(&hello()).expect("hello");
+    let pause = jam(&router);
+    // Tear the leaver down against the full queue, then ask the same
+    // I/O thread to serve the stayer.
+    drop(leaver);
+    let torn_down = eventually(|| metrics.snapshot().open_connections == 1);
+    let mut bytes = Vec::new();
+    encode_client(
+        &ClientFrame::Event {
+            session: 7,
+            seq: 3,
+            event: InputEvent::new(EventKind::MouseMove, 1.0, 1.0, 1.0),
+        },
+        &mut bytes,
+    );
+    let _ = stayer.write_all(&bytes);
+    let served = read_frames(&mut stayer, 1);
+    pause.release();
+    // Once the parked Detaches land, both sessions are orphans the
+    // stayer can resume.
+    let mut resumed = Vec::new();
+    for session in [1, 2] {
+        let mut reply = None;
+        let took = eventually(|| {
+            let mut bytes = Vec::new();
+            let resume = ClientFrame::Resume {
+                session,
+                last_seq: 0,
+            };
+            encode_client(&resume, &mut bytes);
+            let _ = stayer.write_all(&bytes);
+            reply = read_frames(&mut stayer, 1).pop();
+            matches!(reply, Some(ServerFrame::Resumed { .. }))
+        });
+        resumed.push((took, reply));
+    }
+    service.shutdown();
+    assert!(torn_down, "the detach teardown stalled the reactor");
+    assert_eq!(
+        served,
+        vec![ServerFrame::Fault {
+            session: 7,
+            seq: 3,
+            code: FaultCode::Busy,
+        }],
+        "the second connection went unserved"
+    );
+    let want: Vec<_> = [1, 2]
+        .into_iter()
+        .map(|session| {
+            let last_seq = 0;
+            (true, Some(ServerFrame::Resumed { session, last_seq }))
+        })
+        .collect();
+    assert_eq!(resumed, want);
+}
+
+/// One connection's frames for the transport-parity table, and what the
+/// server must answer over either transport.
+struct Script {
+    name: &'static str,
+    /// Run against a jammed shard queue.
+    jammed: bool,
+    frames: Vec<ClientFrame>,
+    want: Vec<ServerFrame>,
+    /// Drop the connection without reading its answer.
+    hang_up: bool,
+    /// Sessions closed before the router shuts down.
+    closed: u64,
+}
+
+/// The node session 13 belongs to, per the fence every script runs
+/// behind.
+const PEER: &str = "127.0.0.1:4242";
+
+fn scripts() -> Vec<Script> {
+    let fault = |code| ServerFrame::Fault {
+        session: 0,
+        seq: 0,
+        code,
+    };
+    let hello = ClientFrame::Hello {
+        version: WIRE_VERSION,
+    };
+    let mut fenced_want = vec![ServerFrame::NotOwner {
+        session: 13,
+        owner: PEER.parse().expect("addr"),
+    }];
+    fenced_want.extend(run_events_inproc(
+        &recognizer(),
+        14,
+        &PipelineConfig::default(),
+        &[],
+        0,
+    ));
+    let mut busy = vec![hello.clone()];
+    let mut busy_want = Vec::new();
+    for (frame, (session, seq)) in busy_probes() {
+        busy.push(frame);
+        busy_want.push(ServerFrame::Fault {
+            session,
+            seq,
+            code: FaultCode::Busy,
+        });
+    }
+    vec![
+        Script {
+            name: "frame before Hello",
+            jammed: false,
+            frames: vec![ClientFrame::Open { session: 1 }, hello.clone()],
+            want: vec![fault(FaultCode::BadFrame)],
+            hang_up: false,
+            closed: 0,
+        },
+        Script {
+            name: "bad version",
+            jammed: false,
+            frames: vec![
+                ClientFrame::Hello {
+                    version: WIRE_VERSION + 1,
+                },
+                ClientFrame::Open { session: 1 },
+            ],
+            want: vec![fault(FaultCode::VersionMismatch)],
+            hang_up: false,
+            closed: 0,
+        },
+        Script {
+            name: "fenced Open",
+            jammed: false,
+            frames: vec![
+                hello.clone(),
+                ClientFrame::Open { session: 13 },
+                ClientFrame::Open { session: 14 },
+                ClientFrame::Close {
+                    session: 14,
+                    seq: 0,
+                },
+            ],
+            want: fenced_want,
+            hang_up: false,
+            closed: 1,
+        },
+        Script {
+            name: "Busy on every frame kind",
+            jammed: true,
+            frames: busy,
+            want: busy_want,
+            hang_up: false,
+            closed: 0,
+        },
+        Script {
+            name: "undecodable Handoff",
+            jammed: false,
+            frames: vec![
+                hello.clone(),
+                ClientFrame::Handoff {
+                    snapshot: vec![0xAB; 16],
+                },
+                ClientFrame::Open { session: 1 },
+            ],
+            want: vec![fault(FaultCode::BadFrame)],
+            hang_up: false,
+            closed: 0,
+        },
+        Script {
+            name: "dropped connection",
+            jammed: false,
+            frames: vec![
+                hello,
+                ClientFrame::Open { session: 21 },
+                ClientFrame::Open { session: 22 },
+            ],
+            want: Vec::new(),
+            hang_up: true,
+            closed: 2,
+        },
+    ]
+}
+
+/// The router a script runs against, behind the fence, and the pause
+/// that jams it.
+fn script_router(script: &Script) -> (Arc<SessionRouter>, Option<ShardPause>) {
+    let (router, pause) = if script.jammed {
+        let (router, pause) = jammed_router();
+        (router, Some(pause))
+    } else {
+        (
+            SessionRouter::new(recognizer(), ServeConfig::default()),
+            None,
+        )
+    };
+    let peer: SocketAddr = PEER.parse().expect("addr");
+    router.set_fence(Arc::new(move |session| (session == 13).then_some(peer)));
+    (router, pause)
+}
+
+/// Sessions closed by the time the count reaches `closed` (or ten
+/// seconds pass).
+fn closed_sessions(router: &SessionRouter, closed: u64) -> u64 {
+    let count = || router.metrics().snapshot().sessions_closed;
+    eventually(|| count() >= closed);
+    count()
+}
+
+/// Runs `script` over TCP: write it, half-close, read to EOF.
+fn over_tcp(script: &Script) -> (Vec<ServerFrame>, u64) {
+    let (router, pause) = script_router(script);
+    let mut service = TcpService::start(router.clone(), "127.0.0.1:0").expect("bind");
+    let mut bytes = Vec::new();
+    for frame in &script.frames {
+        encode_client(frame, &mut bytes);
+    }
+    let mut got = Vec::new();
+    if let Ok(mut stream) = TcpStream::connect(service.local_addr()) {
+        let _ = stream.write_all(&bytes);
+        if !script.hang_up {
+            let _ = stream.shutdown(Shutdown::Write);
+            got = read_frames(&mut stream, usize::MAX);
+        }
+    }
+    let closed = closed_sessions(&router, script.closed);
+    if let Some(pause) = pause {
+        pause.release();
+    }
+    service.shutdown();
+    (got, closed)
+}
+
+/// Runs `script` over `Duplex`: send it, take the answer, drop.
+fn over_duplex(script: &Script) -> (Vec<ServerFrame>, u64) {
+    let (router, pause) = script_router(script);
+    let mut client = Duplex::connect(router.clone());
+    let mut got = Vec::new();
+    for frame in &script.frames {
+        // Sends after a protocol fault are refused; TCP drops their
+        // bytes unread.
+        let _ = client.send(frame);
+    }
+    if !script.hang_up {
+        for wait in script.want.iter().map(|_| 10_000).chain([50]) {
+            match client.recv_timeout(Duration::from_millis(wait)) {
+                Ok(Some(frame)) => got.push(frame),
+                _ => break,
+            }
+        }
+    }
+    drop(client);
+    let closed = closed_sessions(&router, script.closed);
+    if let Some(pause) = pause {
+        pause.release();
+    }
+    router.shutdown();
+    (got, closed)
+}
+
+#[test]
+fn duplex_and_tcp_answer_every_script_with_the_same_frames() {
+    for script in scripts() {
+        let want = (script.want.clone(), script.closed);
+        assert_eq!(over_tcp(&script), want, "{}: over TCP", script.name);
+        assert_eq!(over_duplex(&script), want, "{}: over Duplex", script.name);
+    }
 }

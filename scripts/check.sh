@@ -1,6 +1,6 @@
 #!/bin/sh
-# Repo gate: build, test (every serve drill included), lint, clippy.
-# Run before every commit.
+# Repo gate: format, build, test (every serve drill included), docs,
+# lint, clippy. Run before every commit.
 #
 # Works fully offline. Clippy is skipped (with a warning) when the
 # component is not installed, so the gate degrades gracefully on
@@ -8,6 +8,11 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# rustfmt over the root workspace. gesturebench/ is a workspace of its
+# own (the benchmark) and keeps its own formatting.
+echo "== cargo fmt --all --check =="
+cargo fmt --all -- --check
 
 echo "== cargo build --workspace --release =="
 cargo build --workspace --release
@@ -20,6 +25,11 @@ cargo test --workspace -q
 # (tests/kill_recover.rs), the two-node kill and handoff drill
 # (tests/cluster_drain.rs) and the 256-connection fan-out on each host
 # readiness backend (tests/fanout.rs).
+
+# Doc-link gate: a rustdoc warning (a dead or private intra-doc link)
+# fails the gate instead of rendering a broken page.
+echo "== cargo doc --workspace --no-deps (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The experiments runner prints every EXPERIMENTS.md table. The golden
 # test (crates/bench/tests/experiments.rs) pins its seeded tables; running
