@@ -124,6 +124,10 @@ pub struct ServiceMetrics {
     pub wal_appends: AtomicU64,
     /// Bytes those appends wrote (headers included).
     pub wal_bytes: AtomicU64,
+    /// `write_all` calls on write-ahead logs: one per record under
+    /// `--wal async`, one per group commit under `--wal sync`, so
+    /// `wal_writes / wal_syncs` is the writes paid per fsync.
+    pub wal_writes: AtomicU64,
     /// `sync_data` calls on write-ahead logs (`--wal sync` only): one
     /// per group commit plus one per compaction. `wal_syncs /
     /// wal_appends` is the fsyncs paid per accepted frame.
@@ -167,6 +171,7 @@ impl ServiceMetrics {
             not_owner_redirects: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
+            wal_writes: AtomicU64::new(0),
             wal_syncs: AtomicU64::new(0),
             replay_ms: AtomicU64::new(0),
             shards: (0..shards.max(1))
@@ -246,6 +251,7 @@ impl ServiceMetrics {
             not_owner_redirects: load(&self.not_owner_redirects),
             wal_appends: load(&self.wal_appends),
             wal_bytes: load(&self.wal_bytes),
+            wal_writes: load(&self.wal_writes),
             wal_syncs: load(&self.wal_syncs),
             replay_ms: load(&self.replay_ms),
             shards: self
@@ -356,6 +362,8 @@ pub struct MetricsSnapshot {
     pub wal_appends: u64,
     /// Bytes those appends wrote.
     pub wal_bytes: u64,
+    /// WAL `write_all` calls (one per group commit under `--wal sync`).
+    pub wal_writes: u64,
     /// WAL `sync_data` calls (group commits and compactions).
     pub wal_syncs: u64,
     /// Milliseconds the last WAL recovery took (0 = never recovered).
@@ -389,7 +397,7 @@ impl MetricsSnapshot {
              \"closes_abandoned\": {},\n  \
              \"recovered_sessions\": {},\n  \"sessions_resumed\": {},\n  \
              \"sessions_handed_off\": {},\n  \"not_owner_redirects\": {},\n  \
-             \"wal_appends\": {},\n  \"wal_bytes\": {},\n  \"wal_syncs\": {},\n  \"replay_ms\": {},\n  \
+             \"wal_appends\": {},\n  \"wal_bytes\": {},\n  \"wal_writes\": {},\n  \"wal_syncs\": {},\n  \"replay_ms\": {},\n  \
              \"shards\": [{}]\n}}",
             self.sessions_opened,
             self.sessions_closed,
@@ -424,6 +432,7 @@ impl MetricsSnapshot {
             self.not_owner_redirects,
             self.wal_appends,
             self.wal_bytes,
+            self.wal_writes,
             self.wal_syncs,
             self.replay_ms,
             shards
@@ -488,6 +497,7 @@ mod tests {
         m.set_reactor_backend(crate::sys::Backend::Epoll);
         m.epoll_ctl_calls.fetch_add(16, Ordering::Relaxed);
         m.wal_syncs.fetch_add(17, Ordering::Relaxed);
+        m.wal_writes.fetch_add(18, Ordering::Relaxed);
         let snap = m.snapshot();
         assert_eq!(snap.open_connections, 2);
         assert_eq!(snap.reactor_wakeups, 5);
@@ -507,6 +517,7 @@ mod tests {
         assert_eq!(snap.reactor_backend, "epoll");
         assert_eq!(snap.epoll_ctl_calls, 16);
         assert_eq!(snap.wal_syncs, 17);
+        assert_eq!(snap.wal_writes, 18);
         let json = snap.to_json();
         assert_eq!(
             json.matches("\"reactor_backend\": \"epoll\"").count(),
@@ -531,6 +542,7 @@ mod tests {
             ("not_owner_redirects", 15),
             ("epoll_ctl_calls", 16),
             ("wal_syncs", 17),
+            ("wal_writes", 18),
         ] {
             let needle = format!("\"{key}\": {value}");
             assert_eq!(

@@ -37,12 +37,13 @@
 //! pooled batch buffer.
 //!
 //! Durability: under `--wal sync` a shard commits its WAL in groups. It
-//! writes each accepted record ahead of the state change, handles what
-//! is already queued (up to 64 messages), then syncs once and only then
+//! journals each accepted record into the WAL's group buffer ahead of
+//! the state change, handles what is already queued (up to 64
+//! messages), then writes the group once and syncs once, and only then
 //! releases the replies the group produced — no reply leaves before the
-//! sync that covers the records journaled ahead of it. Without unsynced
-//! records (no WAL, or `--wal async`) replies go out as each message
-//! finishes.
+//! write and the sync that cover the records journaled ahead of it.
+//! Without unsynced records (no WAL, or `--wal async`, which writes each
+//! record at once) replies go out as each message finishes.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -302,9 +303,10 @@ pub enum ShardMsg {
     /// a flush fence: by the time the barrier releases, every message
     /// queued ahead of the checkpoint has been processed.
     Checkpoint(Arc<Barrier>),
-    /// Park the worker on a barrier — used by backpressure tests and
-    /// controlled drains to hold a shard still while its queue fills.
-    Pause(Arc<Barrier>),
+    /// Park the worker until every sender of this channel is gone —
+    /// used by backpressure tests and controlled drains to hold a shard
+    /// still while its queue fills. See [`ShardPause`].
+    Pause(Receiver<()>),
     /// Finalize every session and exit the worker.
     Shutdown,
 }
@@ -443,17 +445,16 @@ pub struct RecoveryReport {
     pub torn: bool,
 }
 
-/// Handle returned by [`SessionRouter::pause_shard`]; dropping or
-/// releasing it lets the worker continue.
+/// Handle returned by [`SessionRouter::pause_shard`]. The worker parks
+/// on a channel this handle owns, so releasing or dropping it lets the
+/// worker continue; neither blocks, even once the worker has exited.
 pub struct ShardPause {
-    barrier: Arc<Barrier>,
+    _park: Sender<()>,
 }
 
 impl ShardPause {
-    /// Releases the paused worker.
-    pub fn release(self) {
-        self.barrier.wait();
-    }
+    /// Releases the paused worker (the same as dropping the handle).
+    pub fn release(self) {}
 }
 
 struct SessionEntry {
@@ -627,13 +628,13 @@ impl SessionRouter {
         }
     }
 
-    /// Parks `shard`'s worker on a barrier until the returned handle is
-    /// released. Blocks while the shard queue is full. For tests and
+    /// Parks `shard`'s worker until the returned handle is released or
+    /// dropped. Blocks while the shard queue is full. For tests and
     /// controlled drains.
     pub fn pause_shard(&self, shard: usize) -> Option<ShardPause> {
-        let barrier = Arc::new(Barrier::new(2));
-        self.send_to(shard, ShardMsg::Pause(barrier.clone()))
-            .then_some(ShardPause { barrier })
+        let (park, parked) = std::sync::mpsc::channel();
+        self.send_to(shard, ShardMsg::Pause(parked))
+            .then_some(ShardPause { _park: park })
     }
 
     /// Takes a drained session back — orphaned, awaiting `Resume` —
@@ -820,7 +821,7 @@ const PIPELINE_POOL_MAX: usize = 64;
 
 /// Most messages one WAL group commit covers: while records await their
 /// sync, the worker keeps taking already-queued messages until the queue
-/// runs dry or this many are handled, then syncs once.
+/// runs dry or this many are handled, then writes and syncs once.
 const GROUP_MAX: usize = 64;
 
 /// One shard worker's state: the exclusive owner of its sessions'
@@ -842,19 +843,18 @@ struct Shard {
 
 /// The shard's WAL and the replies waiting on its next sync.
 ///
-/// Ack-after-durable: while records are written but not yet synced,
-/// every reply — outcome, fault, `Closed`, `Resumed`, `HandoffAck` —
-/// is held, in order, and [`Journal::commit`] releases them only after
-/// the sync that covers those records. A shard with no WAL, or with an
-/// `Async` one, never holds: each reply goes out at once.
+/// Ack-after-durable: while records are journaled but not yet written
+/// and synced, every reply — outcome, fault, `Closed`, `Resumed`,
+/// `HandoffAck` — is held, in order, and [`Journal::commit`] releases
+/// them only after the write and the sync that cover those records. A
+/// shard with no WAL, or with an `Async` one, never holds: each reply
+/// goes out at once.
 struct Journal {
     shard: usize,
     metrics: Arc<ServiceMetrics>,
     /// Appends need no locking and are exactly consistent with the
     /// pipelines. `None` when durability is off or the WAL failed.
     wal: Option<WalShard>,
-    /// Reusable wire-encoding buffer for appends.
-    buf: Vec<u8>,
     /// Replies produced since the first unsynced record, in order.
     held: Vec<(ReplyTx, ServerFrame)>,
 }
@@ -871,12 +871,13 @@ impl Journal {
         let Some(wal) = self.wal.as_mut().filter(|_| conn != 0) else {
             return;
         };
-        self.buf.clear();
-        encode(&mut self.buf);
-        match wal.write_record(&self.buf) {
+        match wal.write_record(encode) {
             Ok(written) => {
                 self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
                 self.metrics.wal_bytes.fetch_add(written, Ordering::Relaxed);
+                if wal.fsync() == FsyncPolicy::Async {
+                    self.metrics.wal_writes.fetch_add(1, Ordering::Relaxed);
+                }
             }
             Err(e) => self.disable("append", &e),
         }
@@ -902,16 +903,17 @@ impl Journal {
         }
     }
 
-    /// Ends the open group: one `sync_data` for its records, then its
-    /// replies, in the order they were produced.
+    /// Ends the open group: one write and one `sync_data` for its
+    /// records, then its replies, in the order they were produced.
     fn commit(&mut self) {
         if let Some(wal) = self.wal.as_mut() {
             match wal.sync() {
                 Ok(true) => {
+                    self.metrics.wal_writes.fetch_add(1, Ordering::Relaxed);
                     self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(false) => {}
-                Err(e) => return self.disable("sync", &e),
+                Err(e) => return self.disable("group commit", &e),
             }
         }
         self.release();
@@ -1322,14 +1324,14 @@ fn first_seq(events: &[(u32, InputEvent)]) -> u32 {
 
 /// The shard worker loop: exclusive owner of its sessions' pipelines.
 ///
-/// Messages are handled in groups that share one WAL sync. After a
-/// message journals a record, the worker keeps taking what is already
-/// queued, up to [`GROUP_MAX`] messages, then commits: one `sync_data`,
-/// then every reply the group produced. A barrier message, or a due
-/// compaction, ends the open group and waits for the next one. Without
-/// unsynced records — no WAL, an `Async` one, or a message that
-/// journals nothing — a group is one message and its replies have
-/// already gone out.
+/// Messages are handled in groups that share one WAL write and sync.
+/// After a message journals a record, the worker keeps taking what is
+/// already queued, up to [`GROUP_MAX`] messages, then commits: one
+/// write and one `sync_data`, then every reply the group produced. A
+/// barrier message, or a due compaction, ends the open group and waits
+/// for the next one. Without unsynced records — no WAL, an `Async`
+/// one, or a message that journals nothing — a group is one message and
+/// its replies have already gone out.
 fn shard_worker(
     index: usize,
     rx: Receiver<ShardMsg>,
@@ -1364,7 +1366,6 @@ fn shard_worker(
             shard: index,
             metrics,
             wal,
-            buf: Vec::new(),
             held: Vec::new(),
         },
     };
@@ -1402,11 +1403,12 @@ fn shard_worker(
                     // because none does unbounded work between messages.
                     barrier.wait();
                 }
-                ShardMsg::Pause(barrier) => {
+                ShardMsg::Pause(parked) => {
                     // lint:allow(reactor-blocking-call): session-handoff
-                    // freeze point — the shard parks until `ShardPause::
-                    // release`, bounded by the handoff deadline in cluster.
-                    barrier.wait();
+                    // freeze point — the shard parks until its `ShardPause`
+                    // is released or dropped (the channel disconnects),
+                    // bounded by the handoff deadline in cluster.
+                    let _ = parked.recv();
                 }
                 msg => running = shard.handle(msg),
             }
@@ -1419,10 +1421,10 @@ fn shard_worker(
             }
         }
         // lint:allow(reactor-blocking-call): the group commit — one
-        // `sync_data` under `--wal sync` (the caller's explicit
-        // durability choice, DESIGN.md §14) covers up to GROUP_MAX
-        // already-queued messages, and their replies may not leave
-        // before it lands. A no-op without unsynced records.
+        // write and one `sync_data` under `--wal sync` (the caller's
+        // explicit durability choice, DESIGN.md §14) cover up to
+        // GROUP_MAX already-queued messages, and their replies may not
+        // leave before both land. A no-op without unsynced records.
         shard.journal.commit();
         // lint:reactor-loop end
         if !running {
@@ -1762,6 +1764,38 @@ mod tests {
         assert!(snap.busy_rejections >= 28);
         pause.release();
         router.shutdown();
+    }
+
+    #[test]
+    fn a_dropped_pause_lets_shutdown_finish() {
+        let router = SessionRouter::new(
+            recognizer(),
+            ServeConfig {
+                shards: 1,
+                ..ServeConfig::default()
+            },
+        );
+        drop(router.pause_shard(0).expect("pause"));
+        // A pause queued behind the worker's exit: releasing it after the
+        // worker is gone does not wait for it.
+        let parked = router.pause_shard(0).expect("pause");
+        router.submit(ShardMsg::Shutdown).unwrap();
+        let late = router.pause_shard(0).expect("pause");
+        drop(parked);
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = {
+            let router = router.clone();
+            std::thread::spawn(move || {
+                router.shutdown();
+                late.release();
+                let _ = done.send(());
+            })
+        };
+        assert!(
+            finished.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "shutdown hung behind a dropped pause"
+        );
+        worker.join().unwrap();
     }
 
     #[test]
@@ -2461,14 +2495,21 @@ mod tests {
         router.shutdown();
     }
 
-    /// What a test-controlled WAL log file does on `sync_data`.
+    /// What a test-controlled WAL log file does on `write_all` and
+    /// `sync_data`.
     struct LogControl {
+        /// `write_all` calls seen.
+        writes: AtomicU64,
         /// `sync_data` calls seen.
         syncs: AtomicU64,
+        /// The next write meets `entered`, then waits on `released`.
+        stall_write: AtomicBool,
         /// The next sync meets `entered`, then waits on `released`.
-        stall: AtomicBool,
+        stall_sync: AtomicBool,
+        /// Every write fails.
+        fail_write: AtomicBool,
         /// Every sync fails.
-        fail: AtomicBool,
+        fail_sync: AtomicBool,
         entered: Barrier,
         released: Barrier,
     }
@@ -2476,12 +2517,28 @@ mod tests {
     impl LogControl {
         fn new() -> Arc<Self> {
             Arc::new(Self {
+                writes: AtomicU64::new(0),
                 syncs: AtomicU64::new(0),
-                stall: AtomicBool::new(false),
-                fail: AtomicBool::new(false),
+                stall_write: AtomicBool::new(false),
+                stall_sync: AtomicBool::new(false),
+                fail_write: AtomicBool::new(false),
+                fail_sync: AtomicBool::new(false),
                 entered: Barrier::new(2),
                 released: Barrier::new(2),
             })
+        }
+
+        /// Meets `entered` and waits on `released` when `stall` is set,
+        /// then fails when `fail` is.
+        fn step(&self, stall: &AtomicBool, fail: &AtomicBool, what: &str) -> std::io::Result<()> {
+            if stall.swap(false, Ordering::SeqCst) {
+                self.entered.wait();
+                self.released.wait();
+            }
+            if fail.load(Ordering::SeqCst) {
+                return Err(std::io::Error::other(format!("injected {what} failure")));
+            }
+            Ok(())
         }
     }
 
@@ -2492,18 +2549,16 @@ mod tests {
 
     impl crate::wal::seam::LogFile for ControlledLog {
         fn write_all(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            let c = &self.control;
+            c.writes.fetch_add(1, Ordering::SeqCst);
+            c.step(&c.stall_write, &c.fail_write, "write")?;
             std::io::Write::write_all(&mut self.file, bytes)
         }
 
         fn sync_data(&mut self) -> std::io::Result<()> {
-            self.control.syncs.fetch_add(1, Ordering::SeqCst);
-            if self.control.stall.swap(false, Ordering::SeqCst) {
-                self.control.entered.wait();
-                self.control.released.wait();
-            }
-            if self.control.fail.load(Ordering::SeqCst) {
-                return Err(std::io::Error::other("injected sync failure"));
-            }
+            let c = &self.control;
+            c.syncs.fetch_add(1, Ordering::SeqCst);
+            c.step(&c.stall_sync, &c.fail_sync, "sync")?;
             self.file.sync_data()
         }
 
@@ -2518,8 +2573,13 @@ mod tests {
         dir
     }
 
-    /// One shard with a `--wal sync` log whose syncs `control` steers.
-    fn controlled_router(dir: &std::path::Path, control: &Arc<LogControl>) -> Arc<SessionRouter> {
+    /// One shard whose WAL, opened under `fsync`, has its I/O steered
+    /// by `control`.
+    fn controlled_router(
+        dir: &std::path::Path,
+        control: &Arc<LogControl>,
+        fsync: FsyncPolicy,
+    ) -> Arc<SessionRouter> {
         let control = control.clone();
         let wrap: LogWrap = Arc::new(move |file| {
             Box::new(ControlledLog {
@@ -2530,7 +2590,7 @@ mod tests {
         let config = ServeConfig {
             shards: 1,
             queue_capacity: 256,
-            wal: Some(WalConfig::new(dir, FsyncPolicy::Sync)),
+            wal: Some(WalConfig::new(dir, fsync)),
             ..ServeConfig::default()
         };
         SessionRouter::spawn(recognizer(), config, Some(wrap))
@@ -2601,19 +2661,25 @@ mod tests {
     fn no_reply_leaves_before_the_group_sync_lands() {
         let dir = wal_dir("stall");
         let control = LogControl::new();
-        let router = controlled_router(&dir, &control);
+        let router = controlled_router(&dir, &control, FsyncPolicy::Sync);
         let conn = router.new_conn_id();
         let (tx, rx) = std::sync::mpsc::channel();
         open_committed(&router, conn, 1, &tx);
         recv_resumed(&rx);
         assert_eq!(router.metrics().snapshot().wal_syncs, 1);
 
-        // One group behind a parked worker: a journaled gesture (an
-        // Outcome), a journaled Close (Closed), a journaled peer handoff
-        // (HandoffAck), then an unjournaled UnknownSession fault.
+        // One group behind a parked worker: journaled gestures in N
+        // batches (Outcomes), a journaled Close (Closed), a journaled
+        // peer handoff (HandoffAck), then an unjournaled UnknownSession
+        // fault.
         let pause = router.pause_shard(0).expect("pause");
-        control.stall.store(true, Ordering::SeqCst);
-        submit_batch(&router, conn, 1, &gesture_records(), &tx);
+        control.stall_sync.store(true, Ordering::SeqCst);
+        let records = gesture_records();
+        let batches = records.chunks(records.len().div_ceil(16));
+        let n = batches.len() as u64;
+        for batch in batches {
+            submit_batch(&router, conn, 1, batch, &tx);
+        }
         router
             .submit(ShardMsg::Close {
                 conn,
@@ -2641,8 +2707,14 @@ mod tests {
             .unwrap();
         pause.release();
 
-        // The worker is inside the group's sync: nothing may have left.
+        // The worker is inside the group's sync, past its one write:
+        // nothing may have left.
         control.entered.wait();
+        assert_eq!(
+            control.writes.load(Ordering::SeqCst),
+            2,
+            "the group's records go out in one write, before its sync"
+        );
         let early = rx.recv_timeout(Duration::from_millis(100));
         control.released.wait();
         assert!(
@@ -2691,22 +2763,49 @@ mod tests {
             2,
             "one sync for the whole group"
         );
+        assert_eq!(control.writes.load(Ordering::SeqCst), 2);
         router.shutdown();
         let snap = router.metrics().snapshot();
-        assert_eq!(snap.wal_appends, 4, "Open, batch, Close, Handoff");
+        assert_eq!(snap.wal_appends, n + 3, "Open, N batches, Close, Handoff");
+        assert_eq!(
+            (snap.wal_writes, snap.wal_syncs),
+            (2, 3),
+            "two group commits, and the shutdown compaction's sync"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_failed_group_sync_disables_the_wal_and_still_sends_the_held_replies() {
-        let dir = wal_dir("failsync");
         let control = LogControl::new();
-        control.fail.store(true, Ordering::SeqCst);
-        let router = controlled_router(&dir, &control);
+        control.fail_sync.store(true, Ordering::SeqCst);
+        failed_commit_fails_open("failsync", &control);
+        assert_eq!(control.writes.load(Ordering::SeqCst), 1);
+        assert_eq!(control.syncs.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_failed_group_write_disables_the_wal_and_still_sends_the_held_replies() {
+        let control = LogControl::new();
+        control.fail_write.store(true, Ordering::SeqCst);
+        failed_commit_fails_open("failwrite", &control);
+        assert_eq!(control.writes.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            control.syncs.load(Ordering::SeqCst),
+            0,
+            "no sync after a failed write"
+        );
+    }
+
+    /// One group whose commit `control` fails: the WAL is disabled and
+    /// the held replies still go out.
+    fn failed_commit_fails_open(tag: &str, control: &Arc<LogControl>) {
+        let dir = wal_dir(tag);
+        let router = controlled_router(&dir, control, FsyncPolicy::Sync);
         let conn = router.new_conn_id();
         let (tx, rx) = std::sync::mpsc::channel();
-        // One group: Open, the gesture and Close are written, and the one
-        // sync covering them fails.
+        // One group: Open, the gesture and Close are buffered, and the one
+        // write and sync covering them fail.
         let pause = router.pause_shard(0).expect("pause");
         router
             .submit(ShardMsg::Open {
@@ -2735,14 +2834,14 @@ mod tests {
             "the held replies go out, they are not dropped: {frames:?}"
         );
         // Fail-open: the shard runs on without a WAL — nothing more is
-        // journaled and no further sync is tried.
+        // journaled and no further write or sync is tried.
         open_committed(&router, conn, 5, &tx);
         recv_resumed(&rx);
         router.shutdown();
         let snap = router.metrics().snapshot();
         assert_eq!(snap.wal_appends, 3);
+        assert_eq!(snap.wal_writes, 0);
         assert_eq!(snap.wal_syncs, 0);
-        assert_eq!(control.syncs.load(Ordering::SeqCst), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2883,6 +2982,49 @@ mod tests {
     }
 
     #[test]
+    fn under_async_each_record_is_written_before_its_replies() {
+        let dir = wal_dir("async-write");
+        let control = LogControl::new();
+        let router = controlled_router(&dir, &control, FsyncPolicy::Async);
+        let conn = router.new_conn_id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        open_committed(&router, conn, 6, &tx);
+        recv_resumed(&rx);
+        assert_eq!(control.writes.load(Ordering::SeqCst), 1, "the Open record");
+
+        // The worker is inside the batch record's write: none of the
+        // batch's replies may have left.
+        control.stall_write.store(true, Ordering::SeqCst);
+        submit_batch(&router, conn, 6, &gesture_records(), &tx);
+        control.entered.wait();
+        let early = rx.recv_timeout(Duration::from_millis(100));
+        control.released.wait();
+        assert!(
+            early.is_err(),
+            "a reply left before its record was written: {early:?}"
+        );
+        router
+            .submit(ShardMsg::Close {
+                conn,
+                session: 6,
+                seq: 1000,
+                reply: tx.into(),
+            })
+            .unwrap();
+        let frames = recv_until_closed(&rx);
+        assert!(frames.len() > 1, "{frames:?}");
+        router.shutdown();
+        let snap = router.metrics().snapshot();
+        assert_eq!(
+            (snap.wal_appends, snap.wal_writes, snap.wal_syncs),
+            (3, 3, 0)
+        );
+        assert_eq!(control.writes.load(Ordering::SeqCst), 3);
+        assert_eq!(control.syncs.load(Ordering::SeqCst), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn wal_syncs_stay_zero_without_a_wal_and_under_async() {
         for (tag, wal) in [
             ("none", None),
@@ -2918,6 +3060,10 @@ mod tests {
             let snap = router.metrics().snapshot();
             assert_eq!(snap.wal_syncs, 0, "{tag}");
             assert_eq!(snap.wal_appends, if wal.is_some() { 3 } else { 0 }, "{tag}");
+            assert_eq!(
+                snap.wal_writes, snap.wal_appends,
+                "{tag}: one write per record"
+            );
             if let Some(wal) = wal {
                 let _ = std::fs::remove_dir_all(&wal.dir);
             }

@@ -31,20 +31,22 @@
 //! pre-snapshot frames in the log, which replay skips via the snapshot's
 //! `last_seq` watermark.
 //!
-//! I/O comes in two halves: `WalShard::write_record` appends a record
-//! without syncing, and `WalShard::sync` issues one `sync_data` that
-//! covers every record written since the last one.
-//! [`WalShard::append_frame`] is both at once. The shard worker commits
-//! in groups: it writes the records of up to 64 already-queued messages,
-//! syncs once, and only then releases the replies those messages
-//! produced (ack-after-durable).
+//! I/O comes in two halves. `WalShard::write_record` frames a record
+//! straight into the shard's group buffer, with the header patched in
+//! once the payload's length and CRC are known. `WalShard::sync` writes
+//! the whole buffer with one `write_all`, then issues one `sync_data`
+//! that covers it. [`WalShard::append_frame`] is both at once.
 //!
 //! Fsync policy ([`FsyncPolicy`]): `Sync` makes every record durable to
-//! the platter before anything that depends on it is acknowledged — one
-//! sync per drained group; `Async` writes without fsync (durable to the
-//! page cache — survives process crashes, not power loss). "Off" is
-//! represented by not configuring a WAL at all (`ServeConfig::wal:
-//! None`).
+//! the platter before anything that depends on it is acknowledged. The
+//! shard worker commits in groups: it journals the records of up to 64
+//! already-queued messages into the buffer, then pays one write and one
+//! sync for the group, and only then releases the replies the group
+//! produced (ack-after-durable). `Async` holds no replies, so each
+//! record is written at once, one write per record, and never synced
+//! (durable to the page cache — survives process crashes, not power
+//! loss). "Off" is represented by not configuring a WAL at all
+//! (`ServeConfig::wal: None`).
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -67,6 +69,12 @@ const _: () = assert!(crate::wire::MAX_HANDOFF_FRAME_LEN + 4 <= MAX_RECORD_LEN);
 /// Bytes of a record header (`len` + `crc`).
 const RECORD_HEADER_LEN: usize = 8;
 
+/// Group-buffer capacity kept across commits. A steady `--wal sync`
+/// group (a few dozen sub-kilobyte records) fits in it; a journaled
+/// handoff of up to `MAX_HANDOFF_FRAME_LEN` grows the buffer for one
+/// group only.
+const GROUP_RETAIN: usize = 64 * 1024;
+
 /// When to force appended records to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
@@ -74,8 +82,8 @@ pub enum FsyncPolicy {
     /// cache persists) but not a host crash.
     Async,
     /// Sync before acknowledging: records survive power loss. The shard
-    /// worker issues one `sync_data` per drained group of up to 64
-    /// messages and holds the group's replies until it lands.
+    /// worker issues one write and one `sync_data` per drained group of
+    /// up to 64 messages and holds the group's replies until they land.
     Sync,
 }
 
@@ -114,24 +122,73 @@ impl WalConfig {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — hand-rolled
-/// because the workspace is dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-8 tables for [`crc32`]: `CRC_TABLES[0][b]` is the CRC
+/// step of byte `b`, and `CRC_TABLES[k][b]` carries that step through
+/// `k` further zero bytes, so eight table lookups fold in eight bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — hand-rolled
+/// because the workspace is dependency-free. Slicing-by-8: eight bytes
+/// per step through eight 256-entry tables, the tail a byte at a time.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-fn append_record(out: &mut Vec<u8>, payload: &[u8]) {
-    crate::wire::put_u32(out, payload.len() as u32);
-    crate::wire::put_u32(out, crc32(payload));
-    out.extend_from_slice(payload);
+/// Frames one record onto `out`: the payload `encode` appends, behind a
+/// header patched in once the payload's length and CRC are known.
+/// Returns the record's length, header included.
+fn frame_record(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    encode(out);
+    let (header, payload) = out[start..].split_at_mut(RECORD_HEADER_LEN);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    out.len() - start
 }
 
 /// Splits `bytes` into verified record payloads. Stops (without error)
@@ -210,11 +267,10 @@ pub struct WalShard {
     file: Box<dyn seam::LogFile>,
     /// Log bytes appended since the last compaction (or open).
     bytes_since_snapshot: u64,
-    /// `true` while records written under [`FsyncPolicy::Sync`] await
-    /// their [`WalShard::sync`].
-    unsynced: bool,
-    /// Reusable record-assembly buffer.
-    scratch: Vec<u8>,
+    /// Framed records not yet written. Under [`FsyncPolicy::Sync`] this
+    /// is the open group, written and synced by [`WalShard::sync`];
+    /// under [`FsyncPolicy::Async`] it is empty between appends.
+    group: Vec<u8>,
 }
 
 impl WalShard {
@@ -244,8 +300,7 @@ impl WalShard {
             shard,
             file,
             bytes_since_snapshot: existing,
-            unsynced: false,
-            scratch: Vec::new(),
+            group: Vec::new(),
         })
     }
 
@@ -253,47 +308,62 @@ impl WalShard {
     /// [`FsyncPolicy::Sync`] (write-ahead: call before feeding the frame
     /// to the pipeline). Returns the record bytes written.
     pub fn append_frame(&mut self, frame_bytes: &[u8]) -> std::io::Result<u64> {
-        let written = self.write_record(frame_bytes)?;
+        let written = self.write_record(|buf| buf.extend_from_slice(frame_bytes))?;
         self.sync()?;
         Ok(written)
     }
 
-    /// The write half of [`WalShard::append_frame`]: appends one record
-    /// without syncing it. Under [`FsyncPolicy::Sync`] the record is not
-    /// durable until the next [`WalShard::sync`], so nothing that depends
-    /// on it may be acknowledged before then. Returns the record bytes
-    /// written.
-    pub(crate) fn write_record(&mut self, frame_bytes: &[u8]) -> std::io::Result<u64> {
+    /// The write half of [`WalShard::append_frame`]: frames the payload
+    /// `encode` appends as one record, without syncing it. Under
+    /// [`FsyncPolicy::Sync`] the record joins the group buffer and is
+    /// neither written nor durable until the next [`WalShard::sync`], so
+    /// nothing that depends on it may be acknowledged before then; under
+    /// [`FsyncPolicy::Async`] it is written at once. Returns the record's
+    /// length.
+    pub(crate) fn write_record(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> std::io::Result<u64> {
         // lint:reactor-loop start(wal-append) — runs inline on the shard
         // worker for every accepted frame.
-        self.scratch.clear();
-        append_record(&mut self.scratch, frame_bytes);
-        // lint:allow(reactor-blocking-call): the write-ahead durability
-        // contract — one buffered O_APPEND write per frame, bounded by the
-        // record size; `--wal` is an explicit durability opt-in.
-        self.file.write_all(&self.scratch)?;
-        self.unsynced = self.config.fsync == FsyncPolicy::Sync;
-        let written = self.scratch.len() as u64;
+        let written = frame_record(&mut self.group, encode) as u64;
         self.bytes_since_snapshot = self.bytes_since_snapshot.saturating_add(written);
+        if self.config.fsync == FsyncPolicy::Async {
+            self.write_group()?;
+        }
         Ok(written)
         // lint:reactor-loop end
     }
 
-    /// The sync half: one `sync_data` covering every record written since
-    /// the last sync. Returns whether it synced — `false` when nothing
-    /// is pending, which is always the case under [`FsyncPolicy::Async`].
+    /// The sync half: one `write_all` of the group buffer, then one
+    /// `sync_data` covering every record written since the last sync.
+    /// Returns whether it wrote and synced — `false` when nothing is
+    /// pending, which is always the case under [`FsyncPolicy::Async`].
     pub(crate) fn sync(&mut self) -> std::io::Result<bool> {
-        if !self.unsynced {
+        if self.group.is_empty() {
             return Ok(false);
         }
+        self.write_group()?;
         self.file.sync_data()?;
-        self.unsynced = false;
         Ok(true)
     }
 
-    /// `true` while written records await [`WalShard::sync`].
+    /// Writes the group buffer with one `write_all` and empties it,
+    /// keeping at most [`GROUP_RETAIN`] of its capacity.
+    fn write_group(&mut self) -> std::io::Result<()> {
+        // lint:allow(reactor-blocking-call): the write-ahead durability
+        // contract — one O_APPEND write per group commit under `--wal
+        // sync`, one per record under `--wal async` (whose replies are not
+        // held); `--wal` is an explicit durability opt-in.
+        let written = self.file.write_all(&self.group);
+        self.group.clear();
+        self.group.shrink_to(GROUP_RETAIN);
+        written
+    }
+
+    /// `true` while framed records await [`WalShard::sync`].
     pub(crate) fn unsynced(&self) -> bool {
-        self.unsynced
+        !self.group.is_empty()
     }
 
     /// The fsync policy this log was opened with.
@@ -318,11 +388,8 @@ impl WalShard {
             .dir
             .join(format!("shard-{}.snap.tmp", self.shard));
         let mut bytes = Vec::new();
-        let mut payload = Vec::new();
         for snapshot in snapshots {
-            payload.clear();
-            snapshot.encode(&mut payload);
-            append_record(&mut bytes, &payload);
+            frame_record(&mut bytes, |buf| snapshot.encode(buf));
         }
         {
             let mut tmp = File::create(&tmp_path)?;
@@ -337,6 +404,9 @@ impl WalShard {
             tmp.sync_data()?;
         }
         std::fs::rename(&tmp_path, &snap_path)?;
+        // Records still buffered are already in the snapshots; written
+        // after the truncation they would replay twice.
+        self.group.clear();
         // Truncate the log in place: with O_APPEND the next write lands
         // at the (new) end regardless of the handle's cursor.
         self.file.set_len(0)?;
@@ -344,7 +414,6 @@ impl WalShard {
             // lint:allow(reactor-blocking-call): only under `--wal sync`,
             // the caller's explicit durability-over-latency choice.
             self.file.sync_data()?;
-            self.unsynced = false;
         }
         self.bytes_since_snapshot = 0;
         Ok(())
@@ -545,6 +614,131 @@ mod tests {
         );
     }
 
+    /// The bit-at-a-time CRC-32 that [`crc32`] must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc32_matches_the_bitwise_reference_at_every_length() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let bytes: Vec<u8> = (0..1024 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect();
+        for len in 0..=1024 {
+            // Vary the start too, so every length is seen at several
+            // offsets from an eight-byte boundary.
+            let slice = &bytes[len % 8..len % 8 + len];
+            assert_eq!(crc32(slice), crc32_bitwise(slice), "length {len}");
+        }
+    }
+
+    /// One record in the on-disk format, built without the writer.
+    fn hand_record(payload: &[u8]) -> Vec<u8> {
+        let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+        record.extend_from_slice(&crc32_bitwise(payload).to_le_bytes());
+        record.extend_from_slice(payload);
+        record
+    }
+
+    #[test]
+    fn a_hand_built_image_replays_and_the_writer_reproduces_it() {
+        // `Open { session: 7 }` and `Close { session: 7, seq: 42 }` as
+        // log records, byte for byte.
+        const OPEN: [u8; 21] = [
+            0x0d, 0x00, 0x00, 0x00, 0xf5, 0x6d, 0xd2, 0xac, 0x09, 0x00, 0x00, 0x00, 0x02, 0x07,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        ];
+        const CLOSE: [u8; 25] = [
+            0x11, 0x00, 0x00, 0x00, 0xec, 0x9e, 0xff, 0xa0, 0x0d, 0x00, 0x00, 0x00, 0x04, 0x07,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00,
+        ];
+        let batch = ClientFrame::EventBatch {
+            session: 7,
+            events: (1..=5)
+                .map(|seq| {
+                    let t = f64::from(seq);
+                    (seq, InputEvent::new(EventKind::MouseMove, t, -t, t))
+                })
+                .collect(),
+        };
+        let frames = [
+            ClientFrame::Open { session: 7 },
+            batch,
+            ClientFrame::Close {
+                session: 7,
+                seq: 42,
+            },
+        ];
+        let mut batch_bytes = Vec::new();
+        encode_client(&frames[1], &mut batch_bytes);
+        let log = [&OPEN[..], &hand_record(&batch_bytes), &CLOSE[..]].concat();
+        let mut pipeline = SessionPipeline::new(3, PipelineConfig::default());
+        pipeline.feed(
+            &recognizer(),
+            1,
+            InputEvent::new(
+                EventKind::MouseDown {
+                    button: grandma_events::Button::Left,
+                },
+                1.0,
+                2.0,
+                0.0,
+            ),
+            &mut Vec::new(),
+        );
+        let snapshots = vec![
+            pipeline.snapshot(),
+            SessionSnapshot {
+                session: 9,
+                ..pipeline.snapshot()
+            },
+        ];
+        let mut snap = Vec::new();
+        for snapshot in &snapshots {
+            let mut payload = Vec::new();
+            snapshot.encode(&mut payload);
+            snap.extend_from_slice(&hand_record(&payload));
+        }
+
+        let config = WalConfig::new(tmp_dir("pinned"), FsyncPolicy::Sync);
+        std::fs::create_dir_all(&config.dir).expect("mkdir");
+        std::fs::write(config.wal_path(0), &log).expect("write log");
+        std::fs::write(config.snap_path(0), &snap).expect("write snap");
+        let recovery = read_shard(&config, 0).expect("read");
+        assert_eq!(recovery.frames, frames);
+        assert_eq!(recovery.snapshots, snapshots);
+        assert!(!recovery.torn);
+
+        // The writer produces the same bytes, grouped or not.
+        let mut wal = WalShard::open(config.clone(), 1).expect("open");
+        let mut bytes = Vec::new();
+        for frame in &frames {
+            bytes.clear();
+            encode_client(frame, &mut bytes);
+            wal.write_record(|buf| buf.extend_from_slice(&bytes))
+                .expect("write");
+        }
+        assert!(wal.sync().expect("sync"));
+        assert_eq!(std::fs::read(config.wal_path(1)).expect("read log"), log);
+        wal.compact(&snapshots).expect("compact");
+        assert_eq!(std::fs::read(config.snap_path(1)).expect("read snap"), snap);
+        let _ = std::fs::remove_dir_all(&config.dir);
+    }
+
     #[test]
     fn append_and_replay_round_trip() {
         let config = WalConfig::new(tmp_dir("roundtrip"), FsyncPolicy::Sync);
@@ -576,7 +770,8 @@ mod tests {
         for frame in &frames {
             bytes.clear();
             encode_client(frame, &mut bytes);
-            wal.write_record(&bytes).expect("write");
+            wal.write_record(|buf| buf.extend_from_slice(&bytes))
+                .expect("write");
             assert!(wal.unsynced());
         }
         assert!(wal.sync().expect("sync"), "one sync for the three records");
@@ -588,10 +783,29 @@ mod tests {
         // Async never has anything to sync.
         let config = WalConfig::new(tmp_dir("halves-async"), FsyncPolicy::Async);
         let mut wal = WalShard::open(config.clone(), 0).expect("open");
-        wal.write_record(&bytes).expect("write");
+        wal.write_record(|buf| buf.extend_from_slice(&bytes))
+            .expect("write");
         assert!(!wal.unsynced());
         assert!(!wal.sync().expect("sync"));
         let _ = std::fs::remove_dir_all(&config.dir);
+    }
+
+    #[test]
+    fn a_large_record_does_not_pin_the_group_buffer() {
+        for fsync in [FsyncPolicy::Sync, FsyncPolicy::Async] {
+            let config = WalConfig::new(tmp_dir("retain"), fsync);
+            let mut wal = WalShard::open(config.clone(), 0).expect("open");
+            let big = vec![0xA5; 4 * GROUP_RETAIN];
+            wal.write_record(|buf| buf.extend_from_slice(&big))
+                .expect("write");
+            wal.sync().expect("sync");
+            assert!(wal.group.capacity() <= GROUP_RETAIN, "{fsync:?}");
+            let recovered = split_records(&std::fs::read(config.wal_path(0)).expect("read"))
+                .0
+                .concat();
+            assert_eq!(recovered, big, "{fsync:?}");
+            let _ = std::fs::remove_dir_all(&config.dir);
+        }
     }
 
     #[test]
