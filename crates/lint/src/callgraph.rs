@@ -6,8 +6,8 @@
 //! function *reaches*. This module extracts an owned [`FnSummary`] per
 //! function — call sites, blocking leaves, lock acquisitions, guard
 //! regions, channel sends — plus per-file facts (reactor regions, inline
-//! allows, RwLock-typed field names), then assembles them into a
-//! [`CallGraph`].
+//! allows, RwLock- and SyncSender-typed field names), then assembles them
+//! into a [`CallGraph`].
 //!
 //! **Resolution policy** (deliberately simple, documented in DESIGN.md
 //! §12): a call resolves to every same-crate `fn` with the callee's
@@ -61,10 +61,20 @@ pub struct Blocking {
     pub what: String,
     pub line: u32,
     pub tok: usize,
-    /// `Some(key)` when this is a `.read()`/`.write()` whose receiver
-    /// might be an RwLock; it only counts once the key is confirmed
-    /// against the workspace-wide RwLock field set.
-    pub rwlock_key: Option<String>,
+    /// `Some` when the call blocks only on a receiver of one type; it
+    /// counts once the key is confirmed against that type's
+    /// workspace-wide field set.
+    pub typed_key: Option<TypedKey>,
+}
+
+/// The receiver key of a call that blocks only on one receiver type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TypedKey {
+    /// `.read()`/`.write()`: blocks if the receiver is an `RwLock`.
+    RwLock(String),
+    /// `.send()`: blocks while the queue is full if the receiver is a
+    /// bounded `SyncSender` (an unbounded `Sender::send` never blocks).
+    SyncSender(String),
 }
 
 /// One static-keyed lock acquisition (Mutex `.lock()`, `lock_or_recover`,
@@ -108,9 +118,8 @@ pub struct FnSummary {
     pub acquires: Vec<Acquire>,
     pub guard_regions: Vec<GuardRegion>,
     /// Lines with a direct `.send(`/`.try_send(` (channel sends; used by
-    /// guard-across-call, not the blocking deny list — an unbounded
-    /// `Sender::send` never blocks and a `SyncSender::send` is
-    /// indistinguishable from it receiver-agnostically).
+    /// guard-across-call). A `.send()` counts as a blocking leaf only
+    /// once its receiver is confirmed as a `SyncSender`.
     pub send_lines: Vec<u32>,
 }
 
@@ -127,6 +136,8 @@ pub struct FileSummary {
     pub allows: Vec<Allow>,
     /// Field/binding names declared with an `RwLock` type in this file.
     pub rwlock_names: Vec<String>,
+    /// Field/binding names declared with a `SyncSender` type in this file.
+    pub sync_sender_names: Vec<String>,
     /// Source lines (for finding snippets anchored in this file).
     pub lines: Vec<String>,
 }
@@ -193,6 +204,51 @@ fn receiver_key(lexed: &Lexed<'_>, method_idx: usize) -> Option<String> {
         return None;
     }
     ident_text(lexed, method_idx.wrapping_sub(2)).map(|s| s.to_string())
+}
+
+/// The key a `.send()` receiver stands for. A local bound by `let` from a
+/// field path stands for that field (`let Some(tx) = self.shards.get(i)
+/// else ..` → `shards`); anything else is its own receiver key. The last
+/// such `let` before the call wins, as shadowing does.
+fn sender_key(lexed: &Lexed<'_>, body_start: usize, method_idx: usize) -> Option<String> {
+    let recv = receiver_key(lexed, method_idx)?;
+    let mut key = recv.clone();
+    let mut i = body_start;
+    while i < method_idx {
+        if !is_ident(lexed, i, "let") {
+            i += 1;
+            continue;
+        }
+        let mut j = i + 1;
+        let mut binds = false;
+        while j < method_idx && !is_punct(lexed, j, "=") && !is_punct(lexed, j, ";") {
+            binds |= ident_text(lexed, j) == Some(recv.as_str());
+            j += 1;
+        }
+        if binds && is_punct(lexed, j, "=") {
+            // The initializer's field path, up to its first call.
+            let mut k = j + 1;
+            if is_punct(lexed, k, "&") {
+                k += 1;
+            }
+            let mut field = None;
+            while let Some(text) = ident_text(lexed, k) {
+                if is_punct(lexed, k + 1, "(") {
+                    break;
+                }
+                if text != "self" {
+                    field = Some(text.to_string());
+                }
+                if !is_punct(lexed, k + 1, ".") {
+                    break;
+                }
+                k += 2;
+            }
+            key = field.unwrap_or_else(|| recv.clone());
+        }
+        i = j;
+    }
+    Some(key)
 }
 
 /// The static lock key for `lock_or_recover(&path.to.lock)`: the last
@@ -304,11 +360,12 @@ fn find_impl_blocks(lexed: &Lexed<'_>, out: &mut Vec<ImplBlock>) {
     }
 }
 
-/// Collect `name: ... RwLock<...>` declarations: the ident before a `:`
-/// that is followed (within a few tokens) by the `RwLock` type.
-fn find_rwlock_names(lexed: &Lexed<'_>, out: &mut Vec<String>) {
+/// Collect `name: ... Type<...>` declarations: the ident before a `:`
+/// that is followed (within a few tokens) by the type `ty`.
+fn find_typed_names(lexed: &Lexed<'_>, ty: &str) -> Vec<String> {
+    let mut out = Vec::new();
     for i in 0..lexed.tokens.len() {
-        if !is_ident(lexed, i, "RwLock") {
+        if !is_ident(lexed, i, ty) {
             continue;
         }
         // Walk back over wrapper-type tokens (`Arc < RwLock`) to the `:`.
@@ -333,6 +390,9 @@ fn find_rwlock_names(lexed: &Lexed<'_>, out: &mut Vec<String>) {
             }
         }
     }
+    out.sort();
+    out.dedup();
+    out
 }
 
 /// Scan `lo..hi` for a lock-producing call at brace depth `depth`
@@ -541,10 +601,8 @@ pub fn summarize(
     analysis: &Analysis,
     src: &str,
 ) -> FileSummary {
-    let mut rwlock_names = Vec::new();
-    find_rwlock_names(lexed, &mut rwlock_names);
-    rwlock_names.sort();
-    rwlock_names.dedup();
+    let rwlock_names = find_typed_names(lexed, "RwLock");
+    let sync_sender_names = find_typed_names(lexed, "SyncSender");
 
     let mut impls = Vec::new();
     find_impl_blocks(lexed, &mut impls);
@@ -585,7 +643,7 @@ pub fn summarize(
 
             // Blocking-leaf classification (receiver-agnostic; see the
             // module docs for the over/under-approximation policy).
-            let mut leaf: Option<(String, Option<String>)> = None;
+            let mut leaf: Option<(String, Option<TypedKey>)> = None;
             if text == "sleep" && ident_text(lexed, i.wrapping_sub(2)) == Some("thread") {
                 leaf = Some(("thread::sleep".to_string(), None));
             } else if is_method {
@@ -614,7 +672,16 @@ pub fn summarize(
                     // confirmed as an RwLock field (pass 2).
                     "read" | "write" if !analysis.in_try_bounded(line) => {
                         if let Some(key) = receiver_key(lexed, i) {
-                            leaf = Some((format!("RwLock::{text} `{key}`"), Some(key)));
+                            let what = format!("RwLock::{text} `{key}`");
+                            leaf = Some((what, Some(TypedKey::RwLock(key))));
+                        }
+                    }
+                    // A bounded channel send blocks while the queue is
+                    // full — once the receiver is confirmed a SyncSender.
+                    "send" => {
+                        if let Some(key) = sender_key(lexed, scope.body_start, i) {
+                            let what = format!("SyncSender::send `{key}` (blocks while full)");
+                            leaf = Some((what, Some(TypedKey::SyncSender(key))));
                         }
                     }
                     _ => {}
@@ -623,13 +690,13 @@ pub fn summarize(
             // An inline allow at the *leaf* site attests the operation for
             // every reactor path that reaches it — the justification lives
             // where the blocking call is, not at each entry point.
-            if let Some((what, rwlock_key)) = leaf {
+            if let Some((what, typed_key)) = leaf {
                 if !analysis.allowed("reactor-blocking-call", line) {
                     summary.blocking.push(Blocking {
                         what,
                         line,
                         tok: i,
-                        rwlock_key,
+                        typed_key,
                     });
                 }
             }
@@ -715,6 +782,7 @@ pub fn summarize(
             .collect(),
         allows: analysis.allow_entries().to_vec(),
         rwlock_names,
+        sync_sender_names,
         lines: src.lines().map(|l| l.to_string()).collect(),
     }
 }
@@ -729,14 +797,18 @@ pub struct CallGraph<'a> {
     index: HashMap<(String, String), Vec<FnId>>,
     /// Workspace-wide set of RwLock-typed field names.
     rwlock_keys: Vec<String>,
+    /// Workspace-wide set of SyncSender-typed field names.
+    sync_sender_keys: Vec<String>,
 }
 
 impl<'a> CallGraph<'a> {
     pub fn build(files: &'a [FileSummary]) -> Self {
         let mut index: HashMap<(String, String), Vec<FnId>> = HashMap::new();
         let mut rwlock_keys: Vec<String> = Vec::new();
+        let mut sync_sender_keys: Vec<String> = Vec::new();
         for (fi, file) in files.iter().enumerate() {
             rwlock_keys.extend(file.rwlock_names.iter().cloned());
+            sync_sender_keys.extend(file.sync_sender_names.iter().cloned());
             let Some(crate_name) = &file.crate_name else {
                 continue;
             };
@@ -749,6 +821,8 @@ impl<'a> CallGraph<'a> {
         }
         rwlock_keys.sort();
         rwlock_keys.dedup();
+        sync_sender_keys.sort();
+        sync_sender_keys.dedup();
         for ids in index.values_mut() {
             ids.sort();
         }
@@ -756,6 +830,7 @@ impl<'a> CallGraph<'a> {
             files,
             index,
             rwlock_keys,
+            sync_sender_keys,
         }
     }
 
@@ -772,6 +847,17 @@ impl<'a> CallGraph<'a> {
         self.rwlock_keys
             .binary_search_by(|k| k.as_str().cmp(key))
             .is_ok()
+    }
+
+    /// Does `b` block? A typed leaf only once its receiver key is a known
+    /// field of that type anywhere in the workspace.
+    pub fn is_confirmed(&self, b: &Blocking) -> bool {
+        let (keys, key) = match &b.typed_key {
+            None => return true,
+            Some(TypedKey::RwLock(key)) => (&self.rwlock_keys, key),
+            Some(TypedKey::SyncSender(key)) => (&self.sync_sender_keys, key),
+        };
+        keys.binary_search_by(|k| k.as_str().cmp(key)).is_ok()
     }
 
     /// Resolve a call made from `from_crate` (inside `impl from_owner`,
@@ -893,10 +979,7 @@ impl<'a> CallGraph<'a> {
         for (fi, file) in self.files.iter().enumerate() {
             for (gi, f) in file.fns.iter().enumerate() {
                 let id = (fi, gi);
-                let real_blocks = f.blocking.iter().any(|b| match &b.rwlock_key {
-                    Some(key) => self.is_rwlock_key(key),
-                    None => true,
-                });
+                let real_blocks = f.blocking.iter().any(|b| self.is_confirmed(b));
                 if real_blocks {
                     nodes.push(format!("  \"{}\" [blocking=true];", node(id)));
                 } else {

@@ -3,7 +3,7 @@
 //!
 //! - `reactor-blocking-call`: nothing reachable from a `lint:reactor-loop`
 //!   region may hit a blocking leaf (lock/recv/wait/sleep/blocking
-//!   I/O/fsync). Findings carry the full call chain from the region's
+//!   I/O/fsync/bounded-channel send). Findings carry the full call chain from the region's
 //!   call site down to the leaf.
 //! - `lock-order-cycle`: static-keyed guard regions that acquire another
 //!   static-keyed lock (directly or via calls) form a lock-order graph;
@@ -39,8 +39,8 @@ struct Cx<'g> {
     index_of: HashMap<FnId, usize>,
     /// Resolved call targets per fn, sorted and deduped.
     edges: Vec<Vec<usize>>,
-    /// First confirmed blocking leaf per fn (rwlock keys filtered against
-    /// the workspace RwLock field set).
+    /// First confirmed blocking leaf per fn (typed keys filtered against
+    /// the workspace RwLock and SyncSender field sets).
     direct_block: Vec<Option<Blocking>>,
     /// First direct channel-send line per fn.
     direct_send: Vec<Option<u32>>,
@@ -88,10 +88,7 @@ impl<'g> Cx<'g> {
             direct_block[n] = f
                 .blocking
                 .iter()
-                .filter(|b| match &b.rwlock_key {
-                    Some(key) => graph.is_rwlock_key(key),
-                    None => true,
-                })
+                .filter(|b| graph.is_confirmed(b))
                 .min_by_key(|b| (b.line, b.tok))
                 .cloned();
             direct_send[n] = f.send_lines.iter().copied().min();
@@ -287,10 +284,8 @@ fn rule_reactor_blocking(cx: &Cx<'_>, out: &mut Vec<Finding>) {
                     if !in_region(b.line) {
                         continue;
                     }
-                    if let Some(key) = &b.rwlock_key {
-                        if !cx.graph.is_rwlock_key(key) {
-                            continue;
-                        }
+                    if !cx.graph.is_confirmed(b) {
+                        continue;
                     }
                     if !seen.insert((fi, b.tok)) {
                         continue;

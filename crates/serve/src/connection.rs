@@ -1,7 +1,7 @@
-//! The connection protocol: every per-connection decision, in one place
-//! for every transport. A [`Connection`] is sans-IO: the TCP reactor and
-//! [`crate::Duplex`] hand it decoded client frames and send back the
-//! frame it answers with, if any.
+//! The connection protocol: every per-connection decision, in one place.
+//! A [`Connection`] is sans-IO: the TCP reactor hands it decoded client
+//! frames and writes back the frame it answers with, if any; the socket,
+//! buffers and timers stay in `tcp.rs`.
 //!
 //! 1. The first frame must be a `Hello` whose version falls in
 //!    [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`]; anything else earns
@@ -39,16 +39,15 @@ use crate::wire::{
     ClientFrameView, FaultCode, OutcomeKind, ServerFrame, WireError, MIN_WIRE_VERSION, WIRE_VERSION,
 };
 
-/// How often a transport retries parked messages while it waits: the
-/// reactor's poll timeout while any are parked, and the longest single
-/// wait of `Duplex::recv_timeout`.
+/// How often the reactor retries parked messages: its poll timeout
+/// while any are parked.
 pub(crate) const PARK_RETRY: Duration = Duration::from_millis(1);
 
-/// Rounds [`Parked::drain_or_abandon`] retries, 250 µs apart. While a
-/// transport runs, parked messages are retried without limit.
+/// Rounds [`Parked::drain_or_abandon`] retries, 250 µs apart. While the
+/// reactor runs, parked messages are retried without limit.
 const ABANDON_AFTER_ROUNDS: usize = 64;
 
-/// The router has shut down; the transport drops the connection.
+/// The router has shut down; the reactor drops the connection.
 #[derive(Debug)]
 pub(crate) struct RouterGone;
 
@@ -80,12 +79,7 @@ impl Connection {
         }
     }
 
-    /// The path shard replies take to this connection.
-    pub(crate) fn reply(&self) -> &ReplyTx {
-        &self.reply
-    }
-
-    /// A protocol fault ended the connection: the transport reads no
+    /// A protocol fault ended the connection: the reactor reads no
     /// more frames, delivers what it has queued and closes.
     pub(crate) fn ended(&self) -> bool {
         self.ended
@@ -98,8 +92,8 @@ impl Connection {
 
     /// Handles one frame off the wire, or the error decoding it. Returns
     /// the frame to answer with right away, if any; shard replies travel
-    /// on [`Connection::reply`] instead. `Err` when the router has shut
-    /// down.
+    /// on the connection's [`ReplyTx`] instead. `Err` when the router has
+    /// shut down.
     pub(crate) fn receive(
         &mut self,
         router: &SessionRouter,
@@ -257,9 +251,8 @@ impl Reap {
 
 /// Messages that met a full shard queue and must not be lost: a client
 /// `Close` for a session its connection opened, and teardown's `Close`s
-/// and `Detach`es. Owned by whatever runs the connections — one list per
-/// reactor I/O thread, one per `Duplex` — so an entry outlives the
-/// connection that parked it.
+/// and `Detach`es. Each reactor I/O thread owns one list for all its
+/// connections, so an entry outlives the connection that parked it.
 #[derive(Default)]
 pub(crate) struct Parked(Vec<Reap>);
 
@@ -276,7 +269,7 @@ impl Parked {
             .retain(|reap| reap.submit(router) == Err(SubmitError::Busy));
     }
 
-    /// The last retries before a transport goes away: a bounded number
+    /// The last retries before an I/O thread exits: a bounded number
     /// of short rounds, after which the remainder is counted in
     /// `closes_abandoned` and dropped. The router's own shutdown still
     /// finalizes those sessions. Sleeps, so never on a reactor round.

@@ -14,8 +14,7 @@
 //! ([`SessionPipeline`]) driving the interaction machine the toolkit's
 //! gesture handler shares, a [`SessionRouter`] that shards sessions
 //! across a fixed pool of worker threads with bounded queues and `Busy`
-//! backpressure, two transports — the in-process [`Duplex`] for
-//! deterministic tests and a `std::net` [`TcpService`] — that run one
+//! backpressure, a `std::net` [`TcpService`] whose connections run one
 //! sans-IO connection protocol (hello gate, cluster fence, session
 //! ledger, `Busy` policy, teardown), and lock-free [`ServiceMetrics`]
 //! snapshotted to JSON.
@@ -37,7 +36,7 @@
 //!
 //! Determinism contract: a session's server-frame sequence is a pure
 //! function of its event stream and the recognizer, regardless of
-//! transport, shard count, or how other sessions interleave. The
+//! batching, shard count, or how other sessions interleave. The
 //! loopback integration test holds the TCP service to byte-identical
 //! outcomes against [`run_events_inproc`].
 //!
@@ -46,22 +45,19 @@
 //! ```
 //! use std::sync::Arc;
 //! use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
-//! use grandma_serve::{Duplex, ClientFrame, ServeConfig, SessionRouter, WIRE_VERSION};
+//! use grandma_serve::{ReconnectingClient, RetryPolicy, ServeConfig, SessionRouter, TcpService};
 //! use grandma_synth::datasets;
 //!
 //! let data = datasets::eight_way(7, 6, 0);
 //! let (rec, _) = EagerRecognizer::train(
 //!     &data.training, &FeatureMask::all(), &EagerConfig::default()).unwrap();
 //! let router = SessionRouter::new(Arc::new(rec), ServeConfig::default());
-//! let mut client = Duplex::connect(router.clone());
-//! client.send(&ClientFrame::Hello { version: WIRE_VERSION }).unwrap();
-//! client.send(&ClientFrame::Open { session: 1 }).unwrap();
-//! client.send(&ClientFrame::Close { session: 1, seq: 0 }).unwrap();
-//! let frames = client
-//!     .recv_session_until_closed(1, std::time::Duration::from_secs(5))
-//!     .unwrap();
+//! let mut service = TcpService::start(router, "127.0.0.1:0").unwrap();
+//! let mut client =
+//!     ReconnectingClient::connect(service.local_addr(), 1, RetryPolicy::default()).unwrap();
+//! let frames = client.close().unwrap();
 //! assert!(!frames.is_empty());
-//! router.shutdown();
+//! service.shutdown();
 //! ```
 
 #![warn(missing_docs)]
@@ -69,7 +65,6 @@
 pub mod client;
 pub mod cluster_client;
 mod connection;
-pub mod duplex;
 pub mod metrics;
 pub mod pool;
 pub mod router;
@@ -81,12 +76,10 @@ pub mod wire;
 
 pub use client::{ClientError, ReconnectingClient, RetryPolicy};
 pub use cluster_client::{hand_off, ClusterClient, ClusterError, MAX_ROUTE_HOPS};
-pub use duplex::{Duplex, DuplexError};
 pub use metrics::{MetricsSnapshot, ServiceMetrics, ShardSnapshot};
 pub use pool::BatchPool;
 pub use router::{
-    RecoveryReport, ReplyBridge, ReplyTx, ServeConfig, SessionFence, SessionRouter, ShardMsg,
-    SubmitError,
+    RecoveryReport, ReplyTx, ServeConfig, SessionFence, SessionRouter, ShardMsg, SubmitError,
 };
 pub use session::{
     run_events_inproc, PipelineConfig, SessionPipeline, SessionSnapshot, SnapshotError,

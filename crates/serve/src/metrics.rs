@@ -106,9 +106,9 @@ pub struct ServiceMetrics {
     /// Connections reaped by the idle timeout.
     pub idle_reaped: AtomicU64,
     /// Parked `Close`s and `Detach`es the last drain (a reactor thread's
-    /// shutdown, a dropped `Duplex`) gave up retrying against a saturated
-    /// shard queue; the router's own shutdown still finalizes those
-    /// sessions, but the orderly path lost them.
+    /// shutdown) gave up retrying against a saturated shard queue; the
+    /// router's own shutdown still finalizes those sessions, but the
+    /// orderly path lost them.
     pub closes_abandoned: AtomicU64,
     /// Sessions rebuilt from WAL compaction snapshots during recovery.
     pub recovered_sessions: AtomicU64,

@@ -28,11 +28,11 @@
 //!
 //! One path in, one path to a session: every client frame becomes a
 //! shard message through `ShardMsg::from_client`, the one translation
-//! the connection protocol (`connection.rs`, shared by the TCP reactor
-//! and [`crate::Duplex`]) and WAL replay use. A shard feeds `Event` and
-//! `EventBatch` through one ingest function and installs every snapshot
-//! — a peer's handoff, a compaction snapshot, a journaled handoff, a
-//! failed outbound handoff taken back — through the one `Handoff` path. `Event` stays a message
+//! the connection protocol (`connection.rs`, run by the TCP reactor) and
+//! WAL replay use. A shard feeds `Event` and `EventBatch` through one
+//! ingest function and installs every snapshot — a peer's handoff, a
+//! compaction snapshot, a journaled handoff, a failed outbound handoff
+//! taken back — through the one `Handoff` path. `Event` stays a message
 //! of its own only so a v1 event crosses the queue without taking a
 //! pooled batch buffer.
 //!
@@ -102,11 +102,11 @@ impl Default for ServeConfig {
 /// that owns a connection, without the shard knowing which transport
 /// that is.
 ///
-/// The reactor transport implements this by enqueueing `(conn, frame)`
-/// on the owning I/O thread's reply queue and waking its poll loop —
-/// the non-blocking reply path keyed by conn id. `deliver` must never
+/// The reactor implements this by enqueueing `(conn, frame)` on the
+/// owning I/O thread's reply queue and waking its poll loop — the
+/// non-blocking reply path keyed by conn id. `deliver` must never
 /// block: shard workers call it from the hot path.
-pub trait ReplyBridge: Send + Sync {
+pub(crate) trait ReplyBridge: Send + Sync {
     /// Hands `frame` to the transport for connection `conn`. Frames for
     /// connections that no longer exist are dropped silently.
     fn deliver(&self, conn: u64, frame: ServerFrame);
@@ -114,7 +114,7 @@ pub trait ReplyBridge: Send + Sync {
 
 #[derive(Clone)]
 enum ReplyInner {
-    /// Direct mpsc delivery: the Duplex transport and tests.
+    /// Direct mpsc delivery: tests and in-process harnesses.
     Channel(Sender<ServerFrame>),
     /// Reactor delivery: frames are routed to the transport's bridge
     /// keyed by the owning connection id.
@@ -128,8 +128,8 @@ enum ReplyInner {
 }
 
 /// A non-blocking outbound frame path from shard workers to one
-/// connection. Either a plain mpsc sender (Duplex, tests) or a
-/// conn-id-keyed [`ReplyBridge`] (the TCP reactor). Cheap to clone;
+/// connection. Either a plain mpsc sender (tests, in-process harnesses)
+/// or a conn-id-keyed bridge into the TCP reactor. Cheap to clone;
 /// send never blocks and never fails visibly — a dead connection just
 /// drops frames, and its sessions are reaped by the transport's
 /// close path.
@@ -140,7 +140,7 @@ pub struct ReplyTx {
 
 impl ReplyTx {
     /// A reply path that hands frames for `conn` to `bridge`.
-    pub fn bridged(conn: u64, bridge: Arc<dyn ReplyBridge>) -> Self {
+    pub(crate) fn bridged(conn: u64, bridge: Arc<dyn ReplyBridge>) -> Self {
         Self {
             inner: ReplyInner::Bridge { conn, bridge },
         }
@@ -304,8 +304,8 @@ pub enum ShardMsg {
     /// queued ahead of the checkpoint has been processed.
     Checkpoint(Arc<Barrier>),
     /// Park the worker until every sender of this channel is gone —
-    /// used by backpressure tests and controlled drains to hold a shard
-    /// still while its queue fills. See [`ShardPause`].
+    /// test-only: backpressure tests hold a shard still while its queue
+    /// fills. See [`ShardPause`].
     Pause(Receiver<()>),
     /// Finalize every session and exit the worker.
     Shutdown,
@@ -314,7 +314,7 @@ pub enum ShardMsg {
 impl ShardMsg {
     /// Translates one decoded client frame from connection `conn` into
     /// the message it submits — the one mapping shared by the TCP
-    /// reactor, [`crate::Duplex`] and WAL replay (conn 0, sink reply).
+    /// reactor and WAL replay (conn 0, sink reply).
     /// `Ok(None)` for `Hello`, which never reaches a shard; `Err` when a
     /// `Handoff` snapshot does not decode. A batch's records move into
     /// the message as they are, so a frame built on a [`BatchPool`]
@@ -629,8 +629,8 @@ impl SessionRouter {
     }
 
     /// Parks `shard`'s worker until the returned handle is released or
-    /// dropped. Blocks while the shard queue is full. For tests and
-    /// controlled drains.
+    /// dropped. Blocks while the shard queue is full. Test-only: no
+    /// serving path calls it.
     pub fn pause_shard(&self, shard: usize) -> Option<ShardPause> {
         let (park, parked) = std::sync::mpsc::channel();
         self.send_to(shard, ShardMsg::Pause(parked))
@@ -1404,10 +1404,10 @@ fn shard_worker(
                     barrier.wait();
                 }
                 ShardMsg::Pause(parked) => {
-                    // lint:allow(reactor-blocking-call): session-handoff
-                    // freeze point — the shard parks until its `ShardPause`
-                    // is released or dropped (the channel disconnects),
-                    // bounded by the handoff deadline in cluster.
+                    // lint:allow(reactor-blocking-call): a test-only park
+                    // (only tests call `pause_shard`) — the shard parks
+                    // until its `ShardPause` is released or dropped, which
+                    // disconnects the channel.
                     let _ = parked.recv();
                 }
                 msg => running = shard.handle(msg),
@@ -1433,15 +1433,6 @@ fn shard_worker(
     }
 }
 
-/// Convenience: drains `rx` of everything immediately available.
-pub fn drain_frames(rx: &Receiver<ServerFrame>) -> Vec<ServerFrame> {
-    let mut out = Vec::new();
-    while let Ok(frame) = rx.try_recv() {
-        out.push(frame);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1451,6 +1442,15 @@ mod tests {
     use grandma_events::{Button, EventScript};
     use grandma_synth::datasets;
     use std::time::Duration;
+
+    /// Drains `rx` of everything immediately available.
+    fn drain_frames(rx: &Receiver<ServerFrame>) -> Vec<ServerFrame> {
+        let mut out = Vec::new();
+        while let Ok(frame) = rx.try_recv() {
+            out.push(frame);
+        }
+        out
+    }
 
     fn recognizer() -> Arc<EagerRecognizer> {
         let data = datasets::eight_way(0x2b2b, 10, 0);

@@ -1,7 +1,7 @@
 //! The audited syscall boundary for the reactor transport.
 //!
-//! This module tree is the **only** place in the workspace (outside the
-//! bench counting allocator) that contains `unsafe`: hand-declared
+//! This module tree is the **only** place in the workspace that
+//! contains `unsafe`: hand-declared
 //! bindings for `poll(2)` (here), `epoll(7)` ([`epoll`]),
 //! `setrlimit(2)` ([`rlimit`]), and a self-pipe waker, kept
 //! dependency-free because the workspace links no external crates.

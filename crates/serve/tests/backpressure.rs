@@ -1,10 +1,12 @@
 //! Backpressure and resilience: a full shard queue rejects with `Busy`
 //! (it never grows), every rejection is reported (nothing is silently
 //! dropped), and corrupted or hostile byte streams cost at most a
-//! connection, never the process.
+//! connection, never the process. Every test drives a `TcpService`
+//! through the shared frame-level client.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+mod support;
+
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -12,11 +14,14 @@ use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma_events::{Button, EventKind, EventScript, InputEvent};
 use grandma_serve::router::ShardPause;
 use grandma_serve::{
-    encode_client, run_events_inproc, ClientFrame, Duplex, FaultCode, FrameBuffer, OutcomeKind,
-    PipelineConfig, ReplyTx, ServeConfig, ServerFrame, SessionPipeline, SessionRouter, ShardMsg,
-    TcpOptions, TcpService, WIRE_VERSION,
+    run_events_inproc, ClientFrame, FaultCode, OutcomeKind, PipelineConfig, ReplyTx, ServeConfig,
+    ServerFrame, SessionPipeline, SessionRouter, ShardMsg, TcpOptions, TcpService, WIRE_VERSION,
 };
 use grandma_synth::{datasets, FaultInjector, SynthRng};
+use support::{eventually, WireClient};
+
+/// How long a read waits for a frame the server owes.
+const WAIT: Duration = Duration::from_secs(10);
 
 fn recognizer() -> Arc<EagerRecognizer> {
     let data = datasets::eight_way(0x2b2b, 10, 0);
@@ -24,6 +29,26 @@ fn recognizer() -> Arc<EagerRecognizer> {
         EagerRecognizer::train(&data.training, &FeatureMask::all(), &EagerConfig::default())
             .expect("training succeeds");
     Arc::new(rec)
+}
+
+/// Parks `router`'s only shard and waits (bounded) for the worker to
+/// take the pause off its queue, so every later submit lands behind it.
+fn pause(router: &SessionRouter) -> ShardPause {
+    let pause = router.pause_shard(0).expect("pause");
+    let deadline = Instant::now() + WAIT;
+    while router.metrics().snapshot().shards[0].queue_depth > 0 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    pause
+}
+
+/// Waits until each of the `sent` frames behind a paused shard is either
+/// queued or bounced `Busy`; whether it happened.
+fn settled(router: &SessionRouter, sent: u64) -> bool {
+    eventually(|| {
+        let snap = router.metrics().snapshot();
+        snap.busy_rejections + snap.shards[0].queue_depth == sent
+    })
 }
 
 #[test]
@@ -36,31 +61,30 @@ fn full_shard_queue_rejects_busy_and_depth_stays_bounded() {
         ..ServeConfig::default()
     };
     let router = SessionRouter::new(recognizer(), config);
-    let mut client = Duplex::connect(router.clone());
-    client
-        .send(&ClientFrame::Hello {
-            version: WIRE_VERSION,
-        })
-        .expect("hello");
+    let mut service = TcpService::start(router.clone(), "127.0.0.1:0").expect("bind");
+    let metrics = service.metrics().clone();
+    let mut client = WireClient::connect(service.local_addr());
     client
         .send(&ClientFrame::Open { session: 1 })
         .expect("open");
-    // Hold the shard still so the queue genuinely fills, deterministically
-    // even on a single-core box.
-    std::thread::sleep(Duration::from_millis(50));
-    let pause = router.pause_shard(0).expect("pause");
-    std::thread::sleep(Duration::from_millis(50));
-
-    for seq in 0..FLOOD {
-        client
-            .send(&ClientFrame::Event {
-                session: 1,
-                seq,
-                event: InputEvent::new(EventKind::MouseMove, seq as f64, 0.0, seq as f64),
-            })
-            .expect("send never blocks");
-    }
-    let snap = router.metrics().snapshot();
+    // Hold the shard still once the session is open, so the queue
+    // genuinely fills, deterministically even on a single-core box.
+    assert!(eventually(|| metrics.snapshot().sessions_opened == 1));
+    let pause = pause(&router);
+    let flood: Vec<_> = (0..FLOOD)
+        .map(|seq| ClientFrame::Event {
+            session: 1,
+            seq,
+            event: InputEvent::new(EventKind::MouseMove, seq as f64, 0.0, seq as f64),
+        })
+        .collect();
+    client.send_all(&flood).expect("flood");
+    // Before the pause lifts, every flooded frame was taken or bounced.
+    assert!(
+        settled(&router, u64::from(FLOOD)),
+        "the flood never settled"
+    );
+    let snap = metrics.snapshot();
     // Bounded growth: the queue never exceeded its capacity (+1 for the
     // pause marker itself), no matter how hard the flood pushed.
     assert!(
@@ -73,20 +97,16 @@ fn full_shard_queue_rejects_busy_and_depth_stays_bounded() {
     );
 
     pause.release();
-    // Let the shard drain before closing — a Close against a still-full
-    // queue would itself bounce as Busy.
-    while router.metrics().snapshot().shards[0].queue_depth > 0 {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // Let the shard drain before closing, so the Close lands at once
+    // instead of waiting in the reactor's park list.
+    assert!(eventually(|| metrics.snapshot().shards[0].queue_depth == 0));
     client
         .send(&ClientFrame::Close {
             session: 1,
             seq: FLOOD,
         })
         .expect("close");
-    let frames = client
-        .recv_session_until_closed(1, Duration::from_secs(10))
-        .expect("recv");
+    let frames = client.recv_session_until_closed(1, WAIT);
     let busy_faults = frames
         .iter()
         .filter(|f| {
@@ -111,8 +131,8 @@ fn full_shard_queue_rejects_busy_and_depth_stays_bounded() {
     );
     // Accounting: every flooded event was either ingested or explicitly
     // bounced as Busy — nothing vanished.
-    router.shutdown();
-    let snap = router.metrics().snapshot();
+    service.shutdown();
+    let snap = metrics.snapshot();
     assert_eq!(
         snap.events_ingested + busy_faults,
         u64::from(FLOOD),
@@ -131,28 +151,26 @@ fn busy_rejections_are_deterministic_for_a_fixed_schedule() {
             ..ServeConfig::default()
         };
         let router = SessionRouter::new(recognizer(), config);
-        let pause = router.pause_shard(0).expect("pause");
-        std::thread::sleep(Duration::from_millis(50));
-        let mut client = Duplex::connect(router.clone());
-        client
-            .send(&ClientFrame::Hello {
-                version: WIRE_VERSION,
-            })
-            .expect("hello");
-        client
-            .send(&ClientFrame::Open { session: 1 })
-            .expect("open");
-        for seq in 0..64 {
-            client
-                .send(&ClientFrame::Event {
-                    session: 1,
-                    seq,
-                    event: InputEvent::new(EventKind::MouseMove, 1.0, 1.0, seq as f64),
-                })
-                .expect("send");
-        }
+        let mut service = TcpService::start(router.clone(), "127.0.0.1:0").expect("bind");
+        let pause = pause(&router);
+        let mut client = WireClient::connect(service.local_addr());
+        let mut frames = vec![ClientFrame::Open { session: 1 }];
+        frames.extend((0..64).map(|seq| ClientFrame::Event {
+            session: 1,
+            seq,
+            event: InputEvent::new(EventKind::MouseMove, 1.0, 1.0, seq as f64),
+        }));
+        client.send_all(&frames).expect("flood");
+        assert!(
+            settled(&router, frames.len() as u64),
+            "the flood never settled"
+        );
         pause.release();
-        router.shutdown();
+        // Drain before the teardown, whose Close must not meet a full
+        // queue and add a Busy of its own.
+        let drained = eventually(|| router.metrics().snapshot().shards[0].queue_depth == 0);
+        service.shutdown();
+        assert!(drained, "the shard never drained");
         router.metrics().snapshot().busy_rejections
     };
     let a = run();
@@ -174,10 +192,7 @@ fn corrupted_event_streams_over_tcp_never_panic_the_service() {
     // Wave after wave of FaultInjector-corrupted streams, each from a
     // fresh connection.
     for wave in 0u64..6 {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
+        let mut client = WireClient::connect(addr);
         let clean = EventScript::new()
             .then_gesture(
                 &data.testing[wave as usize % data.testing.len()].gesture,
@@ -186,117 +201,102 @@ fn corrupted_event_streams_over_tcp_never_panic_the_service() {
             .into_events();
         let corrupted = FaultInjector::new(0xDEAD ^ wave).corrupt(&clean);
         let session = 100 + wave;
-        let mut bytes = Vec::new();
-        encode_client(
-            &ClientFrame::Hello {
-                version: WIRE_VERSION,
-            },
-            &mut bytes,
-        );
-        encode_client(&ClientFrame::Open { session }, &mut bytes);
-        for (i, e) in corrupted.iter().enumerate() {
-            encode_client(
-                &ClientFrame::Event {
+        let mut frames = vec![ClientFrame::Open { session }];
+        frames.extend(
+            corrupted
+                .iter()
+                .enumerate()
+                .map(|(i, e)| ClientFrame::Event {
                     session,
                     seq: i as u32,
                     event: *e,
-                },
-                &mut bytes,
-            );
-        }
-        encode_client(
-            &ClientFrame::Close {
-                session,
-                seq: corrupted.len() as u32,
-            },
-            &mut bytes,
+                }),
         );
-        stream.write_all(&bytes).expect("write");
+        frames.push(ClientFrame::Close {
+            session,
+            seq: corrupted.len() as u32,
+        });
+        client.send_all(&frames).expect("write");
         // Drain until the Closed marker: the pipeline digested the
         // corruption without dying.
-        let mut fb = FrameBuffer::new();
-        let mut chunk = [0u8; 4096];
-        let mut closed = false;
-        while !closed {
-            let n = match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => n,
-            };
-            fb.extend(&chunk[..n]);
-            while let Some(frame) = fb.next_server().expect("server bytes") {
-                if matches!(
-                    frame,
-                    ServerFrame::Outcome {
-                        outcome: OutcomeKind::Closed,
-                        ..
-                    }
-                ) {
-                    closed = true;
-                }
-            }
-        }
-        assert!(closed, "wave {wave}: corrupted session must still close");
+        let got = client.recv_session_until_closed(session, WAIT);
+        assert!(
+            matches!(
+                got.last(),
+                Some(ServerFrame::Outcome {
+                    outcome: OutcomeKind::Closed,
+                    ..
+                })
+            ),
+            "wave {wave}: corrupted session must still close"
+        );
     }
 
     // Hostile frames (random bytes) on top: each costs one connection.
     let mut rng = SynthRng::seed_from_u64(0x50DA);
     for _ in 0..8 {
-        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut client = WireClient::raw(addr);
         let soup: Vec<u8> = (0..256).map(|_| rng.next_u64() as u8).collect();
-        let _ = stream.write_all(&soup);
-        // The server may close the connection at any point; ignore errors.
-        let _ = stream.read(&mut [0u8; 64]);
+        let _ = client.send_bytes(&soup);
+        // The server may close the connection at any point.
+        let _ = client.recv_timeout(WAIT);
     }
 
     // The service is still alive and serving correctly.
-    let mut stream = TcpStream::connect(addr).expect("service survived");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let mut bytes = Vec::new();
-    encode_client(
-        &ClientFrame::Hello {
-            version: WIRE_VERSION,
-        },
-        &mut bytes,
-    );
-    encode_client(&ClientFrame::Open { session: 999 }, &mut bytes);
-    encode_client(
-        &ClientFrame::Close {
+    let mut client = WireClient::connect(addr);
+    let frames = [
+        ClientFrame::Open { session: 999 },
+        ClientFrame::Close {
             session: 999,
             seq: 0,
         },
-        &mut bytes,
+    ];
+    client.send_all(&frames).expect("write");
+    let got = client.recv_session_until_closed(999, WAIT);
+    assert!(
+        matches!(
+            got.last(),
+            Some(ServerFrame::Outcome {
+                outcome: OutcomeKind::Closed,
+                ..
+            })
+        ),
+        "post-garbage session must serve normally"
     );
-    stream.write_all(&bytes).expect("write");
-    let mut fb = FrameBuffer::new();
-    let mut chunk = [0u8; 1024];
-    let mut closed = false;
-    while !closed {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        fb.extend(&chunk[..n]);
-        while let Some(frame) = fb.next_server().expect("server bytes") {
-            closed |= matches!(
-                frame,
-                ServerFrame::Outcome {
-                    outcome: OutcomeKind::Closed,
-                    ..
-                }
-            );
-        }
-    }
-    assert!(closed, "post-garbage session must serve normally");
     service.shutdown();
     let snap = service.metrics().snapshot();
     assert!(snap.decode_errors >= 1, "garbage must be counted: {snap:?}");
     assert_eq!(snap.sessions_opened, snap.sessions_closed, "{snap:?}");
 }
 
+#[test]
+fn events_for_an_unknown_session_are_faulted_with_their_correlation() {
+    let mut service = TcpService::start(
+        SessionRouter::new(recognizer(), ServeConfig::default()),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let mut client = WireClient::connect(service.local_addr());
+    let event = ClientFrame::Event {
+        session: 404,
+        seq: 9,
+        event: InputEvent::new(EventKind::MouseMove, 0.0, 0.0, 0.0),
+    };
+    client.send(&event).expect("event");
+    let got = client.recv_timeout(WAIT);
+    service.shutdown();
+    assert_eq!(
+        got,
+        Some(ServerFrame::Fault {
+            session: 404,
+            seq: 9,
+            code: FaultCode::UnknownSession,
+        })
+    );
+}
+
 /// One frame of every kind a full queue can bounce, with the
-/// `(session, seq)` its `Fault(Busy)` must echo on every transport.
+/// `(session, seq)` its `Fault(Busy)` must echo.
 fn busy_probes() -> Vec<(ClientFrame, (u64, u32))> {
     let event = InputEvent::new(EventKind::MouseMove, 1.0, 1.0, 1.0);
     let mut snapshot = Vec::new();
@@ -339,12 +339,7 @@ fn busy_probes() -> Vec<(ClientFrame, (u64, u32))> {
 /// an `Open` from outside any connection under test: every further
 /// submit is rejected `Busy` until the pause is released.
 fn jam(router: &SessionRouter) -> ShardPause {
-    let pause = router.pause_shard(0).expect("pause");
-    // Bounded wait for the worker to take the Pause off the queue.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while router.metrics().snapshot().shards[0].queue_depth > 0 && Instant::now() < deadline {
-        std::thread::yield_now();
-    }
+    let pause = pause(router);
     let filler = ShardMsg::Open {
         conn: router.new_conn_id(),
         session: 999,
@@ -382,91 +377,19 @@ fn busy_key(frame: ServerFrame) -> Result<(u64, u32), ServerFrame> {
     }
 }
 
-fn hello() -> Vec<u8> {
-    let mut bytes = Vec::new();
-    encode_client(
-        &ClientFrame::Hello {
-            version: WIRE_VERSION,
-        },
-        &mut bytes,
-    );
-    bytes
-}
-
-/// Reads server frames off `stream` until `count` have arrived, the
-/// peer closes, or the read times out.
-fn read_frames(stream: &mut TcpStream, count: usize) -> Vec<ServerFrame> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let mut fb = FrameBuffer::new();
-    let mut chunk = [0u8; 1024];
-    let mut got = Vec::new();
-    while got.len() < count {
-        match fb.next_server() {
-            Ok(Some(frame)) => got.push(frame),
-            Ok(None) => match stream.read(&mut chunk) {
-                Ok(n) if n > 0 => fb.extend(&chunk[..n]),
-                _ => break,
-            },
-            Err(_) => break,
-        }
-    }
-    got
-}
-
-/// Polls `done` for up to ten seconds.
-fn eventually(mut done: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !done() {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    true
-}
-
 // The tests against a jammed router collect every reply before
-// releasing the shard and only then assert: a panic while the worker is
-// parked would leave the router's shutdown blocked on the full queue.
-
-#[test]
-fn busy_faults_echo_one_correlation_for_every_frame_kind_over_duplex() {
-    let (router, pause) = jammed_router();
-    let mut client = Duplex::connect(router.clone());
-    client
-        .send(&ClientFrame::Hello {
-            version: WIRE_VERSION,
-        })
-        .expect("hello");
-    let probes = busy_probes();
-    let mut got = Vec::new();
-    for (frame, _) in &probes {
-        let reply = client
-            .send(frame)
-            .ok()
-            .and_then(|()| client.recv_timeout(Duration::from_secs(5)).ok().flatten());
-        got.push(reply.map(busy_key));
-    }
-    pause.release();
-    router.shutdown();
-    let want: Vec<_> = probes.iter().map(|&(_, key)| Some(Ok(key))).collect();
-    assert_eq!(got, want);
-}
+// releasing the shard and only then assert, so a failed assertion shows
+// the frames rather than a timeout.
 
 #[test]
 fn busy_faults_echo_one_correlation_for_every_frame_kind_over_tcp() {
     let (router, pause) = jammed_router();
     let mut service = TcpService::start(router.clone(), "127.0.0.1:0").expect("bind");
     let probes = busy_probes();
-    let mut bytes = hello();
-    for (frame, _) in &probes {
-        encode_client(frame, &mut bytes);
-    }
-    let mut got = Vec::new();
-    if let Ok(mut stream) = TcpStream::connect(service.local_addr()) {
-        let _ = stream.write_all(&bytes);
-        got = read_frames(&mut stream, probes.len());
-    }
+    let frames: Vec<_> = probes.iter().map(|(frame, _)| frame.clone()).collect();
+    let mut client = WireClient::connect(service.local_addr());
+    let _ = client.send_all(&frames);
+    let got = client.recv_many(probes.len(), WAIT);
     pause.release();
     service.shutdown();
     let got: Vec<_> = got.into_iter().map(busy_key).collect();
@@ -479,16 +402,15 @@ fn closes_for_sessions_never_opened_bounce_busy_and_park_nothing() {
     const BOGUS: u32 = 64;
     let (router, pause) = jammed_router();
     let mut service = TcpService::start(router.clone(), "127.0.0.1:0").expect("bind");
-    let mut bytes = hello();
-    for seq in 0..BOGUS {
-        let session = 5000 + u64::from(seq);
-        encode_client(&ClientFrame::Close { session, seq }, &mut bytes);
-    }
-    let mut got = Vec::new();
-    if let Ok(mut stream) = TcpStream::connect(service.local_addr()) {
-        let _ = stream.write_all(&bytes);
-        got = read_frames(&mut stream, BOGUS as usize);
-    }
+    let closes: Vec<_> = (0..BOGUS)
+        .map(|seq| ClientFrame::Close {
+            session: 5000 + u64::from(seq),
+            seq,
+        })
+        .collect();
+    let mut client = WireClient::connect(service.local_addr());
+    let _ = client.send_all(&closes);
+    let got = client.recv_many(BOGUS as usize, WAIT);
     pause.release();
     // A parked Close would land once the shard runs again — at the
     // latest in the I/O thread's shutdown drain, ahead of the router's
@@ -526,32 +448,24 @@ fn detach_teardown_does_not_stall_the_reactor() {
     let metrics = service.metrics().clone();
     // The leaver opens two sessions, one at a time: the queue holds one
     // message.
-    let mut leaver = TcpStream::connect(addr).expect("connect leaver");
-    leaver.write_all(&hello()).expect("hello");
+    let mut leaver = WireClient::connect(addr);
     for session in [1, 2] {
-        let mut bytes = Vec::new();
-        encode_client(&ClientFrame::Open { session }, &mut bytes);
-        leaver.write_all(&bytes).expect("open");
+        leaver.send(&ClientFrame::Open { session }).expect("open");
         assert!(eventually(|| metrics.snapshot().sessions_opened == session));
     }
-    let mut stayer = TcpStream::connect(addr).expect("connect stayer");
-    stayer.write_all(&hello()).expect("hello");
+    let mut stayer = WireClient::connect(addr);
     let pause = jam(&router);
     // Tear the leaver down against the full queue, then ask the same
     // I/O thread to serve the stayer.
     drop(leaver);
     let torn_down = eventually(|| metrics.snapshot().open_connections == 1);
-    let mut bytes = Vec::new();
-    encode_client(
-        &ClientFrame::Event {
-            session: 7,
-            seq: 3,
-            event: InputEvent::new(EventKind::MouseMove, 1.0, 1.0, 1.0),
-        },
-        &mut bytes,
-    );
-    let _ = stayer.write_all(&bytes);
-    let served = read_frames(&mut stayer, 1);
+    let event = ClientFrame::Event {
+        session: 7,
+        seq: 3,
+        event: InputEvent::new(EventKind::MouseMove, 1.0, 1.0, 1.0),
+    };
+    let _ = stayer.send(&event);
+    let served = stayer.recv_many(1, WAIT);
     pause.release();
     // Once the parked Detaches land, both sessions are orphans the
     // stayer can resume.
@@ -559,14 +473,12 @@ fn detach_teardown_does_not_stall_the_reactor() {
     for session in [1, 2] {
         let mut reply = None;
         let took = eventually(|| {
-            let mut bytes = Vec::new();
             let resume = ClientFrame::Resume {
                 session,
                 last_seq: 0,
             };
-            encode_client(&resume, &mut bytes);
-            let _ = stayer.write_all(&bytes);
-            reply = read_frames(&mut stayer, 1).pop();
+            let _ = stayer.send(&resume);
+            reply = stayer.recv_timeout(WAIT);
             matches!(reply, Some(ServerFrame::Resumed { .. }))
         });
         resumed.push((took, reply));
@@ -592,8 +504,8 @@ fn detach_teardown_does_not_stall_the_reactor() {
     assert_eq!(resumed, want);
 }
 
-/// One connection's frames for the transport-parity table, and what the
-/// server must answer over either transport.
+/// One connection's frames for the protocol table, and what the server
+/// must answer.
 struct Script {
     name: &'static str,
     /// Run against a jammed shard queue.
@@ -744,18 +656,14 @@ fn closed_sessions(router: &SessionRouter, closed: u64) -> u64 {
 fn over_tcp(script: &Script) -> (Vec<ServerFrame>, u64) {
     let (router, pause) = script_router(script);
     let mut service = TcpService::start(router.clone(), "127.0.0.1:0").expect("bind");
-    let mut bytes = Vec::new();
-    for frame in &script.frames {
-        encode_client(frame, &mut bytes);
-    }
+    let mut client = WireClient::raw(service.local_addr());
+    let _ = client.send_all(&script.frames);
     let mut got = Vec::new();
-    if let Ok(mut stream) = TcpStream::connect(service.local_addr()) {
-        let _ = stream.write_all(&bytes);
-        if !script.hang_up {
-            let _ = stream.shutdown(Shutdown::Write);
-            got = read_frames(&mut stream, usize::MAX);
-        }
+    if !script.hang_up {
+        client.finish();
+        got = client.recv_many(usize::MAX, WAIT);
     }
+    drop(client);
     let closed = closed_sessions(&router, script.closed);
     if let Some(pause) = pause {
         pause.release();
@@ -764,38 +672,10 @@ fn over_tcp(script: &Script) -> (Vec<ServerFrame>, u64) {
     (got, closed)
 }
 
-/// Runs `script` over `Duplex`: send it, take the answer, drop.
-fn over_duplex(script: &Script) -> (Vec<ServerFrame>, u64) {
-    let (router, pause) = script_router(script);
-    let mut client = Duplex::connect(router.clone());
-    let mut got = Vec::new();
-    for frame in &script.frames {
-        // Sends after a protocol fault are refused; TCP drops their
-        // bytes unread.
-        let _ = client.send(frame);
-    }
-    if !script.hang_up {
-        for wait in script.want.iter().map(|_| 10_000).chain([50]) {
-            match client.recv_timeout(Duration::from_millis(wait)) {
-                Ok(Some(frame)) => got.push(frame),
-                _ => break,
-            }
-        }
-    }
-    drop(client);
-    let closed = closed_sessions(&router, script.closed);
-    if let Some(pause) = pause {
-        pause.release();
-    }
-    router.shutdown();
-    (got, closed)
-}
-
 #[test]
-fn duplex_and_tcp_answer_every_script_with_the_same_frames() {
+fn tcp_answers_every_script_with_its_frames() {
     for script in scripts() {
         let want = (script.want.clone(), script.closed);
-        assert_eq!(over_tcp(&script), want, "{}: over TCP", script.name);
-        assert_eq!(over_duplex(&script), want, "{}: over Duplex", script.name);
+        assert_eq!(over_tcp(&script), want, "{}", script.name);
     }
 }

@@ -1,7 +1,7 @@
 //! Wire v2 property test: a session stream sent as `EventBatch` frames
 //! must produce *byte-identical* server frames to the same stream sent
-//! as single `Event` frames — over both the Duplex and TCP transports,
-//! with the deterministic in-process pipeline as the common reference.
+//! as single `Event` frames over TCP, with the deterministic in-process
+//! pipeline as the common reference.
 //!
 //! Batch sizes vary per session (including size-1 batches and batches
 //! beyond the single-frame cap, which the encoder splits), and every
@@ -12,20 +12,18 @@
 mod support;
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma_events::{Button, EventScript, InputEvent};
 use grandma_serve::{
-    encode_client, encode_event_batch, encode_server, run_events_inproc, ClientFrame, Duplex,
-    FrameBuffer, OutcomeKind, PipelineConfig, ServeConfig, ServerFrame, SessionRouter, TcpOptions,
-    TcpService, MAX_BATCH_EVENTS, WIRE_VERSION,
+    encode_client, encode_event_batch, encode_server, run_events_inproc, ClientFrame, OutcomeKind,
+    PipelineConfig, ServeConfig, ServerFrame, SessionRouter, TcpOptions, TcpService,
+    MAX_BATCH_EVENTS,
 };
 use grandma_synth::{datasets, FaultInjector, SynthRng};
-use support::{frame_session, host_backends};
+use support::{eventually, frame_session, host_backends, WireClient};
 
 const SESSIONS: u64 = 12;
 
@@ -100,101 +98,6 @@ fn loose_config() -> ServeConfig {
     }
 }
 
-/// Drives one session over Duplex, batched (`Some(batch)`) or as single
-/// events (`None`), and returns its frame bytes.
-fn duplex_session_bytes(
-    router: &Arc<SessionRouter>,
-    session: u64,
-    events: &[(u32, InputEvent)],
-    batch: Option<usize>,
-) -> Vec<u8> {
-    let mut client = Duplex::connect(router.clone());
-    client
-        .send(&ClientFrame::Hello {
-            version: WIRE_VERSION,
-        })
-        .expect("hello");
-    client.send(&ClientFrame::Open { session }).expect("open");
-    match batch {
-        Some(size) => {
-            for chunk in events.chunks(size.max(1)) {
-                client
-                    .send(&ClientFrame::EventBatch {
-                        session,
-                        events: chunk.to_vec(),
-                    })
-                    .expect("batch");
-            }
-        }
-        None => {
-            for &(seq, event) in events {
-                client
-                    .send(&ClientFrame::Event {
-                        session,
-                        seq,
-                        event,
-                    })
-                    .expect("event");
-            }
-        }
-    }
-    client
-        .send(&ClientFrame::Close {
-            session,
-            seq: events.len() as u32,
-        })
-        .expect("close");
-    let frames = client
-        .recv_session_until_closed(session, Duration::from_secs(30))
-        .expect("frames");
-    frames_to_bytes(&frames)
-}
-
-#[test]
-fn batched_duplex_is_byte_identical_to_single_events() {
-    let rec = recognizer();
-    let streams: HashMap<u64, Vec<(u32, InputEvent)>> =
-        (1..=SESSIONS).map(|s| (s, session_stream(s))).collect();
-    let expected = reference_bytes(&rec, &streams);
-
-    let router = SessionRouter::new(rec.clone(), loose_config());
-    for (&session, events) in &streams {
-        let single = duplex_session_bytes(&router, session, events, None);
-        assert_eq!(
-            single, expected[&session],
-            "session {session}: single-event duplex diverges from the in-process reference"
-        );
-    }
-    // Batched sessions reuse ids offset past the single-event ones so
-    // both variants run against one router instance; frames are stamped
-    // with the session id, so the reference is re-run under the offset
-    // id for an apples-to-apples byte comparison.
-    for (&session, events) in &streams {
-        let batched =
-            duplex_session_bytes(&router, session + 1000, events, Some(batch_size(session)));
-        let frames = run_events_inproc(
-            &rec,
-            session + 1000,
-            &PipelineConfig::default(),
-            events,
-            events.len() as u32,
-        );
-        assert_eq!(
-            batched,
-            frames_to_bytes(&frames),
-            "session {session}: batched duplex diverges (batch size {})",
-            batch_size(session)
-        );
-    }
-    router.shutdown();
-    assert_eq!(router.metrics().snapshot().busy_rejections, 0);
-    let (hits, misses) = router.batch_pool().stats();
-    assert!(
-        hits > misses,
-        "steady-state batches must reuse pooled buffers: {hits} hits / {misses} misses"
-    );
-}
-
 /// Drives one TCP connection carrying every session, batched or single,
 /// and returns per-session frame bytes.
 fn tcp_run_bytes(
@@ -202,17 +105,8 @@ fn tcp_run_bytes(
     streams: &HashMap<u64, Vec<(u32, InputEvent)>>,
     batched: bool,
 ) -> HashMap<u64, Vec<u8>> {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
+    let mut client = WireClient::connect(addr);
     let mut bytes = Vec::new();
-    encode_client(
-        &ClientFrame::Hello {
-            version: WIRE_VERSION,
-        },
-        &mut bytes,
-    );
     let mut sessions: Vec<u64> = streams.keys().copied().collect();
     sessions.sort_unstable();
     for &session in &sessions {
@@ -244,41 +138,70 @@ fn tcp_run_bytes(
             &mut bytes,
         );
     }
-    stream.write_all(&bytes).expect("write");
-    stream.flush().expect("flush");
+    client.send_bytes(&bytes).expect("write");
 
-    let mut fb = FrameBuffer::new();
     let mut per_session: HashMap<u64, Vec<ServerFrame>> =
         sessions.iter().map(|&s| (s, Vec::new())).collect();
     let mut closed = 0usize;
-    let mut chunk = [0u8; 16384];
     while closed < sessions.len() {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => panic!("server EOF with {closed}/{} closed", sessions.len()),
-            Ok(n) => n,
-            Err(e) => panic!("read failed with {closed} closed: {e}"),
-        };
-        fb.extend(&chunk[..n]);
-        while let Some(frame) = fb.next_server().expect("valid server stream") {
-            let session = frame_session(&frame);
-            if matches!(
-                frame,
-                ServerFrame::Outcome {
-                    outcome: OutcomeKind::Closed,
-                    ..
-                }
-            ) {
-                closed += 1;
+        let frame = client
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|| panic!("server quiet with {closed}/{} closed", sessions.len()));
+        if matches!(
+            frame,
+            ServerFrame::Outcome {
+                outcome: OutcomeKind::Closed,
+                ..
             }
-            per_session
-                .get_mut(&session)
-                .expect("frame for unknown session")
-                .push(frame);
+        ) {
+            closed += 1;
         }
+        per_session
+            .get_mut(&frame_session(&frame))
+            .expect("frame for unknown session")
+            .push(frame);
     }
     per_session
         .into_iter()
         .map(|(s, frames)| (s, frames_to_bytes(&frames)))
+        .collect()
+}
+
+/// Sends each session's batches over a connection of its own, one frame
+/// per write, and sends the next only once the shard has put the last
+/// one's buffer back: the steady state, in which a take must hit the
+/// pool. (`tcp_run_bytes` writes everything at once, so nearly every
+/// batch is in flight together and each takes a fresh buffer.) Returns
+/// per-session frame bytes.
+fn paced_batched_bytes(
+    service: &TcpService,
+    streams: &HashMap<u64, Vec<(u32, InputEvent)>>,
+) -> HashMap<u64, Vec<u8>> {
+    let pool = service.router().batch_pool();
+    let mut bytes = Vec::new();
+    streams
+        .iter()
+        .map(|(&session, events)| {
+            let mut client = WireClient::connect(service.local_addr());
+            client.send(&ClientFrame::Open { session }).expect("open");
+            for chunk in events.chunks(batch_size(session)) {
+                let idle = pool.idle_len().max(1);
+                bytes.clear();
+                encode_event_batch(session, chunk, &mut bytes);
+                client.send_bytes(&bytes).expect("batch");
+                assert!(
+                    eventually(|| pool.idle_len() >= idle),
+                    "session {session}: a batch buffer never came back"
+                );
+            }
+            let close = ClientFrame::Close {
+                session,
+                seq: events.len() as u32,
+            };
+            client.send(&close).expect("close");
+            let frames = client.recv_session_until_closed(session, Duration::from_secs(30));
+            (session, frames_to_bytes(&frames))
+        })
         .collect()
 }
 
@@ -304,6 +227,11 @@ fn batched_tcp_is_byte_identical_to_single_events() {
 
         let single = tcp_run_bytes(addr, &streams, false);
         let batched = tcp_run_bytes(addr, &streams, true);
+        let pool = service.router().batch_pool().clone();
+        let (hits_before, misses_before) = pool.stats();
+        let paced = paced_batched_bytes(&service, &streams);
+        let (hits, misses) = pool.stats();
+        let (hits, misses) = (hits - hits_before, misses - misses_before);
         for (&session, reference) in &expected {
             assert_eq!(
                 &single[&session], reference,
@@ -313,11 +241,20 @@ fn batched_tcp_is_byte_identical_to_single_events() {
                 &batched[&session], reference,
                 "{backend:?}, session {session}: batched TCP diverges from the reference"
             );
+            assert_eq!(
+                &paced[&session], reference,
+                "{backend:?}, session {session}: paced batched TCP diverges from the reference"
+            );
         }
         service.shutdown();
         let snap = service.metrics().snapshot();
         assert_eq!(snap.busy_rejections, 0, "{backend:?}: {snap:?}");
         assert_eq!(snap.decode_errors, 0, "{backend:?}: {snap:?}");
         assert!(snap.batches_ingested > 0, "{backend:?}: {snap:?}");
+        assert!(
+            hits > misses,
+            "{backend:?}: steady-state batches must reuse pooled buffers: \
+             {hits} hits / {misses} misses"
+        );
     }
 }

@@ -1,6 +1,8 @@
 //! Persistence regression: a recognizer saved with `grandma_core::persist`
 //! and loaded back must serve *identically* to the in-memory original —
-//! same frames, same outcomes, over both transports.
+//! same frames, same outcomes, in process and over TCP.
+
+mod support;
 
 use std::process::{Command, Stdio};
 use std::sync::Arc;
@@ -9,10 +11,10 @@ use std::time::Duration;
 use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma_events::{Button, EventScript, InputEvent};
 use grandma_serve::{
-    run_events_inproc, ClientFrame, Duplex, PipelineConfig, ServeConfig, SessionRouter,
-    WIRE_VERSION,
+    run_events_inproc, ClientFrame, PipelineConfig, ServeConfig, SessionRouter, TcpService,
 };
 use grandma_synth::{datasets, FaultInjector};
+use support::WireClient;
 
 fn trained() -> EagerRecognizer {
     let data = datasets::eight_way(0x2b2b, 10, 0);
@@ -84,7 +86,11 @@ fn routed_service_on_a_loaded_model_matches_the_in_memory_reference() {
     std::fs::remove_file(&path).ok();
     let loaded = Arc::new(EagerRecognizer::from_text(&text).expect("loads"));
 
-    let router = SessionRouter::new(loaded, ServeConfig::default());
+    let mut service = TcpService::start(
+        SessionRouter::new(loaded, ServeConfig::default()),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
     for (session, events) in streams() {
         let close = events.len() as u32;
         let expected = run_events_inproc(
@@ -94,12 +100,7 @@ fn routed_service_on_a_loaded_model_matches_the_in_memory_reference() {
             &events,
             close,
         );
-        let mut client = Duplex::connect(router.clone());
-        client
-            .send(&ClientFrame::Hello {
-                version: WIRE_VERSION,
-            })
-            .expect("hello");
+        let mut client = WireClient::connect(service.local_addr());
         client.send(&ClientFrame::Open { session }).expect("open");
         for &(seq, event) in &events {
             client
@@ -116,15 +117,13 @@ fn routed_service_on_a_loaded_model_matches_the_in_memory_reference() {
                 seq: close,
             })
             .expect("close");
-        let got = client
-            .recv_session_until_closed(session, Duration::from_secs(10))
-            .expect("frames");
+        let got = client.recv_session_until_closed(session, Duration::from_secs(10));
         assert_eq!(
             got, expected,
             "session {session}: served frames diverge from in-memory reference"
         );
     }
-    router.shutdown();
+    service.shutdown();
 }
 
 /// Runs `serve run` on a model file holding `text`, plus `extra` flags,

@@ -10,6 +10,8 @@
 //! child, restart with `--recover`) is `tests/kill_recover.rs`; these
 //! tests pin the same guarantees without spawning processes.
 
+mod support;
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,10 +19,11 @@ use grandma_core::{EagerConfig, EagerRecognizer, FeatureMask};
 use grandma_events::{Button, EventKind, EventScript, InputEvent};
 use grandma_serve::wal::WalShard;
 use grandma_serve::{
-    encode_client, encode_server, run_events_inproc, ClientFrame, Duplex, FsyncPolicy,
-    PipelineConfig, ServeConfig, ServerFrame, SessionRouter, WalConfig, WIRE_VERSION,
+    encode_client, encode_server, run_events_inproc, ClientFrame, FsyncPolicy, PipelineConfig,
+    ServeConfig, ServerFrame, SessionRouter, TcpService, WalConfig,
 };
 use grandma_synth::{datasets, SynthRng};
+use support::{eventually, frame_session, tmp_dir, WireClient};
 
 const SESSIONS: u64 = 4;
 
@@ -49,18 +52,6 @@ fn session_stream(session: u64) -> Vec<(u32, InputEvent)> {
         .collect()
 }
 
-fn frame_session(frame: &ServerFrame) -> u64 {
-    match *frame {
-        ServerFrame::Recognized { session, .. }
-        | ServerFrame::Manipulate { session, .. }
-        | ServerFrame::Outcome { session, .. }
-        | ServerFrame::Fault { session, .. }
-        | ServerFrame::Resumed { session, .. }
-        | ServerFrame::HandoffAck { session, .. }
-        | ServerFrame::NotOwner { session, .. } => session,
-    }
-}
-
 fn frame_seq(frame: &ServerFrame) -> u32 {
     match *frame {
         ServerFrame::Recognized { seq, .. }
@@ -82,11 +73,8 @@ fn frames_to_bytes(frames: &[ServerFrame]) -> Vec<u8> {
     bytes
 }
 
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("grandma-recovery-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
+fn serve(router: Arc<SessionRouter>) -> TcpService {
+    TcpService::start(router, "127.0.0.1:0").expect("bind")
 }
 
 /// The SIGKILL stand-in: freeze the live WAL directory into an image.
@@ -136,13 +124,8 @@ fn crash_and_recover(
         wal: Some(WalConfig::new(live_dir.clone(), FsyncPolicy::Sync)),
         ..ServeConfig::default()
     };
-    let router = SessionRouter::new(rec.clone(), config);
-    let mut client = Duplex::connect(router.clone());
-    client
-        .send(&ClientFrame::Hello {
-            version: WIRE_VERSION,
-        })
-        .expect("hello");
+    let mut service = serve(SessionRouter::new(rec.clone(), config));
+    let mut client = WireClient::connect(service.local_addr());
     let mut prefix_ends = Vec::new();
     let mut expected_prefix_counts = Vec::new();
     for (i, events) in streams.iter().enumerate() {
@@ -172,7 +155,6 @@ fn crash_and_recover(
     while got_total < want_total {
         let frame = client
             .recv_timeout(Duration::from_secs(10))
-            .expect("recv")
             .expect("prefix frame");
         let session = frame_session(&frame);
         assert!(
@@ -184,10 +166,12 @@ fn crash_and_recover(
     }
 
     // The "crash": freeze the durable state as the kill would leave it,
-    // then tear the live router down. Its graceful shutdown compacts
-    // `live_dir`, but the frozen image no longer changes.
+    // then tear the live service down. Under `--wal sync` no reply
+    // leaves before the sync that covers its record, so the prefix
+    // replies above prove the prefix is on disk. The graceful shutdown
+    // compacts `live_dir`, but the frozen image no longer changes.
     copy_wal(&live_dir, &image_dir);
-    router.shutdown();
+    service.shutdown();
     mangle(&image_dir);
 
     // Phase 2: a fresh router recovers from the image.
@@ -198,18 +182,11 @@ fn crash_and_recover(
     };
     let router = SessionRouter::new(rec.clone(), config);
     let report = router.recover(&wal).expect("recover");
-    let mut client = Duplex::connect(router.clone());
-    client
-        .send(&ClientFrame::Hello {
-            version: WIRE_VERSION,
-        })
-        .expect("hello");
+    let mut service = serve(router);
+    let mut client = WireClient::connect(service.local_addr());
     // Recovered sessions are orphans: nothing may arrive before Resume.
     assert!(
-        client
-            .recv_timeout(Duration::from_millis(50))
-            .expect("recv")
-            .is_none(),
+        client.recv_timeout(Duration::from_millis(50)).is_none(),
         "recovered sessions must stay silent until resumed"
     );
     for (i, _) in streams.iter().enumerate() {
@@ -222,7 +199,6 @@ fn crash_and_recover(
             .expect("resume");
         let frame = client
             .recv_timeout(Duration::from_secs(10))
-            .expect("recv")
             .expect("resumed frame");
         match frame {
             ServerFrame::Resumed {
@@ -256,16 +232,13 @@ fn crash_and_recover(
                 seq: events.len() as u32 + 1,
             })
             .expect("close");
-        for frame in client
-            .recv_session_until_closed(session, Duration::from_secs(10))
-            .expect("tail frames")
-        {
+        for frame in client.recv_session_until_closed(session, Duration::from_secs(10)) {
             let s = frame_session(&frame);
             assert_eq!(s, session, "cross-session contamination: {frame:?}");
             received[i].push(frame);
         }
     }
-    router.shutdown();
+    service.shutdown();
     let _ = std::fs::remove_dir_all(&live_dir);
     let _ = std::fs::remove_dir_all(&image_dir);
     (received, report, baselines)
@@ -331,13 +304,8 @@ fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
 
     // A compaction snapshot of the session cut after `cut` events.
     let snapshot = {
-        let router = SessionRouter::new(rec.clone(), ServeConfig::default());
-        let mut client = Duplex::connect(router.clone());
-        client
-            .send(&ClientFrame::Hello {
-                version: WIRE_VERSION,
-            })
-            .expect("hello");
+        let mut service = serve(SessionRouter::new(rec.clone(), ServeConfig::default()));
+        let mut client = WireClient::connect(service.local_addr());
         client.send(&ClientFrame::Open { session }).expect("open");
         for &(seq, event) in &events[..cut] {
             client
@@ -348,8 +316,13 @@ fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
                 })
                 .expect("event");
         }
-        let mut drained = router.drain_sessions();
-        router.shutdown();
+        // Cut only once the shard has applied every event sent.
+        let metrics = service.metrics().clone();
+        assert!(eventually(
+            || metrics.snapshot().events_ingested == cut as u64
+        ));
+        let mut drained = service.router().drain_sessions();
+        service.shutdown();
         drained.pop().expect("one drained session")
     };
 
@@ -414,12 +387,8 @@ fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
             },
         );
         let report = router.recover(&wal).expect("recover");
-        let mut client = Duplex::connect(router.clone());
-        client
-            .send(&ClientFrame::Hello {
-                version: WIRE_VERSION,
-            })
-            .expect("hello");
+        let mut service = serve(router);
+        let mut client = WireClient::connect(service.local_addr());
         client
             .send(&ClientFrame::Resume {
                 session,
@@ -428,7 +397,6 @@ fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
             .expect("resume");
         let mut frames = vec![client
             .recv_timeout(Duration::from_secs(10))
-            .expect("recv")
             .expect("resumed frame")];
         for &(seq, event) in &events[end..] {
             client
@@ -445,12 +413,8 @@ fn v1_event_logs_recover_byte_identically_to_event_batch_logs() {
                 seq: close_seq,
             })
             .expect("close");
-        frames.extend(
-            client
-                .recv_session_until_closed(session, Duration::from_secs(10))
-                .expect("tail frames"),
-        );
-        router.shutdown();
+        frames.extend(client.recv_session_until_closed(session, Duration::from_secs(10)));
+        service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
         (report.sessions, frames_to_bytes(&frames))
     };
@@ -487,20 +451,15 @@ fn live_v1_events_are_journaled_as_event_batch_records() {
     let events = session_stream(session);
     let dir = tmp_dir("journal-kind");
     let wal = WalConfig::new(dir.clone(), FsyncPolicy::Async);
-    let router = SessionRouter::new(
+    let mut service = serve(SessionRouter::new(
         recognizer(),
         ServeConfig {
             shards: 1,
             wal: Some(wal.clone()),
             ..ServeConfig::default()
         },
-    );
-    let mut client = Duplex::connect(router.clone());
-    client
-        .send(&ClientFrame::Hello {
-            version: WIRE_VERSION,
-        })
-        .expect("hello");
+    ));
+    let mut client = WireClient::connect(service.local_addr());
     client.send(&ClientFrame::Open { session }).expect("open");
     for &(seq, event) in &events {
         client
@@ -520,10 +479,7 @@ fn live_v1_events_are_journaled_as_event_batch_records() {
         })
         .expect("resume");
     let resumed = loop {
-        let frame = client
-            .recv_timeout(Duration::from_secs(10))
-            .expect("recv")
-            .expect("frame");
+        let frame = client.recv_timeout(Duration::from_secs(10)).expect("frame");
         if let ServerFrame::Resumed { .. } = frame {
             break frame;
         }
@@ -536,7 +492,7 @@ fn live_v1_events_are_journaled_as_event_batch_records() {
         }
     );
     let logged = grandma_serve::wal::read_shard(&wal, 0).expect("read log");
-    router.shutdown();
+    service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(logged.frames.first(), Some(&ClientFrame::Open { session }));
@@ -566,13 +522,8 @@ fn graceful_shutdown_seals_sessions_for_recovery() {
         wal: Some(wal.clone()),
         ..ServeConfig::default()
     };
-    let router = SessionRouter::new(rec.clone(), config.clone());
-    let mut client = Duplex::connect(router.clone());
-    client
-        .send(&ClientFrame::Hello {
-            version: WIRE_VERSION,
-        })
-        .expect("hello");
+    let mut service = serve(SessionRouter::new(rec.clone(), config.clone()));
+    let mut client = WireClient::connect(service.local_addr());
     let events = session_stream(9);
     let cut = (events.len() / 2) as u32;
     client
@@ -600,21 +551,20 @@ fn graceful_shutdown_seals_sessions_for_recovery() {
         received.push(
             client
                 .recv_timeout(Duration::from_secs(10))
-                .expect("recv")
                 .expect("prefix frame"),
         );
     }
-    router.shutdown();
+    // The router shuts down under a live connection, so the session is
+    // still open when the shutdown seals it; the service's own teardown
+    // afterwards finds the router gone.
+    service.router().shutdown();
+    service.shutdown();
 
     let router = SessionRouter::new(rec.clone(), config);
     let report = router.recover(&wal).expect("recover");
     assert_eq!(report.sessions, 1, "the sealed session must come back");
-    let mut client = Duplex::connect(router.clone());
-    client
-        .send(&ClientFrame::Hello {
-            version: WIRE_VERSION,
-        })
-        .expect("hello");
+    let mut service = serve(router);
+    let mut client = WireClient::connect(service.local_addr());
     client
         .send(&ClientFrame::Resume {
             session: 9,
@@ -623,7 +573,6 @@ fn graceful_shutdown_seals_sessions_for_recovery() {
         .expect("resume");
     match client
         .recv_timeout(Duration::from_secs(10))
-        .expect("recv")
         .expect("resumed")
     {
         ServerFrame::Resumed { session, last_seq } => {
@@ -647,12 +596,8 @@ fn graceful_shutdown_seals_sessions_for_recovery() {
             seq: events.len() as u32 + 1,
         })
         .expect("close");
-    received.extend(
-        client
-            .recv_session_until_closed(9, Duration::from_secs(10))
-            .expect("tail"),
-    );
-    router.shutdown();
+    received.extend(client.recv_session_until_closed(9, Duration::from_secs(10)));
+    service.shutdown();
     assert_eq!(
         frames_to_bytes(&received),
         frames_to_bytes(&baseline),
@@ -664,17 +609,13 @@ fn graceful_shutdown_seals_sessions_for_recovery() {
 #[test]
 fn resume_of_a_foreign_or_unknown_session_is_faulted() {
     let rec = recognizer();
-    let router = SessionRouter::new(rec, ServeConfig::default());
-    let mut owner = Duplex::connect(router.clone());
-    let mut intruder = Duplex::connect(router.clone());
-    for client in [&mut owner, &mut intruder] {
-        client
-            .send(&ClientFrame::Hello {
-                version: WIRE_VERSION,
-            })
-            .expect("hello");
-    }
+    let mut service = serve(SessionRouter::new(rec, ServeConfig::default()));
+    let metrics = service.metrics().clone();
+    let mut owner = WireClient::connect(service.local_addr());
+    let mut intruder = WireClient::connect(service.local_addr());
     owner.send(&ClientFrame::Open { session: 5 }).expect("open");
+    // The session is live before the intruder tries it.
+    assert!(eventually(|| metrics.snapshot().sessions_opened == 1));
     // A live session owned by another connection must not be stealable
     // — and the fault must be indistinguishable from "never existed".
     intruder
@@ -692,7 +633,6 @@ fn resume_of_a_foreign_or_unknown_session_is_faulted() {
     for _ in 0..2 {
         let frame = intruder
             .recv_timeout(Duration::from_secs(10))
-            .expect("recv")
             .expect("fault");
         assert!(
             matches!(
@@ -706,5 +646,5 @@ fn resume_of_a_foreign_or_unknown_session_is_faulted() {
             "got {frame:?}"
         );
     }
-    router.shutdown();
+    service.shutdown();
 }

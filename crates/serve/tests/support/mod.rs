@@ -1,13 +1,14 @@
 //! The harness the serve suites share: one guard for a spawned `serve
-//! run` child, the model trainer, the seeded session streams, and the
-//! invariants every resumed or moved session must hold.
+//! run` child, a frame-level wire client, the model trainer, the seeded
+//! session streams, and the invariants every resumed or moved session
+//! must hold.
 //!
 //! Each suite compiles this module on its own and uses a different part
 //! of it, hence the crate-wide `dead_code` allowance.
 #![allow(dead_code)]
 
-use std::io::{BufRead, BufReader, Read};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::Arc;
@@ -16,8 +17,8 @@ use std::time::{Duration, Instant};
 use grandma_core::EagerRecognizer;
 use grandma_events::{Button, EventScript, InputEvent};
 use grandma_serve::{
-    encode_server, run_events_inproc, OutcomeKind, PipelineConfig, PollBackend, ReconnectingClient,
-    RetryPolicy, ServerFrame,
+    encode_client, encode_server, run_events_inproc, ClientFrame, FrameBuffer, OutcomeKind,
+    PipelineConfig, PollBackend, ReconnectingClient, RetryPolicy, ServerFrame, WIRE_VERSION,
 };
 use grandma_synth::{datasets, FaultInjector, SynthRng};
 
@@ -103,6 +104,132 @@ impl Drop for Server {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+}
+
+/// One raw wire connection, frame by frame: what a test needs to hold
+/// a `TcpService` to exact server frames. Unlike `ReconnectingClient`
+/// it never retries, numbers nothing and sends only what it is given.
+pub struct WireClient {
+    stream: TcpStream,
+    frames: FrameBuffer,
+    chunk: Vec<u8>,
+}
+
+impl WireClient {
+    /// Connects to `addr` and sends `Hello` at the current version.
+    pub fn connect(addr: SocketAddr) -> Self {
+        let mut client = Self::raw(addr);
+        let hello = ClientFrame::Hello {
+            version: WIRE_VERSION,
+        };
+        client.send(&hello).expect("hello");
+        client
+    }
+
+    /// Connects to `addr` without a `Hello`.
+    pub fn raw(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        Self {
+            stream,
+            frames: FrameBuffer::new(),
+            chunk: vec![0u8; 16 * 1024],
+        }
+    }
+
+    /// Sends one frame.
+    pub fn send(&mut self, frame: &ClientFrame) -> std::io::Result<()> {
+        self.send_all(std::slice::from_ref(frame))
+    }
+
+    /// Sends `frames` in one write, so the server reads them together.
+    pub fn send_all(&mut self, frames: &[ClientFrame]) -> std::io::Result<()> {
+        let mut bytes = Vec::new();
+        for frame in frames {
+            encode_client(frame, &mut bytes);
+        }
+        self.send_bytes(&bytes)
+    }
+
+    /// Sends bytes already encoded.
+    pub fn send_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.stream.write_all(bytes)
+    }
+
+    /// Half-closes the connection: the server sees EOF and still answers.
+    pub fn finish(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Write);
+    }
+
+    /// The next server frame, waiting up to `timeout`. `None` on timeout
+    /// or when the server closes the connection.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<ServerFrame> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(frame) = self.frames.next_server().expect("valid server bytes") {
+                return Some(frame);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            self.stream.set_read_timeout(Some(left)).expect("timeout");
+            match self.stream.read(&mut self.chunk) {
+                Ok(n) if n > 0 => self.frames.extend(&self.chunk[..n]),
+                _ => return None,
+            }
+        }
+    }
+
+    /// Up to `count` frames, fewer when the server closes the connection
+    /// or `timeout` passes with nothing new.
+    pub fn recv_many(&mut self, count: usize, timeout: Duration) -> Vec<ServerFrame> {
+        let mut out = Vec::new();
+        while out.len() < count {
+            match self.recv_timeout(timeout) {
+                Some(frame) => out.push(frame),
+                None => break,
+            }
+        }
+        out
+    }
+
+    /// Frames until the `Closed` outcome of `session` (inclusive), or
+    /// until `timeout` passes with nothing new.
+    pub fn recv_session_until_closed(
+        &mut self,
+        session: u64,
+        timeout: Duration,
+    ) -> Vec<ServerFrame> {
+        let mut out = Vec::new();
+        while let Some(frame) = self.recv_timeout(timeout) {
+            let done = matches!(
+                frame,
+                ServerFrame::Outcome {
+                    session: s,
+                    outcome: OutcomeKind::Closed,
+                    ..
+                } if s == session
+            );
+            out.push(frame);
+            if done {
+                break;
+            }
+        }
+        out
+    }
+}
+
+/// Polls `done` every 2 ms for up to ten seconds; whether it came true.
+pub fn eventually(mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
 }
 
 /// A fresh scratch directory, unique per suite `tag` and test process.

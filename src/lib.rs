@@ -15,7 +15,7 @@
 //! - [`gdp`] — the GDP gesture-based drawing program.
 //! - [`multipath`] — the §6 multi-finger extension.
 //! - [`serve`] — the sharded multi-session recognition service: binary
-//!   wire protocol, session router, Duplex/TCP transports, metrics.
+//!   wire protocol, session router, TCP transport, metrics.
 //! - [`cluster`] — multi-node routing: the deterministic consistent-hash
 //!   ring and the `cluster.json` discovery registry.
 //!
