@@ -30,6 +30,12 @@ use grandma_linalg::{
 
 use crate::features::{FeatureExtractor, FeatureMask};
 
+/// Classes per block of the evaluation kernel. On the x86-64 SSE2
+/// baseline, the GDP AUC's per-point argmax (21 classes) measured
+/// fastest with eight `f64` accumulators: level with four, and ahead of
+/// two and sixteen.
+const LANES: usize = 8;
+
 /// Errors produced by classifier training.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TrainError {
@@ -118,6 +124,12 @@ impl Classification {
 #[derive(Debug, Clone)]
 pub struct LinearClassifier {
     weights: Vec<Vector>,
+    /// The evaluation kernel's copy of `weights`: feature-major, classes
+    /// padded with zeros to a multiple of [`LANES`]. Block `b` is
+    /// `dimension().max(1)` consecutive rows; row `j` holds feature `j`'s
+    /// weight for classes `LANES·b .. LANES·b + LANES`. Derived once at
+    /// construction: only constants change afterwards.
+    lanes: Vec<[f64; LANES]>,
     constants: Vec<f64>,
     means: Vec<Vector>,
     inverse_covariance: Matrix,
@@ -182,6 +194,7 @@ impl LinearClassifier {
             .collect();
         let mu_quads = mu_quadratics(&weights, &means);
         Ok(Self {
+            lanes: lane_blocks(&weights),
             weights,
             constants,
             means,
@@ -223,6 +236,7 @@ impl LinearClassifier {
         );
         let mu_quads = mu_quadratics(&weights, &means);
         Self {
+            lanes: lane_blocks(&weights),
             weights,
             constants,
             means,
@@ -254,11 +268,42 @@ impl LinearClassifier {
     ///
     /// Panics if `features` has the wrong dimension.
     pub fn evaluate(&self, features: &Vector) -> Vec<f64> {
-        self.weights
-            .iter()
-            .zip(self.constants.iter())
-            .map(|(w, c)| w.dot(features) + c)
-            .collect()
+        let mut out = vec![0.0; self.num_classes()];
+        self.evaluate_into(features.as_slice(), &mut out);
+        out
+    }
+
+    // lint:hot-path start — per-point eager loop: no panics, no allocation
+    /// The evaluation kernel: the dot product of `features` with every
+    /// class's weights, one block of [`LANES`] classes at a time (class
+    /// `LANES·b + k` in lane `k` of block `b`; padded lanes read 0).
+    ///
+    /// Each lane folds in feature order from −0.0 with a separate
+    /// multiply and add — exactly [`grandma_linalg::dot_slices`]' fold —
+    /// so every evaluation is bit-identical to the per-class dot product
+    /// (up to a NaN's sign and payload, which Rust leaves unspecified),
+    /// while the lanes of a block are independent and vectorize.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` has the wrong dimension.
+    fn lane_dots<'a>(&'a self, features: &'a [f64]) -> impl Iterator<Item = [f64; LANES]> + 'a {
+        assert_eq!(
+            features.len(),
+            self.dimension(),
+            "dot product requires equal lengths"
+        );
+        self.lanes
+            .chunks_exact(self.dimension().max(1))
+            .map(move |rows| {
+                let mut acc = [-0.0; LANES];
+                for (row, &x) in rows.iter().zip(features) {
+                    for (a, &w) in acc.iter_mut().zip(row) {
+                        *a += w * x;
+                    }
+                }
+                acc
+            })
     }
 
     /// Writes the per-class linear evaluations into a caller-provided
@@ -271,20 +316,22 @@ impl LinearClassifier {
     ///
     /// Panics if `features` has the wrong dimension or
     /// `out.len() != self.num_classes()`.
-    // lint:hot-path start — per-point eager loop: no panics, no allocation
     pub fn evaluate_into(&self, features: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), self.weights.len(), "one slot per class");
-        for ((slot, w), c) in out
-            .iter_mut()
-            .zip(self.weights.iter())
-            .zip(self.constants.iter())
+        assert_eq!(out.len(), self.constants.len(), "one slot per class");
+        for ((slots, constants), dots) in out
+            .chunks_mut(LANES)
+            .zip(self.constants.chunks(LANES))
+            .zip(self.lane_dots(features))
         {
-            *slot = w.dot_slice(features) + c;
+            for ((slot, c), dot) in slots.iter_mut().zip(constants).zip(dots) {
+                *slot = dot + c;
+            }
         }
     }
 
     /// Returns the argmax class without materializing the evaluation
-    /// vector — zero allocations.
+    /// vector — zero allocations. Ties go to the lowest class index, and
+    /// a NaN evaluation never wins.
     ///
     /// This is all the per-point eager loop needs from the classifier: the
     /// AUC verdict and the full classifier's pick are both argmax queries.
@@ -294,10 +341,14 @@ impl LinearClassifier {
     /// Panics if `features` has the wrong dimension.
     pub fn best_class(&self, features: &[f64]) -> usize {
         let mut best = (0, f64::NEG_INFINITY);
-        for (i, (w, c)) in self.weights.iter().zip(self.constants.iter()).enumerate() {
-            let v = w.dot_slice(features) + c;
-            if v > best.1 {
-                best = (i, v);
+        let mut class = 0;
+        for (constants, dots) in self.constants.chunks(LANES).zip(self.lane_dots(features)) {
+            for (c, dot) in constants.iter().zip(dots) {
+                let v = dot + c;
+                if v > best.1 {
+                    best = (class, v);
+                }
+                class += 1;
             }
         }
         best.0
@@ -439,6 +490,25 @@ impl LinearClassifier {
     pub fn weights(&self, class: usize) -> &Vector {
         &self.weights[class]
     }
+}
+
+/// Lays the per-class weights out for [`LinearClassifier::lane_dots`]:
+/// feature-major blocks of [`LANES`] classes, the last padded with zero
+/// weights. A zero-dimensional classifier still gets one all-zero row
+/// per block (never read), so every block keeps its slot in the kernel.
+fn lane_blocks(weights: &[Vector]) -> Vec<[f64; LANES]> {
+    let dim = weights.first().map_or(0, Vector::len);
+    let mut lanes = Vec::new();
+    for block in weights.chunks(LANES) {
+        for j in 0..dim.max(1) {
+            let mut row = [0.0; LANES];
+            for (slot, w) in row.iter_mut().zip(block) {
+                *slot = w.as_slice().get(j).copied().unwrap_or(0.0);
+            }
+            lanes.push(row);
+        }
+    }
+    lanes
 }
 
 /// Precomputes `μ_cᵀ Σ⁻¹ μ_c = w_c · μ_c` for every class.

@@ -926,13 +926,15 @@ impl Journal {
     }
 
     /// Fail-open: a WAL I/O failure permanently disables the shard's WAL
-    /// (availability over durability, loudly on stderr) rather than
-    /// faulting live traffic, and the held replies go out.
+    /// (availability over durability, loudly on stderr and in
+    /// `wal_disabled`) rather than faulting live traffic, and the held
+    /// replies go out.
     fn disable(&mut self, what: &str, e: &std::io::Error) {
         eprintln!(
             "serve: shard {}: WAL disabled ({what} failed: {e})",
             self.shard
         );
+        self.metrics.wal_disabled.fetch_add(1, Ordering::Relaxed);
         self.wal = None;
         self.release();
     }
@@ -1348,6 +1350,7 @@ fn shard_worker(
                 Ok(w) => Some(w),
                 Err(e) => {
                     eprintln!("serve: shard {index}: WAL disabled (open failed: {e})");
+                    metrics.wal_disabled.fetch_add(1, Ordering::Relaxed);
                     None
                 }
             },
@@ -2772,7 +2775,43 @@ mod tests {
             (2, 3),
             "two group commits, and the shutdown compaction's sync"
         );
+        assert_eq!(snap.wal_disabled, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_wal_open_serves_without_a_wal_and_is_counted() {
+        // A regular file where the WAL directory should be: the open fails.
+        let dir = wal_dir("failopen");
+        std::fs::write(&dir, b"not a directory").unwrap();
+        let router = SessionRouter::new(
+            recognizer(),
+            ServeConfig {
+                shards: 2,
+                wal: Some(WalConfig::new(&dir, FsyncPolicy::Sync)),
+                ..ServeConfig::default()
+            },
+        );
+        let conn = router.new_conn_id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        open_committed(&router, conn, 9, &tx);
+        recv_resumed(&rx);
+        submit_batch(&router, conn, 9, &gesture_records(), &tx);
+        router
+            .submit(ShardMsg::Close {
+                conn,
+                session: 9,
+                seq: 1000,
+                reply: tx.into(),
+            })
+            .unwrap();
+        let frames = recv_until_closed(&rx);
+        assert!(frames.len() > 1, "the shard serves on: {frames:?}");
+        router.shutdown();
+        let snap = router.metrics().snapshot();
+        assert_eq!(snap.wal_disabled, 2, "one per shard whose open failed");
+        assert_eq!((snap.wal_appends, snap.wal_syncs), (0, 0));
+        let _ = std::fs::remove_file(&dir);
     }
 
     #[test]
@@ -2842,6 +2881,7 @@ mod tests {
         assert_eq!(snap.wal_appends, 3);
         assert_eq!(snap.wal_writes, 0);
         assert_eq!(snap.wal_syncs, 0);
+        assert_eq!(snap.wal_disabled, 1, "the failure is counted, once");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -3019,6 +3059,7 @@ mod tests {
             (snap.wal_appends, snap.wal_writes, snap.wal_syncs),
             (3, 3, 0)
         );
+        assert_eq!(snap.wal_disabled, 0);
         assert_eq!(control.writes.load(Ordering::SeqCst), 3);
         assert_eq!(control.syncs.load(Ordering::SeqCst), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -3059,6 +3100,7 @@ mod tests {
             router.shutdown();
             let snap = router.metrics().snapshot();
             assert_eq!(snap.wal_syncs, 0, "{tag}");
+            assert_eq!(snap.wal_disabled, 0, "{tag}");
             assert_eq!(snap.wal_appends, if wal.is_some() { 3 } else { 0 }, "{tag}");
             assert_eq!(
                 snap.wal_writes, snap.wal_appends,
