@@ -7,62 +7,25 @@
 //! [`MetricsSnapshot`] that serializes itself to JSON with
 //! [`MetricsSnapshot::to_json`] (hand-rolled; the serving layer is
 //! dependency-free).
-//!
-//! Every counter sits on a [`CachePadded`] line of its own. The reactor
-//! and the shard workers run on different cores and bump counters on
-//! every frame; counters sharing a line would bounce it between those
-//! cores even though no counter is written by both.
 
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::wire::{OutcomeKind, OUTCOME_KIND_COUNT};
-
-/// Bytes one [`CachePadded`] value occupies: two 64-byte cache lines,
-/// because x86-64's adjacent-line prefetcher pulls lines in 128-byte
-/// pairs.
-pub const CACHE_LINE: usize = 128;
-
-/// A value alone on its own [`CACHE_LINE`]-byte line, read through
-/// `Deref` so call sites stay `counter.fetch_add(..)`.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub struct CachePadded<T>(T);
-
-impl<T> CachePadded<T> {
-    /// Wraps `value` on a line of its own.
-    pub const fn new(value: T) -> Self {
-        Self(value)
-    }
-}
-
-impl<T> Deref for CachePadded<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-/// One zeroed counter on its own line.
-fn counter() -> CachePadded<AtomicU64> {
-    CachePadded::new(AtomicU64::new(0))
-}
 
 /// Per-shard counters.
 #[derive(Debug, Default)]
 pub struct ShardMetrics {
     /// Messages currently queued to the shard (approximate: incremented
     /// by submitters, decremented by the worker).
-    pub queue_depth: CachePadded<AtomicU64>,
+    pub queue_depth: AtomicU64,
     /// High-water mark of `queue_depth`.
-    pub queue_highwater: CachePadded<AtomicU64>,
+    pub queue_highwater: AtomicU64,
     /// Events this shard processed.
-    pub events: CachePadded<AtomicU64>,
+    pub events: AtomicU64,
     /// Mouse-move points this shard ingested.
-    pub points: CachePadded<AtomicU64>,
+    pub points: AtomicU64,
     /// Nanoseconds spent inside the pipeline on this shard.
-    pub busy_ns: CachePadded<AtomicU64>,
+    pub busy_ns: AtomicU64,
 }
 
 impl ShardMetrics {
@@ -89,139 +52,137 @@ impl ShardMetrics {
 #[derive(Debug)]
 pub struct ServiceMetrics {
     /// Sessions opened over the service lifetime.
-    pub sessions_opened: CachePadded<AtomicU64>,
+    pub sessions_opened: AtomicU64,
     /// Sessions closed (client `Close` or connection teardown).
-    pub sessions_closed: CachePadded<AtomicU64>,
+    pub sessions_closed: AtomicU64,
     /// Client `Event` frames accepted into shard queues.
-    pub events_ingested: CachePadded<AtomicU64>,
+    pub events_ingested: AtomicU64,
     /// Mouse-move points among them.
-    pub points_ingested: CachePadded<AtomicU64>,
+    pub points_ingested: AtomicU64,
     /// `EventBatch` frames accepted into shard queues (wire v2).
-    pub batches_ingested: CachePadded<AtomicU64>,
+    pub batches_ingested: AtomicU64,
     /// Coalesced socket writes performed by connection writer threads.
-    pub writer_flushes: CachePadded<AtomicU64>,
+    pub writer_flushes: AtomicU64,
     /// Server frames encoded into those writes.
-    pub frames_sent: CachePadded<AtomicU64>,
+    pub frames_sent: AtomicU64,
     /// Interaction outcomes, indexed by the kind's wire byte:
     /// Recognized, Manipulated, Cancelled, Rejected, Closed.
-    pub outcomes: [CachePadded<AtomicU64>; OUTCOME_KIND_COUNT],
+    pub outcomes: [AtomicU64; OUTCOME_KIND_COUNT],
     /// Sanitizer repairs performed across all sessions.
-    pub faults_repaired: CachePadded<AtomicU64>,
+    pub faults_repaired: AtomicU64,
     /// Frames rejected with `Busy` because a shard queue was full.
-    pub busy_rejections: CachePadded<AtomicU64>,
+    pub busy_rejections: AtomicU64,
     /// Events/closes naming a session no shard holds.
-    pub unknown_sessions: CachePadded<AtomicU64>,
+    pub unknown_sessions: AtomicU64,
     /// Connections dropped for undecodable bytes.
-    pub decode_errors: CachePadded<AtomicU64>,
+    pub decode_errors: AtomicU64,
     /// Gauge: TCP connections currently registered with the reactor
     /// (incremented at accept handoff, decremented at teardown).
-    pub open_connections: CachePadded<AtomicU64>,
+    pub open_connections: AtomicU64,
     /// Self-pipe wakeups consumed by reactor I/O threads. Wakes that
     /// arrive while a poll loop is busy coalesce and are not counted.
-    pub reactor_wakeups: CachePadded<AtomicU64>,
+    pub reactor_wakeups: AtomicU64,
     /// File-descriptor readiness notifications processed by reactor
     /// poll loops (sum of ready entries over all `poll` returns).
-    pub readiness_events: CachePadded<AtomicU64>,
+    pub readiness_events: AtomicU64,
     /// Which readiness backend the reactor resolved to: 0 = no reactor
     /// started yet, 1 = poll(2), 2 = epoll(7).
-    pub reactor_backend: CachePadded<AtomicU64>,
+    pub reactor_backend: AtomicU64,
     /// `epoll_ctl` syscalls issued by reactor threads (adds, interest
     /// modifies, deletes). Stays 0 on the poll(2) backend, whose
     /// interest set is a userspace map. The ratio of this to
     /// `readiness_events` shows how rare interest transitions are
     /// relative to wakeups.
-    pub epoll_ctl_calls: CachePadded<AtomicU64>,
+    pub epoll_ctl_calls: AtomicU64,
     /// Socket writes that accepted fewer bytes than requested; the
     /// remainder stayed queued until the next writable notification.
-    pub writes_short: CachePadded<AtomicU64>,
+    pub writes_short: AtomicU64,
     /// Connections deliberately dropped at accept time: over
     /// `max_connections`, fd exhaustion (EMFILE/ENFILE), or a
     /// slow-consumer write queue overrunning its cap.
-    pub connections_shed: CachePadded<AtomicU64>,
+    pub connections_shed: AtomicU64,
     /// `accept()` failures (including fd exhaustion before shedding).
-    pub accept_errors: CachePadded<AtomicU64>,
+    pub accept_errors: AtomicU64,
     /// Connections reaped by the idle timeout.
-    pub idle_reaped: CachePadded<AtomicU64>,
+    pub idle_reaped: AtomicU64,
     /// Parked `Close`s and `Detach`es the last drain (a reactor thread's
     /// shutdown) gave up retrying against a saturated shard queue; the
     /// router's own shutdown still finalizes those sessions, but the
     /// orderly path lost them.
-    pub closes_abandoned: CachePadded<AtomicU64>,
+    pub closes_abandoned: AtomicU64,
     /// Sessions rebuilt from WAL compaction snapshots during recovery.
-    pub recovered_sessions: CachePadded<AtomicU64>,
+    pub recovered_sessions: AtomicU64,
     /// Successful `Resume`s — orphaned sessions re-bound to a live
     /// connection.
-    pub sessions_resumed: CachePadded<AtomicU64>,
+    pub sessions_resumed: AtomicU64,
     /// Sessions accepted from peer nodes via wire v4 `Handoff`.
-    pub sessions_handed_off: CachePadded<AtomicU64>,
+    pub sessions_handed_off: AtomicU64,
     /// `Open`/`Resume` requests answered with `NotOwner` because the
     /// cluster ring maps the session to another node.
-    pub not_owner_redirects: CachePadded<AtomicU64>,
+    pub not_owner_redirects: AtomicU64,
     /// Records appended to write-ahead logs across all shards.
-    pub wal_appends: CachePadded<AtomicU64>,
+    pub wal_appends: AtomicU64,
     /// Bytes those appends wrote (headers included).
-    pub wal_bytes: CachePadded<AtomicU64>,
+    pub wal_bytes: AtomicU64,
     /// `write_all` calls on write-ahead logs: one per record under
     /// `--wal async`, one per group commit under `--wal sync`, so
     /// `wal_writes / wal_syncs` is the writes paid per fsync.
-    pub wal_writes: CachePadded<AtomicU64>,
+    pub wal_writes: AtomicU64,
     /// `sync_data` calls on write-ahead logs (`--wal sync` only): one
     /// per group commit plus one per compaction. `wal_syncs /
     /// wal_appends` is the fsyncs paid per accepted frame.
-    pub wal_syncs: CachePadded<AtomicU64>,
+    pub wal_syncs: AtomicU64,
     /// Shard WALs switched off by an I/O failure: a failed open, append,
     /// group commit or compaction. The policy is fail-open — the shard
     /// keeps serving without durability — so a nonzero count means
     /// acknowledged frames may no longer survive a crash.
-    pub wal_disabled: CachePadded<AtomicU64>,
+    pub wal_disabled: AtomicU64,
     /// Gauge: wall-clock milliseconds the last WAL recovery took
     /// (0 when the process never recovered).
-    pub replay_ms: CachePadded<AtomicU64>,
+    pub replay_ms: AtomicU64,
     /// Per-shard counters.
-    shards: CachePadded<Vec<ShardMetrics>>,
+    shards: Vec<ShardMetrics>,
 }
 
 impl ServiceMetrics {
     /// Creates the counter set for `shards` shard workers.
     pub fn new(shards: usize) -> Self {
         Self {
-            sessions_opened: counter(),
-            sessions_closed: counter(),
-            events_ingested: counter(),
-            points_ingested: counter(),
-            batches_ingested: counter(),
-            writer_flushes: counter(),
-            frames_sent: counter(),
+            sessions_opened: AtomicU64::new(0),
+            sessions_closed: AtomicU64::new(0),
+            events_ingested: AtomicU64::new(0),
+            points_ingested: AtomicU64::new(0),
+            batches_ingested: AtomicU64::new(0),
+            writer_flushes: AtomicU64::new(0),
+            frames_sent: AtomicU64::new(0),
             outcomes: Default::default(),
-            faults_repaired: counter(),
-            busy_rejections: counter(),
-            unknown_sessions: counter(),
-            decode_errors: counter(),
-            open_connections: counter(),
-            reactor_wakeups: counter(),
-            readiness_events: counter(),
-            reactor_backend: counter(),
-            epoll_ctl_calls: counter(),
-            writes_short: counter(),
-            connections_shed: counter(),
-            accept_errors: counter(),
-            idle_reaped: counter(),
-            closes_abandoned: counter(),
-            recovered_sessions: counter(),
-            sessions_resumed: counter(),
-            sessions_handed_off: counter(),
-            not_owner_redirects: counter(),
-            wal_appends: counter(),
-            wal_bytes: counter(),
-            wal_writes: counter(),
-            wal_syncs: counter(),
-            wal_disabled: counter(),
-            replay_ms: counter(),
-            shards: CachePadded::new(
-                (0..shards.max(1))
-                    .map(|_| ShardMetrics::default())
-                    .collect(),
-            ),
+            faults_repaired: AtomicU64::new(0),
+            busy_rejections: AtomicU64::new(0),
+            unknown_sessions: AtomicU64::new(0),
+            decode_errors: AtomicU64::new(0),
+            open_connections: AtomicU64::new(0),
+            reactor_wakeups: AtomicU64::new(0),
+            readiness_events: AtomicU64::new(0),
+            reactor_backend: AtomicU64::new(0),
+            epoll_ctl_calls: AtomicU64::new(0),
+            writes_short: AtomicU64::new(0),
+            connections_shed: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
+            idle_reaped: AtomicU64::new(0),
+            closes_abandoned: AtomicU64::new(0),
+            recovered_sessions: AtomicU64::new(0),
+            sessions_resumed: AtomicU64::new(0),
+            sessions_handed_off: AtomicU64::new(0),
+            not_owner_redirects: AtomicU64::new(0),
+            wal_appends: AtomicU64::new(0),
+            wal_bytes: AtomicU64::new(0),
+            wal_writes: AtomicU64::new(0),
+            wal_syncs: AtomicU64::new(0),
+            wal_disabled: AtomicU64::new(0),
+            replay_ms: AtomicU64::new(0),
+            shards: (0..shards.max(1))
+                .map(|_| ShardMetrics::default())
+                .collect(),
         }
     }
 
@@ -604,65 +565,6 @@ mod tests {
             );
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    /// The lines each listed field starts on, plus the lines `outcomes`
-    /// spans, one per element.
-    fn lines_of(offsets: &[usize]) -> std::collections::BTreeSet<usize> {
-        offsets.iter().map(|offset| offset / CACHE_LINE).collect()
-    }
-
-    /// No two counters share a line, so the reactor's counters never
-    /// bounce a line the shard writes. A new field of any type either
-    /// goes unlisted here — then the struct is one line larger than the
-    /// listed lines and the size check fails — or, listed without
-    /// `CachePadded`, shares a line and the distinct-lines check fails.
-    #[test]
-    fn every_counter_has_a_cache_line_of_its_own() {
-        use std::mem::{align_of, offset_of, size_of};
-        assert_eq!(align_of::<CachePadded<AtomicU64>>(), CACHE_LINE);
-        assert_eq!(size_of::<CachePadded<AtomicU64>>(), CACHE_LINE);
-        assert_eq!(align_of::<ServiceMetrics>(), CACHE_LINE);
-        assert_eq!(align_of::<ShardMetrics>(), CACHE_LINE);
-
-        macro_rules! offsets {
-            ($ty:ty; $($field:ident),+ $(,)?) => {
-                vec![$(offset_of!($ty, $field)),+]
-            };
-        }
-        let mut service = offsets!(ServiceMetrics;
-            sessions_opened, sessions_closed, events_ingested, points_ingested,
-            batches_ingested, writer_flushes, frames_sent, faults_repaired,
-            busy_rejections, unknown_sessions, decode_errors, open_connections,
-            reactor_wakeups, readiness_events, reactor_backend, epoll_ctl_calls,
-            writes_short, connections_shed, accept_errors, idle_reaped,
-            closes_abandoned, recovered_sessions, sessions_resumed,
-            sessions_handed_off, not_owner_redirects, wal_appends, wal_bytes,
-            wal_writes, wal_syncs, wal_disabled, replay_ms, shards,
-        );
-        let outcomes = offset_of!(ServiceMetrics, outcomes);
-        service.extend((0..OUTCOME_KIND_COUNT).map(|k| outcomes + k * CACHE_LINE));
-        let lines = lines_of(&service);
-        assert_eq!(lines.len(), service.len(), "two fields share a line");
-        assert_eq!(
-            size_of::<ServiceMetrics>(),
-            lines.len() * CACHE_LINE,
-            "a field is missing from this list"
-        );
-
-        let shard = offsets!(ShardMetrics; queue_depth, queue_highwater, events, points, busy_ns);
-        let lines = lines_of(&shard);
-        assert_eq!(lines.len(), shard.len(), "two fields share a line");
-        assert_eq!(
-            size_of::<ShardMetrics>(),
-            lines.len() * CACHE_LINE,
-            "a field is missing from this list"
-        );
-
-        // The shard blocks themselves sit a whole number of lines apart.
-        let m = ServiceMetrics::new(2);
-        let gap = std::ptr::from_ref(m.shard(1)) as usize - std::ptr::from_ref(m.shard(0)) as usize;
-        assert_eq!(gap % CACHE_LINE, 0);
     }
 
     #[test]
