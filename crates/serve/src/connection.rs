@@ -13,7 +13,7 @@
 //!    ring maps elsewhere is answered `NotOwner { owner }`; `Handoff`
 //!    bypasses the fence, since the sending peer routed it here.
 //! 3. A full shard queue bounces the frame as `Fault(Busy)` with
-//!    `ShardMsg::fault`'s `(session, seq)` — except a `Close` for a
+//!    `ShardMsg::echo`'s `(session, seq)` — except a `Close` for a
 //!    session this connection opened, which is parked and retried until
 //!    it lands: losing it would leak the session, and the client is owed
 //!    its `Closed` outcome. So the park list is bounded by open sessions.
@@ -22,14 +22,19 @@
 //!    one connection, never the process.
 //! 5. The ledger holds the sessions opened (on submit: a rejected `Open`
 //!    is harmless, as teardown messages carry this connection's id, which
-//!    the shard checks) and those owed a terminal reply, which a
-//!    half-closed TCP connection stays up to deliver.
+//!    the shard checks) and the answers the shard owes, which a
+//!    half-closed TCP connection stays up to deliver: one per `Close`,
+//!    `Resume` and `Handoff`, and per `Event`/`EventBatch` for a session
+//!    not open here. Only the answer itself settles a debt — `Closed`,
+//!    `Resumed`, `HandoffAck` or a rejection fault echoing its
+//!    `(session, seq)` — never a repair fault ahead of a `Closed`.
 //! 6. At EOF the open sessions are closed. At teardown what is still open
 //!    is closed, or under [`crate::ServeConfig::detach_on_disconnect`]
 //!    detached for a later `Resume` (EOF leaves them to teardown). Each
 //!    message is parked like a busy `Close` when its queue is full, so
 //!    teardown never blocks the thread that runs it.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -60,9 +65,9 @@ pub(crate) struct Connection {
     ended: bool,
     /// Sessions this connection opened or resumed and has not closed.
     open: HashSet<u64>,
-    /// Sessions owed a terminal reply: a `Close` went to the shard, and
-    /// its `Closed` outcome or fault has not been delivered yet.
-    owed: HashSet<u64>,
+    /// Answers the shard owes, by the `(session, seq)` each echoes, with
+    /// how many of each are still to come.
+    owed: HashMap<(u64, u32), u32>,
 }
 
 impl Connection {
@@ -75,7 +80,7 @@ impl Connection {
             hello: false,
             ended: false,
             open: HashSet::new(),
-            owed: HashSet::new(),
+            owed: HashMap::new(),
         }
     }
 
@@ -85,7 +90,7 @@ impl Connection {
         self.ended
     }
 
-    /// Whether some session is still owed its terminal reply.
+    /// Whether the shard still owes this connection an answer.
     pub(crate) fn owes_replies(&self) -> bool {
         !self.owed.is_empty()
     }
@@ -129,55 +134,83 @@ impl Connection {
                 return Ok(Some(self.end(FaultCode::BadFrame)));
             }
         };
-        let busy = msg.fault(FaultCode::Busy);
-        let (admit, close) = match &msg {
-            ShardMsg::Open { session, .. } | ShardMsg::Resume { session, .. } => {
-                (Some(*session), None)
-            }
-            ShardMsg::Close { session, seq, .. } => (None, Some((*session, *seq))),
-            _ => (None, None),
+        let (session, seq) = msg.echo();
+        // Whether the frame opens the session here, closes it, and is
+        // always answered by the shard.
+        let (admit, close, owes) = match &msg {
+            ShardMsg::Open { .. } => (true, false, false),
+            ShardMsg::Resume { .. } => (true, false, true),
+            ShardMsg::Close { .. } => (false, true, true),
+            ShardMsg::Handoff { .. } => (false, false, true),
+            // `Event` and `EventBatch`: answered for certain only when
+            // the session is not open here (`UnknownSession`).
+            _ => (false, false, !self.open.contains(&session)),
         };
-        if let Some(session) = admit {
+        if admit {
             if let Some(owner) = router.owner_redirect(session) {
                 metrics.not_owner_redirects.fetch_add(1, Ordering::Relaxed);
                 return Ok(Some(ServerFrame::NotOwner { session, owner }));
             }
         }
-        let opened = close.is_some_and(|(session, _)| self.open.remove(&session));
+        let opened = close && self.open.remove(&session);
         match (router.submit(msg), close) {
             (Ok(()), _) => {
-                if let Some(session) = admit {
+                if admit {
                     self.open.insert(session);
                 }
-                if let Some((session, _)) = close {
-                    self.owed.insert(session);
+                if owes {
+                    self.owe((session, seq));
                 }
                 Ok(None)
             }
-            (Err(SubmitError::Busy), Some((session, seq))) if opened => {
-                self.owed.insert(session);
+            (Err(SubmitError::Busy), true) if opened => {
+                self.owe((session, seq));
                 parked.0.push(self.reap(session, seq, false));
                 Ok(None)
             }
             // A rejected batch's buffer was already recycled by submit.
-            (Err(SubmitError::Busy), _) => Ok(Some(busy)),
-            (Err(SubmitError::Closed), Some(_)) => Ok(None),
-            (Err(SubmitError::Closed), None) => Err(RouterGone),
+            (Err(SubmitError::Busy), _) => Ok(Some(ServerFrame::Fault {
+                session,
+                seq,
+                code: FaultCode::Busy,
+            })),
+            (Err(SubmitError::Closed), true) => Ok(None),
+            (Err(SubmitError::Closed), false) => Err(RouterGone),
         }
     }
 
-    /// Notes a frame on its way to the client: a `Closed` outcome or a
-    /// fault settles what its session was owed.
+    /// Notes a frame on its way to the client: a `Closed` outcome, a
+    /// `Resumed`, a `HandoffAck` or a shard rejection fault settles the
+    /// debt its `(session, seq)` names.
     pub(crate) fn settle(&mut self, frame: &ServerFrame) {
-        if let ServerFrame::Outcome {
-            session,
-            outcome: OutcomeKind::Closed,
-            ..
+        let key = match *frame {
+            ServerFrame::Outcome {
+                session,
+                seq,
+                outcome: OutcomeKind::Closed,
+                ..
+            } => (session, seq),
+            ServerFrame::Resumed { session, .. } | ServerFrame::HandoffAck { session, .. } => {
+                (session, 0)
+            }
+            ServerFrame::Fault {
+                session,
+                seq,
+                code: FaultCode::UnknownSession | FaultCode::AlreadyOpen | FaultCode::SessionLimit,
+            } => (session, seq),
+            _ => return,
+        };
+        if let Entry::Occupied(mut debt) = self.owed.entry(key) {
+            *debt.get_mut() -= 1;
+            if *debt.get() == 0 {
+                debt.remove();
+            }
         }
-        | ServerFrame::Fault { session, .. } = frame
-        {
-            self.owed.remove(session);
-        }
+    }
+
+    /// Records one more answer owed under `key`.
+    fn owe(&mut self, key: (u64, u32)) {
+        *self.owed.entry(key).or_insert(0) += 1;
     }
 
     /// The peer finished sending. Closes the still-open sessions, whose
@@ -185,7 +218,9 @@ impl Connection {
     /// they stay open for [`Connection::teardown`] to detach.
     pub(crate) fn eof(&mut self, router: &SessionRouter, parked: &mut Parked) {
         if !router.detach_on_disconnect() {
-            self.owed.extend(self.open.iter().copied());
+            for session in self.open.clone() {
+                self.owe((session, u32::MAX));
+            }
             self.teardown(router, parked);
         }
     }

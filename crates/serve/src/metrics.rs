@@ -128,9 +128,11 @@ pub struct ServiceMetrics {
     /// `--wal async`, one per group commit under `--wal sync`, so
     /// `wal_writes / wal_syncs` is the writes paid per fsync.
     pub wal_writes: AtomicU64,
-    /// `sync_data` calls on write-ahead logs (`--wal sync` only): one
-    /// per group commit plus one per compaction. `wal_syncs /
-    /// wal_appends` is the fsyncs paid per accepted frame.
+    /// Syncs of write-ahead logs (`--wal sync` only): one `sync_data`
+    /// per group commit, and per compaction one for its snapshot and
+    /// log plus one for the WAL directory; opening a shard's log syncs
+    /// the directory once more. `wal_syncs / wal_appends` is the syncs
+    /// paid per accepted frame.
     pub wal_syncs: AtomicU64,
     /// Shard WALs switched off by an I/O failure: a failed open, append,
     /// group commit or compaction. The policy is fail-open — the shard

@@ -36,20 +36,26 @@
 //! of its own only so a v1 event crosses the queue without taking a
 //! pooled batch buffer.
 //!
+//! One way out: a shard never sends a reply while it handles a message.
+//! Every reply — pipeline frames, faults, `Closed`, `Resumed`,
+//! `HandoffAck` — goes into the shard's outbox, and the worker is a
+//! recv → handle → commit → deliver loop that hands the outbox to the
+//! connections only after the group's WAL commit.
+//!
 //! Durability: under `--wal sync` a shard commits its WAL in groups. It
 //! journals each accepted record into the WAL's group buffer ahead of
 //! the state change, handles what is already queued (up to 64
 //! messages), then writes the group once and syncs once, and only then
-//! releases the replies the group produced — no reply leaves before the
-//! write and the sync that cover the records journaled ahead of it.
-//! Without unsynced records (no WAL, or `--wal async`, which writes each
-//! record at once) replies go out as each message finishes.
+//! delivers the outbox — no reply leaves before the write and the sync
+//! that cover the records journaled ahead of it. Without unsynced
+//! records (no WAL, or `--wal async`, which writes each record at once)
+//! a group is one message, so replies go out as each message finishes.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Barrier, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -290,19 +296,21 @@ pub enum ShardMsg {
         /// Outbound frame path of the submitting connection.
         reply: ReplyTx,
     },
-    /// Snapshot **and remove** every session the shard holds, shipping
-    /// the snapshots to `out` — the outbound half of a node drain. The
-    /// emptied shard is sealed into its WAL so a restart cannot
-    /// resurrect sessions that moved to other nodes.
-    Drain {
-        /// Where the drained snapshots go.
-        out: Sender<Vec<SessionSnapshot>>,
+    /// Seal the shard into its WAL: snapshot every live session into
+    /// the snapshot file and truncate the log, then answer on `done`.
+    /// Doubles as a flush fence: by the time `done` hears back, every
+    /// message queued ahead of the seal has been handled and its replies
+    /// delivered. With `drain`, the sessions are also removed and their
+    /// snapshots are what `done` receives — the outbound half of a node
+    /// drain; the emptied shard's seal keeps a restart from resurrecting
+    /// sessions that moved to other nodes. Without it, `done` receives
+    /// an empty list.
+    Seal {
+        /// Remove the sessions and ship their snapshots.
+        drain: bool,
+        /// Where the answer goes.
+        done: Sender<Vec<SessionSnapshot>>,
     },
-    /// Snapshot every live session into the shard's WAL snapshot file
-    /// and truncate its log, then rendezvous on the barrier. Doubles as
-    /// a flush fence: by the time the barrier releases, every message
-    /// queued ahead of the checkpoint has been processed.
-    Checkpoint(Arc<Barrier>),
     /// Park the worker until every sender of this channel is gone —
     /// test-only: backpressure tests hold a shard still while its queue
     /// fills. See [`ShardPause`].
@@ -371,11 +379,10 @@ impl ShardMsg {
         }))
     }
 
-    /// A fault answering this message with `code`. Every transport
-    /// echoes the same `(session, seq)`: the message's own seq (an
-    /// `Open` off the wire carries 0), a batch's first record's, and 0
-    /// for `Resume` and `Handoff`.
-    pub(crate) fn fault(&self, code: FaultCode) -> ServerFrame {
+    /// The `(session, seq)` an answer to this message echoes: the
+    /// message's own seq (an `Open` off the wire carries 0), a batch's
+    /// first record's, and 0 for `Resume` and `Handoff`.
+    pub(crate) fn echo(&self) -> (u64, u32) {
         let seq = match self {
             ShardMsg::Open { seq, .. }
             | ShardMsg::Event { seq, .. }
@@ -383,23 +390,16 @@ impl ShardMsg {
             ShardMsg::EventBatch { events, .. } => first_seq(events),
             _ => 0,
         };
-        ServerFrame::Fault {
-            session: self.session().unwrap_or(0),
-            seq,
-            code,
-        }
+        (self.session().unwrap_or(0), seq)
     }
 
-    /// Messages that act on the shard as a whole — parking it, shipping
-    /// or sealing its sessions, ending it. Each closes the open WAL
-    /// group first, so no held reply waits behind it.
+    /// Messages that act on the shard as a whole — parking it, sealing
+    /// its sessions, ending it. Each closes the open WAL group first, so
+    /// no reply in the outbox waits behind it.
     fn is_barrier(&self) -> bool {
         matches!(
             self,
-            ShardMsg::Drain { .. }
-                | ShardMsg::Checkpoint(_)
-                | ShardMsg::Pause(_)
-                | ShardMsg::Shutdown
+            ShardMsg::Seal { .. } | ShardMsg::Pause(_) | ShardMsg::Shutdown
         )
     }
 
@@ -412,10 +412,7 @@ impl ShardMsg {
             | ShardMsg::Resume { session, .. }
             | ShardMsg::Detach { session, .. } => Some(*session),
             ShardMsg::Handoff { snapshot, .. } => Some(snapshot.session),
-            ShardMsg::Drain { .. }
-            | ShardMsg::Checkpoint(_)
-            | ShardMsg::Pause(_)
-            | ShardMsg::Shutdown => None,
+            ShardMsg::Seal { .. } | ShardMsg::Pause(_) | ShardMsg::Shutdown => None,
         }
     }
 }
@@ -511,24 +508,13 @@ impl SessionRouter {
         let mut handles = Vec::with_capacity(shard_count);
         for shard in 0..shard_count {
             let (tx, rx) = std::sync::mpsc::sync_channel(config.queue_capacity.max(1));
-            let worker_rec = recognizer.clone();
-            let worker_metrics = metrics.clone();
-            let worker_config = config.clone();
-            let worker_pool = pool.clone();
-            let worker_wrap = log_wrap.clone();
+            let (rec, metrics, pool) = (recognizer.clone(), metrics.clone(), pool.clone());
+            let (config, wrap) = (config.clone(), log_wrap.clone());
             let handle = std::thread::Builder::new()
                 .name(format!("grandma-shard-{shard}"))
                 .spawn(move || {
-                    let (config, wrap) = (worker_config, worker_wrap.as_ref());
-                    shard_worker(
-                        shard,
-                        rx,
-                        worker_rec,
-                        worker_metrics,
-                        config,
-                        worker_pool,
-                        wrap,
-                    )
+                    let state = Shard::new(shard, rec, metrics, pool, config, wrap.as_ref());
+                    shard_worker(state, rx)
                 });
             match handle {
                 Ok(h) => {
@@ -702,20 +688,7 @@ impl SessionRouter {
     /// node cannot resurrect sessions that were handed to other nodes.
     /// Blocks until every shard has drained.
     pub fn drain_sessions(&self) -> Vec<SessionSnapshot> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let expected = (0..self.shard_count())
-            .filter(|&shard| self.send_to(shard, ShardMsg::Drain { out: tx.clone() }))
-            .count();
-        drop(tx);
-        let mut drained = Vec::new();
-        for _ in 0..expected {
-            match rx.recv() {
-                Ok(batch) => drained.extend(batch),
-                Err(_) => break,
-            }
-        }
-        drained.sort_by_key(|s| s.session);
-        drained
+        self.seal_all(true)
     }
 
     /// Forces every shard to snapshot its live sessions into the WAL
@@ -723,16 +696,24 @@ impl SessionRouter {
     /// have done so. A no-op fence on shards without a WAL. Used for the
     /// final snapshot of a graceful shutdown and to seal a recovery.
     pub fn checkpoint_all(&self) {
-        let barriers: Vec<Arc<Barrier>> = (0..self.shard_count())
-            .filter_map(|shard| {
-                let barrier = Arc::new(Barrier::new(2));
-                self.send_to(shard, ShardMsg::Checkpoint(barrier.clone()))
-                    .then_some(barrier)
+        self.seal_all(false);
+    }
+
+    /// Sends every shard a [`ShardMsg::Seal`] and waits for each answer;
+    /// returns the drained snapshots sorted by session id (none unless
+    /// `drain`).
+    fn seal_all(&self, drain: bool) -> Vec<SessionSnapshot> {
+        let (done, sealed) = std::sync::mpsc::channel();
+        let expected = (0..self.shard_count())
+            .filter(|&shard| {
+                let done = done.clone();
+                self.send_to(shard, ShardMsg::Seal { drain, done })
             })
-            .collect();
-        for barrier in barriers {
-            barrier.wait();
-        }
+            .count();
+        drop(done);
+        let mut snapshots: Vec<SessionSnapshot> = sealed.iter().take(expected).flatten().collect();
+        snapshots.sort_by_key(|s| s.session);
+        snapshots
     }
 
     /// Rebuilds session state from `wal`'s directory: every shard file's
@@ -825,7 +806,9 @@ const PIPELINE_POOL_MAX: usize = 64;
 const GROUP_MAX: usize = 64;
 
 /// One shard worker's state: the exclusive owner of its sessions'
-/// pipelines and of its shard's WAL.
+/// pipelines and of its shard's WAL. Sans-IO on the reply side:
+/// [`Shard::handle`] only appends to the outbox, and
+/// [`Shard::deliver`] sends it.
 struct Shard {
     index: usize,
     recognizer: Arc<EagerRecognizer>,
@@ -838,25 +821,23 @@ struct Shard {
     /// Closed sessions donate their pipelines (warmed gesture/sanitizer
     /// buffers) back here; Opens take from it before allocating.
     pipeline_pool: Vec<SessionPipeline>,
+    /// Every reply produced since the last delivery, in order.
+    outbox: Vec<(ReplyTx, ServerFrame)>,
     journal: Journal,
 }
 
-/// The shard's WAL and the replies waiting on its next sync.
+/// The shard's WAL.
 ///
 /// Ack-after-durable: while records are journaled but not yet written
-/// and synced, every reply — outcome, fault, `Closed`, `Resumed`,
-/// `HandoffAck` — is held, in order, and [`Journal::commit`] releases
-/// them only after the write and the sync that cover those records. A
-/// shard with no WAL, or with an `Async` one, never holds: each reply
-/// goes out at once.
+/// and synced, the worker keeps the group open, and [`Journal::commit`]
+/// writes and syncs them before the outbox is delivered. A shard with
+/// no WAL, or with an `Async` one, never has unsynced records.
 struct Journal {
     shard: usize,
     metrics: Arc<ServiceMetrics>,
     /// Appends need no locking and are exactly consistent with the
     /// pipelines. `None` when durability is off or the WAL failed.
     wal: Option<WalShard>,
-    /// Replies produced since the first unsynced record, in order.
-    held: Vec<(ReplyTx, ServerFrame)>,
 }
 
 impl Journal {
@@ -883,28 +864,8 @@ impl Journal {
         }
     }
 
-    /// The one way a reply leaves the shard: at once, or held behind the
-    /// open group's sync.
-    fn send(&mut self, reply: &ReplyTx, frame: ServerFrame) {
-        if let ServerFrame::Outcome { outcome, .. } = frame {
-            self.metrics.note_outcome(outcome);
-        }
-        if self.holding() {
-            self.held.push((reply.clone(), frame));
-        } else {
-            reply.send(frame);
-        }
-    }
-
-    /// [`Journal::send`] for every pipeline frame in `frames`.
-    fn send_all(&mut self, reply: &ReplyTx, frames: &mut Vec<ServerFrame>) {
-        for frame in frames.drain(..) {
-            self.send(reply, frame);
-        }
-    }
-
     /// Ends the open group: one write and one `sync_data` for its
-    /// records, then its replies, in the order they were produced.
+    /// records. A no-op without unsynced records.
     fn commit(&mut self) {
         if let Some(wal) = self.wal.as_mut() {
             match wal.sync() {
@@ -913,22 +874,15 @@ impl Journal {
                     self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(false) => {}
-                Err(e) => return self.disable("group commit", &e),
+                Err(e) => self.disable("group commit", &e),
             }
-        }
-        self.release();
-    }
-
-    fn release(&mut self) {
-        for (reply, frame) in self.held.drain(..) {
-            reply.send(frame);
         }
     }
 
     /// Fail-open: a WAL I/O failure permanently disables the shard's WAL
     /// (availability over durability, loudly on stderr and in
-    /// `wal_disabled`) rather than faulting live traffic, and the held
-    /// replies go out.
+    /// `wal_disabled`) rather than faulting live traffic; the outbox is
+    /// delivered as usual.
     fn disable(&mut self, what: &str, e: &std::io::Error) {
         eprintln!(
             "serve: shard {}: WAL disabled ({what} failed: {e})",
@@ -936,7 +890,6 @@ impl Journal {
         );
         self.metrics.wal_disabled.fetch_add(1, Ordering::Relaxed);
         self.wal = None;
-        self.release();
     }
 
     /// `true` when the log has grown enough to compact.
@@ -946,7 +899,8 @@ impl Journal {
 
     /// Compacts the WAL — snapshot every live session, truncate the log
     /// — when due (or `force`d). Runs only between groups, where the log
-    /// and the pipelines are exactly consistent and no reply is held.
+    /// and the pipelines are exactly consistent. Under `Sync` it counts
+    /// the compaction's data sync and its directory sync.
     fn compact_if_due(&mut self, sessions: &HashMap<u64, SessionEntry>, force: bool) {
         let Some(wal) = self.wal.as_mut() else { return };
         if !force && !wal.should_compact() {
@@ -956,7 +910,7 @@ impl Journal {
             sessions.values().map(|e| e.pipeline.snapshot()).collect();
         match wal.compact(&snapshots) {
             Ok(()) if wal.fsync() == FsyncPolicy::Sync => {
-                self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
+                self.metrics.wal_syncs.fetch_add(2, Ordering::Relaxed);
             }
             Ok(()) => {}
             Err(e) => self.disable("compact", &e),
@@ -965,6 +919,52 @@ impl Journal {
 }
 
 impl Shard {
+    /// Shard `index`'s state under `config`, with its WAL (when one is
+    /// configured) opened through `log_wrap`. A failed WAL open degrades
+    /// to running without a WAL.
+    fn new(
+        index: usize,
+        recognizer: Arc<EagerRecognizer>,
+        metrics: Arc<ServiceMetrics>,
+        pool: Arc<BatchPool>,
+        config: ServeConfig,
+        log_wrap: Option<&LogWrap>,
+    ) -> Self {
+        let wal = config.wal.and_then(|wal_config| {
+            match WalShard::open_with(wal_config, index, log_wrap) {
+                Ok(wal) => {
+                    if wal.fsync() == FsyncPolicy::Sync {
+                        // The open synced the WAL directory.
+                        metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Some(wal)
+                }
+                Err(e) => {
+                    eprintln!("serve: shard {index}: WAL disabled (open failed: {e})");
+                    metrics.wal_disabled.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+            }
+        });
+        Self {
+            index,
+            recognizer,
+            metrics: metrics.clone(),
+            pool,
+            max_sessions: config.max_sessions_per_shard,
+            pipeline_config: config.pipeline,
+            sessions: HashMap::new(),
+            scratch: Vec::with_capacity(16),
+            pipeline_pool: Vec::new(),
+            outbox: Vec::new(),
+            journal: Journal {
+                shard: index,
+                metrics,
+                wal,
+            },
+        }
+    }
+
     /// The admission check shared by `Open` and `Handoff`.
     fn admit(&self, session: u64) -> Result<(), FaultCode> {
         if self.sessions.contains_key(&session) {
@@ -976,10 +976,48 @@ impl Shard {
         }
     }
 
+    /// Answers a message about a session that does not exist or that
+    /// `reply`'s connection does not own. Unknown and not-owned are
+    /// deliberately the same fault: a foreign connection must not be
+    /// able to distinguish (or touch) someone else's session.
+    fn unknown(&mut self, reply: ReplyTx, session: u64, seq: u32) {
+        self.metrics
+            .unknown_sessions
+            .fetch_add(1, Ordering::Relaxed);
+        let code = FaultCode::UnknownSession;
+        self.outbox
+            .push((reply, ServerFrame::Fault { session, seq, code }));
+    }
+
+    /// Posts every frame in `scratch` to `reply`, in order. The last
+    /// frame takes `reply` itself, so only a run of several frames
+    /// clones it.
+    fn post_scratch(&mut self, reply: ReplyTx) {
+        let Some(last) = self.scratch.pop() else {
+            return;
+        };
+        for frame in self.scratch.drain(..) {
+            self.outbox.push((reply.clone(), frame));
+        }
+        self.outbox.push((reply, last));
+    }
+
+    /// Hands the outbox to the connections, in the order it was filled.
+    /// The worker calls this only after [`Journal::commit`], so no reply
+    /// leaves before the records journaled ahead of it are durable.
+    fn deliver(&mut self) {
+        for (reply, frame) in self.outbox.drain(..) {
+            if let ServerFrame::Outcome { outcome, .. } = frame {
+                self.metrics.note_outcome(outcome);
+            }
+            reply.send(frame);
+        }
+    }
+
     fn open_session(&mut self, conn: u64, session: u64, seq: u32, reply: ReplyTx) {
         if let Err(code) = self.admit(session) {
-            self.journal
-                .send(&reply, ServerFrame::Fault { session, seq, code });
+            self.outbox
+                .push((reply, ServerFrame::Fault { session, seq, code }));
             return;
         }
         let pipeline = match self.pipeline_pool.pop() {
@@ -1009,29 +1047,18 @@ impl Shard {
     // lint:hot-path start — the one per-event ingest path: no panics, no allocation
     /// Feeds `events` — one v1 `Event` or a whole `EventBatch` — through
     /// `session`'s pipeline. The records are accepted or rejected as a
-    /// unit; returns whether they were accepted.
+    /// unit; returns whether they were accepted. The frames go to
+    /// `reply`: ownership is checked first, so it addresses the
+    /// session's own connection.
     fn ingest(
         &mut self,
         conn: u64,
         session: u64,
         events: &[(u32, InputEvent)],
-        reply: &ReplyTx,
+        reply: ReplyTx,
     ) -> bool {
-        // Unknown and not-owned are deliberately the same fault: a
-        // foreign connection must not be able to distinguish (or touch)
-        // someone else's session.
         let Some(entry) = self.sessions.get_mut(&session).filter(|e| e.conn == conn) else {
-            self.metrics
-                .unknown_sessions
-                .fetch_add(1, Ordering::Relaxed);
-            self.journal.send(
-                reply,
-                ServerFrame::Fault {
-                    session,
-                    seq: first_seq(events),
-                    code: FaultCode::UnknownSession,
-                },
-            );
+            self.unknown(reply, session, first_seq(events));
             return false;
         };
         // Write-ahead: the accepted records are written, as one
@@ -1083,31 +1110,15 @@ impl Shard {
                 .faults_repaired
                 .fetch_add(repairs, Ordering::Relaxed);
         }
-        self.journal.send_all(&entry.reply, &mut self.scratch);
+        self.post_scratch(reply);
         true
     }
     // lint:hot-path end
 
     fn close_session(&mut self, conn: u64, session: u64, seq: u32, reply: ReplyTx) {
-        let owned = self.sessions.get(&session).is_some_and(|e| e.conn == conn);
-        let entry = if owned {
-            self.sessions.remove(&session)
-        } else {
-            None
-        };
-        let Some(entry) = entry else {
-            self.metrics
-                .unknown_sessions
-                .fetch_add(1, Ordering::Relaxed);
-            self.journal.send(
-                &reply,
-                ServerFrame::Fault {
-                    session,
-                    seq,
-                    code: FaultCode::UnknownSession,
-                },
-            );
-            return;
+        let entry = match self.sessions.entry(session) {
+            Entry::Occupied(e) if e.get().conn == conn => e.remove(),
+            _ => return self.unknown(reply, session, seq),
         };
         // Write-ahead: the accepted Close is durable before the session
         // is finalized, so replay closes it too.
@@ -1118,8 +1129,9 @@ impl Shard {
     }
 
     /// Finalizes a removed session: the pipeline flushes its sanitizer
-    /// and interaction machine, the terminal `Closed` frame goes out,
-    /// and the pipeline is kept for reuse.
+    /// and interaction machine, its frames and the terminal `Closed`
+    /// frame are posted to the entry's reply, and the pipeline is kept
+    /// for reuse.
     fn finish_session(&mut self, mut entry: SessionEntry, seq: u32) {
         self.scratch.clear();
         // Spelled as an associated call so the lint's call graph resolves
@@ -1131,7 +1143,7 @@ impl Shard {
             &mut self.scratch,
         );
         self.metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-        self.journal.send_all(&entry.reply, &mut self.scratch);
+        self.post_scratch(entry.reply);
         if self.pipeline_pool.len() < PIPELINE_POOL_MAX {
             self.pipeline_pool.push(entry.pipeline);
         }
@@ -1144,14 +1156,9 @@ impl Shard {
     fn install_snapshot(&mut self, conn: u64, snapshot: Box<SessionSnapshot>, reply: ReplyTx) {
         let session = snapshot.session;
         if let Err(code) = self.admit(session) {
-            self.journal.send(
-                &reply,
-                ServerFrame::Fault {
-                    session,
-                    seq: 0,
-                    code,
-                },
-            );
+            let seq = 0;
+            self.outbox
+                .push((reply, ServerFrame::Fault { session, seq, code }));
             return;
         }
         // Write-ahead: journal an accepted peer handoff before the ack,
@@ -1178,49 +1185,37 @@ impl Shard {
             self.metrics
                 .sessions_handed_off
                 .fetch_add(1, Ordering::Relaxed);
-            self.journal
-                .send(&reply, ServerFrame::HandoffAck { session, last_seq });
+            self.outbox
+                .push((reply, ServerFrame::HandoffAck { session, last_seq }));
         }
     }
 
     fn resume(&mut self, conn: u64, session: u64, reply: ReplyTx) {
-        match self.sessions.get_mut(&session) {
-            Some(entry) if entry.conn == 0 || entry.conn == conn => {
-                entry.conn = conn;
-                entry.reply = reply.clone();
-                // The session is live again; any future replay identity
-                // mismatch is caught by ownership.
-                entry.restored_watermark = None;
-                self.journal.send(
-                    &reply,
-                    ServerFrame::Resumed {
-                        session,
-                        last_seq: entry.pipeline.last_seq(),
-                    },
-                );
-                self.metrics
-                    .sessions_resumed
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            // Unknown, or owned by a *different* live connection: same
-            // opaque fault as any foreign touch.
-            _ => {
-                self.metrics
-                    .unknown_sessions
-                    .fetch_add(1, Ordering::Relaxed);
-                self.journal.send(
-                    &reply,
-                    ServerFrame::Fault {
-                        session,
-                        seq: 0,
-                        code: FaultCode::UnknownSession,
-                    },
-                );
-            }
-        }
+        // Unknown, or owned by a *different* live connection: same
+        // opaque fault as any foreign touch.
+        let Some(entry) = self
+            .sessions
+            .get_mut(&session)
+            .filter(|e| e.conn == 0 || e.conn == conn)
+        else {
+            return self.unknown(reply, session, 0);
+        };
+        entry.conn = conn;
+        entry.reply = reply.clone();
+        // The session is live again; any future replay identity
+        // mismatch is caught by ownership.
+        entry.restored_watermark = None;
+        let last_seq = entry.pipeline.last_seq();
+        self.outbox
+            .push((reply, ServerFrame::Resumed { session, last_seq }));
+        self.metrics
+            .sessions_resumed
+            .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Handles one message. Returns `false` once the worker must exit.
+    /// Handles one message, appending its replies to the outbox. Returns
+    /// `false` once the worker must exit. `Pause` is the worker loop's
+    /// own and is ignored here.
     fn handle(&mut self, msg: ShardMsg) -> bool {
         // Amortized compaction between messages, where the log and the
         // pipelines are exactly consistent.
@@ -1239,7 +1234,7 @@ impl Shard {
                 event,
                 reply,
             } => {
-                self.ingest(conn, session, std::slice::from_ref(&(seq, event)), &reply);
+                self.ingest(conn, session, std::slice::from_ref(&(seq, event)), reply);
             }
             ShardMsg::EventBatch {
                 conn,
@@ -1247,7 +1242,7 @@ impl Shard {
                 events,
                 reply,
             } => {
-                if self.ingest(conn, session, &events, &reply) {
+                if self.ingest(conn, session, &events, reply) {
                     self.metrics
                         .batches_ingested
                         .fetch_add(1, Ordering::Relaxed);
@@ -1266,11 +1261,8 @@ impl Shard {
                 reply,
             } => self.resume(conn, session, reply),
             ShardMsg::Detach { conn, session } => {
-                if let Some(entry) = self.sessions.get_mut(&session) {
-                    if entry.conn == conn {
-                        entry.conn = 0;
-                        entry.reply = ReplyTx::sink();
-                    }
+                if let Some(entry) = self.sessions.get_mut(&session).filter(|e| e.conn == conn) {
+                    (entry.conn, entry.reply) = (0, ReplyTx::sink());
                 }
             }
             ShardMsg::Handoff {
@@ -1278,31 +1270,23 @@ impl Shard {
                 snapshot,
                 reply,
             } => self.install_snapshot(conn, snapshot, reply),
-            ShardMsg::Drain { out } => self.drain(&out),
+            ShardMsg::Seal { drain, done } => {
+                let drained = if drain {
+                    let sessions = self.sessions.drain();
+                    sessions.map(|(_, e)| e.pipeline.snapshot()).collect()
+                } else {
+                    Vec::new()
+                };
+                self.journal.compact_if_due(&self.sessions, true);
+                let _ = done.send(drained);
+            }
             ShardMsg::Shutdown => {
                 self.shutdown();
                 return false;
             }
-            // Parking waits belong to the worker loop itself.
-            ShardMsg::Checkpoint(_) | ShardMsg::Pause(_) => {}
+            ShardMsg::Pause(_) => {}
         }
         true
-    }
-
-    /// Snapshots and removes every session, shipping the snapshots to
-    /// `out`.
-    fn drain(&mut self, out: &Sender<Vec<SessionSnapshot>>) {
-        let mut drained: Vec<SessionSnapshot> = self
-            .sessions
-            .drain()
-            .map(|(_, entry)| entry.pipeline.snapshot())
-            .collect();
-        drained.sort_by_key(|s| s.session);
-        // The shard is empty now; the forced compaction writes an empty
-        // snapshot set and truncates the log, sealing the moved sessions
-        // out of this node's recovery path.
-        self.journal.compact_if_due(&self.sessions, true);
-        let _ = out.send(drained);
     }
 
     fn shutdown(&mut self) {
@@ -1324,54 +1308,18 @@ fn first_seq(events: &[(u32, InputEvent)]) -> u32 {
     events.first().map_or(0, |&(seq, _)| seq)
 }
 
-/// The shard worker loop: exclusive owner of its sessions' pipelines.
+/// The shard worker loop: recv → handle → commit → deliver.
 ///
 /// Messages are handled in groups that share one WAL write and sync.
 /// After a message journals a record, the worker keeps taking what is
-/// already queued, up to [`GROUP_MAX`] messages, then commits: one
-/// write and one `sync_data`, then every reply the group produced. A
-/// barrier message, or a due compaction, ends the open group and waits
-/// for the next one. Without unsynced records — no WAL, an `Async`
-/// one, or a message that journals nothing — a group is one message and
-/// its replies have already gone out.
-fn shard_worker(
-    index: usize,
-    rx: Receiver<ShardMsg>,
-    recognizer: Arc<EagerRecognizer>,
-    metrics: Arc<ServiceMetrics>,
-    config: ServeConfig,
-    pool: Arc<BatchPool>,
-    log_wrap: Option<&LogWrap>,
-) {
-    // A failed WAL open degrades to running without a WAL.
-    let wal =
-        config.wal.and_then(
-            |wal_config| match WalShard::open_with(wal_config, index, log_wrap) {
-                Ok(w) => Some(w),
-                Err(e) => {
-                    eprintln!("serve: shard {index}: WAL disabled (open failed: {e})");
-                    metrics.wal_disabled.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            },
-        );
-    let mut shard = Shard {
-        index,
-        recognizer,
-        metrics: metrics.clone(),
-        pool,
-        max_sessions: config.max_sessions_per_shard,
-        pipeline_config: config.pipeline,
-        sessions: HashMap::new(),
-        scratch: Vec::with_capacity(16),
-        pipeline_pool: Vec::new(),
-        journal: Journal {
-            shard: index,
-            metrics,
-            wal,
-            held: Vec::new(),
-        },
-    };
+/// already queued, up to [`GROUP_MAX`] messages, then commits (one
+/// write and one `sync_data`) and delivers the outbox: every reply the
+/// group produced. A barrier message, or a due compaction, ends the
+/// open group and waits for the next one. Without unsynced records — no
+/// WAL, an `Async` one, or a message that journals nothing — a group is
+/// one message.
+fn shard_worker(mut shard: Shard, rx: Receiver<ShardMsg>) {
+    let index = shard.index;
     // The message that ended the last group; it opens the next one.
     let mut carried: Option<ShardMsg> = None;
     loop {
@@ -1396,24 +1344,14 @@ fn shard_worker(
                 carried = Some(msg);
                 break;
             }
-            match msg {
-                ShardMsg::Checkpoint(barrier) => {
-                    shard.journal.compact_if_due(&shard.sessions, true);
-                    // lint:allow(reactor-blocking-call): the checkpoint
-                    // rendezvous — the shard must hold still while the
-                    // coordinator captures a consistent cut; blocking here
-                    // IS the contract, and every shard arrives promptly
-                    // because none does unbounded work between messages.
-                    barrier.wait();
-                }
-                ShardMsg::Pause(parked) => {
-                    // lint:allow(reactor-blocking-call): a test-only park
-                    // (only tests call `pause_shard`) — the shard parks
-                    // until its `ShardPause` is released or dropped, which
-                    // disconnects the channel.
-                    let _ = parked.recv();
-                }
-                msg => running = shard.handle(msg),
+            if let ShardMsg::Pause(parked) = msg {
+                // lint:allow(reactor-blocking-call): a test-only park
+                // (only tests call `pause_shard`) — the shard parks
+                // until its `ShardPause` is released or dropped, which
+                // disconnects the channel.
+                let _ = parked.recv();
+            } else {
+                running = shard.handle(msg);
             }
             grouped += 1;
             if running && shard.journal.holding() && grouped < GROUP_MAX {
@@ -1429,6 +1367,7 @@ fn shard_worker(
         // GROUP_MAX already-queued messages, and their replies may not
         // leave before both land. A no-op without unsynced records.
         shard.journal.commit();
+        shard.deliver();
         // lint:reactor-loop end
         if !running {
             break;
@@ -1444,6 +1383,7 @@ mod tests {
     use grandma_core::{EagerConfig, FeatureMask};
     use grandma_events::{Button, EventScript};
     use grandma_synth::datasets;
+    use std::sync::Barrier;
     use std::time::Duration;
 
     /// Drains `rx` of everything immediately available.
@@ -2669,7 +2609,11 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         open_committed(&router, conn, 1, &tx);
         recv_resumed(&rx);
-        assert_eq!(router.metrics().snapshot().wal_syncs, 1);
+        assert_eq!(
+            router.metrics().snapshot().wal_syncs,
+            2,
+            "the log open's directory sync and one group"
+        );
 
         // One group behind a parked worker: journaled gestures in N
         // batches (Outcomes), a journaled Close (Closed), a journaled
@@ -2772,8 +2716,9 @@ mod tests {
         assert_eq!(snap.wal_appends, n + 3, "Open, N batches, Close, Handoff");
         assert_eq!(
             (snap.wal_writes, snap.wal_syncs),
-            (2, 3),
-            "two group commits, and the shutdown compaction's sync"
+            (2, 5),
+            "the open's directory sync, two group commits, and the shutdown \
+             compaction's data and directory syncs"
         );
         assert_eq!(snap.wal_disabled, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -2880,7 +2825,7 @@ mod tests {
         let snap = router.metrics().snapshot();
         assert_eq!(snap.wal_appends, 3);
         assert_eq!(snap.wal_writes, 0);
-        assert_eq!(snap.wal_syncs, 0);
+        assert_eq!(snap.wal_syncs, 1, "only the log open's directory sync");
         assert_eq!(snap.wal_disabled, 1, "the failure is counted, once");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2922,12 +2867,12 @@ mod tests {
         for batch in &batches {
             submit_batch(&router, conn, 3, batch, &tx);
         }
-        let checkpoint = Arc::new(Barrier::new(2));
+        let (done, sealed) = std::sync::mpsc::channel();
         router
-            .submit(ShardMsg::Checkpoint(checkpoint.clone()))
+            .submit(ShardMsg::Seal { drain: false, done })
             .unwrap();
         pause.release();
-        checkpoint.wait();
+        assert_eq!(sealed.recv().expect("sealed"), Vec::new());
         let mut live = drain_frames(&rx);
         assert!(!head_frames.is_empty());
         assert_eq!(
@@ -2937,8 +2882,8 @@ mod tests {
         let syncs = router.metrics().snapshot().wal_syncs - before;
         assert_eq!(
             syncs,
-            n.div_ceil(GROUP_MAX as u64) + 1,
-            "groups plus the compaction"
+            n.div_ceil(GROUP_MAX as u64) + 2,
+            "groups plus the compaction's data and directory syncs"
         );
 
         // The tail goes to the log after the snapshot; the Resume fence
@@ -3110,5 +3055,161 @@ mod tests {
                 let _ = std::fs::remove_dir_all(&wal.dir);
             }
         }
+    }
+
+    /// The frames `shard`'s outbox holds, in order, without sending any.
+    fn outbox_frames(shard: &Shard) -> Vec<ServerFrame> {
+        shard.outbox.iter().map(|(_, frame)| *frame).collect()
+    }
+
+    #[test]
+    fn a_shard_driven_without_a_thread_answers_only_through_its_outbox() {
+        let dir = wal_dir("sans-io");
+        let config = ServeConfig {
+            shards: 1,
+            wal: Some(WalConfig::new(&dir, FsyncPolicy::Sync)),
+            ..ServeConfig::default()
+        };
+        let rec = recognizer();
+        let metrics = Arc::new(ServiceMetrics::new(1));
+        let pool = Arc::new(BatchPool::new());
+        let mut shard = Shard::new(0, rec.clone(), metrics.clone(), pool, config, None);
+        let (owner_tx, owner_rx) = std::sync::mpsc::channel();
+        let (other_tx, other_rx) = std::sync::mpsc::channel();
+        let (heir_tx, heir_rx) = std::sync::mpsc::channel();
+        let owner = || ReplyTx::from(owner_tx.clone());
+        let other = || ReplyTx::from(other_tx.clone());
+        let heir = || ReplyTx::from(heir_tx.clone());
+
+        // The session's frames, cut where its owner changes and where it
+        // closes; together they are `run_events_inproc`'s.
+        let records = gesture_records();
+        let close_seq = records.len() as u32 + 1;
+        let (head, tail) = records.split_at(records.len() / 2);
+        let mut pipeline = SessionPipeline::new(5, PipelineConfig::default());
+        let (mut head_frames, mut tail_frames, mut close_frames) = (vec![], vec![], vec![]);
+        for &(seq, event) in head {
+            pipeline.feed(&rec, seq, event, &mut head_frames);
+        }
+        for &(seq, event) in tail {
+            pipeline.feed(&rec, seq, event, &mut tail_frames);
+        }
+        pipeline.close(&rec, close_seq, &mut close_frames);
+        let whole = [
+            head_frames.clone(),
+            tail_frames.clone(),
+            close_frames.clone(),
+        ]
+        .concat();
+        let inproc = run_events_inproc(&rec, 5, &PipelineConfig::default(), &records, close_seq);
+        assert_eq!(whole, inproc);
+        assert!(!head_frames.is_empty() && !tail_frames.is_empty());
+
+        let batch = |conn, events: &[(u32, InputEvent)], reply| ShardMsg::EventBatch {
+            conn,
+            session: 5,
+            events: events.to_vec(),
+            reply,
+        };
+        let handed = SessionPipeline::new(6, PipelineConfig::default()).snapshot();
+        let mut script = vec![
+            ShardMsg::Open {
+                conn: 1,
+                session: 5,
+                seq: 0,
+                reply: owner(),
+            },
+            ShardMsg::Event {
+                conn: 2,
+                session: 5,
+                seq: 77,
+                event: InputEvent::new(EventKind::MouseMove, 0.0, 0.0, 0.0),
+                reply: other(),
+            },
+            ShardMsg::Close {
+                conn: 2,
+                session: 5,
+                seq: 78,
+                reply: other(),
+            },
+        ];
+        script.extend(head.chunks(3).map(|events| batch(1, events, owner())));
+        script.push(ShardMsg::Detach {
+            conn: 1,
+            session: 5,
+        });
+        script.push(ShardMsg::Resume {
+            conn: 3,
+            session: 5,
+            reply: heir(),
+        });
+        script.extend(tail.chunks(3).map(|events| batch(3, events, heir())));
+        script.push(ShardMsg::Handoff {
+            conn: 3,
+            snapshot: Box::new(handed.clone()),
+            reply: heir(),
+        });
+        script.push(ShardMsg::Close {
+            conn: 3,
+            session: 5,
+            seq: close_seq,
+            reply: heir(),
+        });
+        for msg in script {
+            assert!(shard.handle(msg));
+        }
+
+        let unknown = |seq| ServerFrame::Fault {
+            session: 5,
+            seq,
+            code: FaultCode::UnknownSession,
+        };
+        let resumed = ServerFrame::Resumed {
+            session: 5,
+            last_seq: head.last().map_or(0, |&(seq, _)| seq),
+        };
+        let ack = ServerFrame::HandoffAck {
+            session: 6,
+            last_seq: 0,
+        };
+        let heir_frames = [vec![resumed], tail_frames, vec![ack], close_frames].concat();
+        let want = [
+            vec![unknown(77), unknown(78)],
+            head_frames.clone(),
+            heir_frames.clone(),
+        ]
+        .concat();
+        assert_eq!(outbox_frames(&shard), want, "the outbox, frame by frame");
+
+        // Under `--wal sync` the records are journaled but unsynced, and
+        // neither they nor the commit send anything: only `deliver` does.
+        assert!(shard.journal.holding());
+        let sent = || {
+            let heard = |rx: &Receiver<ServerFrame>| rx.try_recv().is_ok();
+            heard(&owner_rx) || heard(&other_rx) || heard(&heir_rx)
+        };
+        assert!(!sent(), "a reply left before the deliver step");
+        shard.journal.commit();
+        assert!(!shard.journal.holding());
+        assert!(!sent(), "a reply left before the deliver step");
+        shard.deliver();
+        assert!(shard.outbox.is_empty());
+        assert_eq!(drain_frames(&other_rx), [unknown(77), unknown(78)]);
+        assert_eq!(drain_frames(&owner_rx), head_frames);
+        assert_eq!(drain_frames(&heir_rx), heir_frames);
+
+        // The drain seal ships the handed-off session, the only one left,
+        // and leaves a WAL that recovers nothing.
+        let (done, sealed) = std::sync::mpsc::channel();
+        assert!(shard.handle(ShardMsg::Seal { drain: true, done }));
+        assert_eq!(sealed.try_recv().expect("sealed"), [handed]);
+        assert!(shard.outbox.is_empty() && shard.sessions.is_empty());
+        let recovery = crate::wal::read_shard(&WalConfig::new(&dir, FsyncPolicy::Sync), 0).unwrap();
+        assert!(recovery.snapshots.is_empty() && recovery.frames.is_empty());
+        let snap = metrics.snapshot();
+        assert_eq!(snap.unknown_sessions, 2);
+        assert_eq!((snap.sessions_opened, snap.sessions_closed), (1, 1));
+        assert_eq!((snap.sessions_resumed, snap.sessions_handed_off), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -29,7 +29,11 @@
 //! fsyncs, renames over `shard-<i>.snap`, and truncates the log. The
 //! rename is atomic; a crash between rename and truncate merely leaves
 //! pre-snapshot frames in the log, which replay skips via the snapshot's
-//! `last_seq` watermark.
+//! `last_seq` watermark. A rename is durable only once its directory is
+//! synced, so under [`FsyncPolicy::Sync`] the directory is synced after
+//! the rename and before the truncation — otherwise a power loss could
+//! keep the old snapshot beside the emptied log. Opening a log syncs the
+//! directory too, so a freshly created log survives power loss.
 //!
 //! I/O comes in two halves. `WalShard::write_record` frames a record
 //! straight into the shard's group buffer, with the header patched in
@@ -41,8 +45,8 @@
 //! the platter before anything that depends on it is acknowledged. The
 //! shard worker commits in groups: it journals the records of up to 64
 //! already-queued messages into the buffer, then pays one write and one
-//! sync for the group, and only then releases the replies the group
-//! produced (ack-after-durable). `Async` holds no replies, so each
+//! sync for the group, and only then delivers the replies the group
+//! produced (ack-after-durable). `Async` keeps no group open, so each
 //! record is written at once, one write per record, and never synced
 //! (durable to the page cache — survives process crashes, not power
 //! loss). "Off" is represented by not configuring a WAL at all
@@ -291,6 +295,9 @@ impl WalShard {
         let path = config.wal_path(shard);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let existing = file.metadata().map(|m| m.len()).unwrap_or(0);
+        if config.fsync == FsyncPolicy::Sync {
+            File::open(&config.dir)?.sync_all()?;
+        }
         let file: Box<dyn seam::LogFile> = match wrap {
             Some(wrap) => wrap(file),
             None => Box::new(file),
@@ -380,7 +387,9 @@ impl WalShard {
     /// Replaces the snapshot file with `snapshots` (atomic tmp + rename)
     /// and truncates the log. A crash between rename and truncate leaves
     /// stale pre-snapshot frames in the log; replay skips them via each
-    /// snapshot's `last_seq` watermark.
+    /// snapshot's `last_seq` watermark. Under [`FsyncPolicy::Sync`] the
+    /// directory is synced between the rename and the truncation, so the
+    /// log is never emptied ahead of a durable rename.
     pub fn compact(&mut self, snapshots: &[SessionSnapshot]) -> std::io::Result<()> {
         let snap_path = self.config.snap_path(self.shard);
         let tmp_path = self
@@ -404,6 +413,11 @@ impl WalShard {
             tmp.sync_data()?;
         }
         std::fs::rename(&tmp_path, &snap_path)?;
+        if self.config.fsync == FsyncPolicy::Sync {
+            // lint:allow(reactor-blocking-call): only under `--wal sync`;
+            // the rename is durable only once its directory is synced.
+            File::open(&self.config.dir)?.sync_all()?;
+        }
         // Records still buffered are already in the snapshots; written
         // after the truncation they would replay twice.
         self.group.clear();

@@ -613,6 +613,14 @@ fn scripts() -> Vec<Script> {
             closed: 0,
         },
         Script {
+            name: "Event for a never-opened session",
+            jammed: false,
+            frames: vec![hello.clone(), unknown_event(404)],
+            want: vec![unknown_fault(404)],
+            hang_up: false,
+            closed: 0,
+        },
+        Script {
             name: "dropped connection",
             jammed: false,
             frames: vec![
@@ -678,4 +686,98 @@ fn tcp_answers_every_script_with_its_frames() {
         let want = (script.want.clone(), script.closed);
         assert_eq!(over_tcp(&script), want, "{}", script.name);
     }
+}
+
+/// `Event { session, seq: 9 }`, a move at the origin.
+fn unknown_event(session: u64) -> ClientFrame {
+    ClientFrame::Event {
+        session,
+        seq: 9,
+        event: InputEvent::new(EventKind::MouseMove, 0.0, 0.0, 0.0),
+    }
+}
+
+/// What the shard answers [`unknown_event`] with.
+fn unknown_fault(session: u64) -> ServerFrame {
+    ServerFrame::Fault {
+        session,
+        seq: 9,
+        code: FaultCode::UnknownSession,
+    }
+}
+
+/// A connection that half-closes right after its last frame is owed
+/// every answer the shard sends, on each of 100 connections: the
+/// `UnknownSession` fault for an `Event` on a never-opened session, and
+/// a closing session's frames through its `Closed` — including the
+/// `MissingMouseUp` repair fault ahead of it, which settles nothing.
+#[test]
+fn half_closed_connections_get_every_owed_frame() {
+    const CONNECTIONS: u64 = 100;
+    let rec = recognizer();
+    let mut service = TcpService::start(
+        SessionRouter::new(rec.clone(), ServeConfig::default()),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let mut moves: Vec<(u32, InputEvent)> = vec![(
+        1,
+        InputEvent::new(
+            EventKind::MouseDown {
+                button: Button::Left,
+            },
+            0.0,
+            0.0,
+            0.0,
+        ),
+    )];
+    moves.extend((2..22).map(|seq| {
+        let at = f64::from(seq);
+        (
+            seq,
+            InputEvent::new(EventKind::MouseMove, at, at, at * 10.0),
+        )
+    }));
+    let close_seq = 22;
+    let hello = ClientFrame::Hello {
+        version: WIRE_VERSION,
+    };
+    let mut unanswered = [0; 2];
+    for i in 0..CONNECTIONS {
+        let session = 7000 + i;
+        let mut frames = vec![hello.clone(), ClientFrame::Open { session }];
+        frames.extend(moves.iter().map(|&(seq, event)| ClientFrame::Event {
+            session,
+            seq,
+            event,
+        }));
+        frames.push(ClientFrame::Close {
+            session,
+            seq: close_seq,
+        });
+        let closing =
+            run_events_inproc(&rec, session, &PipelineConfig::default(), &moves, close_seq);
+        let probes = [
+            (
+                vec![hello.clone(), unknown_event(session)],
+                vec![unknown_fault(session)],
+            ),
+            (frames, closing),
+        ];
+        for (n, (frames, want)) in probes.into_iter().enumerate() {
+            let mut client = WireClient::raw(service.local_addr());
+            client.send_all(&frames).expect("send");
+            client.finish();
+            if client.recv_many(usize::MAX, WAIT) != want {
+                unanswered[n] += 1;
+            }
+        }
+    }
+    service.shutdown();
+    assert_eq!(
+        unanswered,
+        [0, 0],
+        "connections short of their answers, of {CONNECTIONS}: [unknown-session Event, \
+         repaired Close]"
+    );
 }

@@ -89,4 +89,9 @@ else
     echo "warning: clippy not installed; skipping lint" >&2
 fi
 
+# Non-test line counts per crate and per serve file: a report for
+# quoting net lines, not a gate.
+echo "== non-test lines (scripts/loc.sh) =="
+sh scripts/loc.sh
+
 echo "check.sh: all green"
