@@ -659,8 +659,8 @@ pub fn summarize(
                     "lock" if !analysis.in_try_bounded(line) => {
                         leaf = Some(("Mutex::lock".to_string(), None));
                     }
-                    "write_all" => {
-                        leaf = Some((".write_all() (blocking write)".to_string(), None));
+                    "write_all" | "write_all_at" => {
+                        leaf = Some((format!(".{text}() (blocking write)"), None));
                     }
                     "read_to_end" | "read_exact" => {
                         leaf = Some((format!(".{text}() (blocking read)"), None));

@@ -124,16 +124,21 @@ pub struct ServiceMetrics {
     pub wal_appends: AtomicU64,
     /// Bytes those appends wrote (headers included).
     pub wal_bytes: AtomicU64,
-    /// `write_all` calls on write-ahead logs: one per record under
+    /// Record writes on write-ahead logs: one per record under
     /// `--wal async`, one per group commit under `--wal sync`, so
-    /// `wal_writes / wal_syncs` is the writes paid per fsync.
+    /// `wal_writes / wal_syncs` is the writes paid per fsync. A
+    /// compaction's lone zero header is not counted.
     pub wal_writes: AtomicU64,
     /// Syncs of write-ahead logs (`--wal sync` only): one `sync_data`
-    /// per group commit, and per compaction one for its snapshot and
-    /// log plus one for the WAL directory; opening a shard's log syncs
-    /// the directory once more. `wal_syncs / wal_appends` is the syncs
-    /// paid per accepted frame.
+    /// per group commit, and per compaction one for its snapshot plus
+    /// one for the WAL directory; opening a shard's log syncs the
+    /// directory once more. `wal_syncs / wal_appends` is the syncs paid
+    /// per accepted frame.
     pub wal_syncs: AtomicU64,
+    /// Nanoseconds shard workers spent in group-commit `sync_data`
+    /// (`--wal sync` only), so `wal_sync_ns / wal_syncs` is roughly the
+    /// cost of one group's sync.
+    pub wal_sync_ns: AtomicU64,
     /// Shard WALs switched off by an I/O failure: a failed open, append,
     /// group commit or compaction. The policy is fail-open — the shard
     /// keeps serving without durability — so a nonzero count means
@@ -180,6 +185,7 @@ impl ServiceMetrics {
             wal_bytes: AtomicU64::new(0),
             wal_writes: AtomicU64::new(0),
             wal_syncs: AtomicU64::new(0),
+            wal_sync_ns: AtomicU64::new(0),
             wal_disabled: AtomicU64::new(0),
             replay_ms: AtomicU64::new(0),
             shards: (0..shards.max(1))
@@ -261,6 +267,7 @@ impl ServiceMetrics {
             wal_bytes: load(&self.wal_bytes),
             wal_writes: load(&self.wal_writes),
             wal_syncs: load(&self.wal_syncs),
+            wal_sync_ns: load(&self.wal_sync_ns),
             wal_disabled: load(&self.wal_disabled),
             replay_ms: load(&self.replay_ms),
             shards: self
@@ -371,10 +378,12 @@ pub struct MetricsSnapshot {
     pub wal_appends: u64,
     /// Bytes those appends wrote.
     pub wal_bytes: u64,
-    /// WAL `write_all` calls (one per group commit under `--wal sync`).
+    /// WAL record writes (one per group commit under `--wal sync`).
     pub wal_writes: u64,
-    /// WAL `sync_data` calls (group commits and compactions).
+    /// WAL syncs (group commits, compactions and log opens).
     pub wal_syncs: u64,
+    /// Nanoseconds spent in group-commit `sync_data`.
+    pub wal_sync_ns: u64,
     /// Shard WALs disabled by an I/O failure (fail-open).
     pub wal_disabled: u64,
     /// Milliseconds the last WAL recovery took (0 = never recovered).
@@ -408,7 +417,7 @@ impl MetricsSnapshot {
              \"closes_abandoned\": {},\n  \
              \"recovered_sessions\": {},\n  \"sessions_resumed\": {},\n  \
              \"sessions_handed_off\": {},\n  \"not_owner_redirects\": {},\n  \
-             \"wal_appends\": {},\n  \"wal_bytes\": {},\n  \"wal_writes\": {},\n  \"wal_syncs\": {},\n  \"wal_disabled\": {},\n  \"replay_ms\": {},\n  \
+             \"wal_appends\": {},\n  \"wal_bytes\": {},\n  \"wal_writes\": {},\n  \"wal_syncs\": {},\n  \"wal_sync_ns\": {},\n  \"wal_disabled\": {},\n  \"replay_ms\": {},\n  \
              \"shards\": [{}]\n}}",
             self.sessions_opened,
             self.sessions_closed,
@@ -445,6 +454,7 @@ impl MetricsSnapshot {
             self.wal_bytes,
             self.wal_writes,
             self.wal_syncs,
+            self.wal_sync_ns,
             self.wal_disabled,
             self.replay_ms,
             shards
@@ -511,6 +521,7 @@ mod tests {
         m.wal_syncs.fetch_add(17, Ordering::Relaxed);
         m.wal_writes.fetch_add(18, Ordering::Relaxed);
         m.wal_disabled.fetch_add(19, Ordering::Relaxed);
+        m.wal_sync_ns.fetch_add(20, Ordering::Relaxed);
         let snap = m.snapshot();
         assert_eq!(snap.open_connections, 2);
         assert_eq!(snap.reactor_wakeups, 5);
@@ -532,6 +543,7 @@ mod tests {
         assert_eq!(snap.wal_syncs, 17);
         assert_eq!(snap.wal_writes, 18);
         assert_eq!(snap.wal_disabled, 19);
+        assert_eq!(snap.wal_sync_ns, 20);
         let json = snap.to_json();
         assert_eq!(
             json.matches("\"reactor_backend\": \"epoll\"").count(),
@@ -558,6 +570,7 @@ mod tests {
             ("wal_syncs", 17),
             ("wal_writes", 18),
             ("wal_disabled", 19),
+            ("wal_sync_ns", 20),
         ] {
             let needle = format!("\"{key}\": {value}");
             assert_eq!(

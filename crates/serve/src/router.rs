@@ -297,7 +297,8 @@ pub enum ShardMsg {
         reply: ReplyTx,
     },
     /// Seal the shard into its WAL: snapshot every live session into
-    /// the snapshot file and truncate the log, then answer on `done`.
+    /// the snapshot file and start the log's next generation, then
+    /// answer on `done`.
     /// Doubles as a flush fence: by the time `done` hears back, every
     /// message queued ahead of the seal has been handled and its replies
     /// delivered. With `drain`, the sessions are also removed and their
@@ -461,11 +462,12 @@ struct SessionEntry {
     /// conn 0) can touch.
     conn: u64,
     /// `Some(last_seq)` while the entry is freshly restored from a
-    /// compaction snapshot: replayed (conn 0) events at or below the
-    /// watermark were already applied before the snapshot was cut and
-    /// are skipped, which makes the crash window between snapshot
-    /// rename and log truncate double-apply-safe. Live traffic never
-    /// consults it.
+    /// snapshot: replayed (conn 0) events at or below the watermark were
+    /// already applied before the snapshot was cut and are skipped. A
+    /// compaction's own stale frames fail the log's generation check, so
+    /// this guards generation-0 logs (whose compaction truncated, with a
+    /// crash window before the truncation) and journaled handoffs.
+    /// Live traffic never consults it.
     restored_watermark: Option<u32>,
     pipeline: SessionPipeline,
     reply: ReplyTx,
@@ -496,7 +498,7 @@ impl SessionRouter {
 
     /// [`SessionRouter::new`], with every shard's WAL log file passed
     /// through `log_wrap` when given.
-    fn spawn(
+    pub(crate) fn spawn(
         recognizer: Arc<EagerRecognizer>,
         config: ServeConfig,
         log_wrap: Option<LogWrap>,
@@ -692,9 +694,10 @@ impl SessionRouter {
     }
 
     /// Forces every shard to snapshot its live sessions into the WAL
-    /// snapshot file and truncate its log, blocking until all shards
-    /// have done so. A no-op fence on shards without a WAL. Used for the
-    /// final snapshot of a graceful shutdown and to seal a recovery.
+    /// snapshot file and start its log's next generation, blocking until
+    /// all shards have done so. A no-op fence on shards without a WAL.
+    /// Used for the final snapshot of a graceful shutdown and to seal a
+    /// recovery.
     pub fn checkpoint_all(&self) {
         self.seal_all(false);
     }
@@ -721,9 +724,10 @@ impl SessionRouter {
     /// and the log tails re-fed through the normal pipeline path with
     /// replay identity conn 0, so replayed outcomes are byte-identical
     /// to the pre-crash run. Finishes with [`SessionRouter::checkpoint_all`],
-    /// which seals the recovered state into a fresh snapshot + empty log
-    /// (replayed frames are deliberately *not* re-appended; a crash
-    /// mid-recovery just recovers again from the same files). Call
+    /// which seals the recovered state into a fresh snapshot and starts
+    /// a new log generation, so no record of a torn group replays after
+    /// later appends (replayed frames are deliberately *not* re-appended;
+    /// a crash mid-recovery just recovers again from the same files). Call
     /// before accepting connections. Routing is by session id, so the
     /// shard count may differ from the crashed process's.
     pub fn recover(&self, wal: &WalConfig) -> std::io::Result<RecoveryReport> {
@@ -872,6 +876,8 @@ impl Journal {
                 Ok(true) => {
                     self.metrics.wal_writes.fetch_add(1, Ordering::Relaxed);
                     self.metrics.wal_syncs.fetch_add(1, Ordering::Relaxed);
+                    let ns = wal.last_sync_ns();
+                    self.metrics.wal_sync_ns.fetch_add(ns, Ordering::Relaxed);
                 }
                 Ok(false) => {}
                 Err(e) => self.disable("group commit", &e),
@@ -897,10 +903,11 @@ impl Journal {
         self.wal.as_ref().is_some_and(WalShard::should_compact)
     }
 
-    /// Compacts the WAL — snapshot every live session, truncate the log
-    /// — when due (or `force`d). Runs only between groups, where the log
-    /// and the pipelines are exactly consistent. Under `Sync` it counts
-    /// the compaction's data sync and its directory sync.
+    /// Compacts the WAL — snapshot every live session, start the log's
+    /// next generation — when due (or `force`d). Runs only between
+    /// groups, where the log and the pipelines are exactly consistent.
+    /// Under `Sync` it counts the two syncs a compaction issues: the
+    /// snapshot's data sync and the directory sync.
     fn compact_if_due(&mut self, sessions: &HashMap<u64, SessionEntry>, force: bool) {
         let Some(wal) = self.wal.as_mut() else { return };
         if !force && !wal.should_compact() {
@@ -2438,10 +2445,10 @@ mod tests {
         router.shutdown();
     }
 
-    /// What a test-controlled WAL log file does on `write_all` and
+    /// What a test-controlled WAL log file does on `write_all_at` and
     /// `sync_data`.
     struct LogControl {
-        /// `write_all` calls seen.
+        /// `write_all_at` calls seen.
         writes: AtomicU64,
         /// `sync_data` calls seen.
         syncs: AtomicU64,
@@ -2491,11 +2498,11 @@ mod tests {
     }
 
     impl crate::wal::seam::LogFile for ControlledLog {
-        fn write_all(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        fn write_all_at(&mut self, bytes: &[u8], offset: u64) -> std::io::Result<()> {
             let c = &self.control;
             c.writes.fetch_add(1, Ordering::SeqCst);
             c.step(&c.stall_write, &c.fail_write, "write")?;
-            std::io::Write::write_all(&mut self.file, bytes)
+            std::os::unix::fs::FileExt::write_all_at(&self.file, bytes, offset)
         }
 
         fn sync_data(&mut self) -> std::io::Result<()> {
@@ -2503,10 +2510,6 @@ mod tests {
             c.syncs.fetch_add(1, Ordering::SeqCst);
             c.step(&c.stall_sync, &c.fail_sync, "sync")?;
             self.file.sync_data()
-        }
-
-        fn set_len(&mut self, len: u64) -> std::io::Result<()> {
-            self.file.set_len(len)
         }
     }
 
@@ -3005,8 +3008,116 @@ mod tests {
             (3, 3, 0)
         );
         assert_eq!(snap.wal_disabled, 0);
-        assert_eq!(control.writes.load(Ordering::SeqCst), 3);
+        assert_eq!(
+            control.writes.load(Ordering::SeqCst),
+            4,
+            "three records and the shutdown compaction's zero header"
+        );
         assert_eq!(control.syncs.load(Ordering::SeqCst), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_compaction_issues_exactly_the_two_syncs_it_counts() {
+        let dir = wal_dir("compaction-syncs");
+        let control = LogControl::new();
+        let router = controlled_router(&dir, &control, FsyncPolicy::Sync);
+        let conn = router.new_conn_id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        open_committed(&router, conn, 12, &tx);
+        recv_resumed(&rx);
+        let before = router.metrics().snapshot();
+        assert_eq!(
+            before.wal_syncs, 2,
+            "the log open's directory sync and one group"
+        );
+        assert!(before.wal_sync_ns > 0, "the group's sync is timed");
+        assert_eq!(control.syncs.load(Ordering::SeqCst), 1);
+        assert_eq!(control.writes.load(Ordering::SeqCst), 1);
+
+        router.checkpoint_all();
+        let after = router.metrics().snapshot();
+        assert_eq!(
+            after.wal_syncs - before.wal_syncs,
+            2,
+            "the snapshot's data sync and the directory sync"
+        );
+        assert_eq!(
+            after.wal_sync_ns, before.wal_sync_ns,
+            "only group commits are timed"
+        );
+        assert_eq!(
+            control.syncs.load(Ordering::SeqCst),
+            1,
+            "the log itself is not synced"
+        );
+        assert_eq!(
+            control.writes.load(Ordering::SeqCst),
+            2,
+            "the log is not truncated: the new generation's zero header"
+        );
+        router.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_graceful_shutdown_of_a_recycled_log_recovers_untorn() {
+        let dir = wal_dir("recycled-shutdown");
+        let mut wal = WalConfig::new(&dir, FsyncPolicy::Sync);
+        wal.compact_bytes = 512;
+        let router = SessionRouter::new(
+            recognizer(),
+            ServeConfig {
+                shards: 1,
+                wal: Some(wal),
+                ..ServeConfig::default()
+            },
+        );
+        let conn = router.new_conn_id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        open_committed(&router, conn, 13, &tx);
+        recv_resumed(&rx);
+        let records = gesture_records();
+        for batch in records.chunks(4) {
+            submit_batch(&router, conn, 13, batch, &tx);
+        }
+        router
+            .submit(ShardMsg::Resume {
+                conn,
+                session: 13,
+                reply: tx.clone().into(),
+            })
+            .unwrap();
+        while !matches!(
+            rx.recv_timeout(Duration::from_secs(10)),
+            Ok(ServerFrame::Resumed { .. })
+        ) {}
+        router.shutdown();
+        let log = std::fs::metadata(dir.join("shard-0.wal")).unwrap().len();
+        assert!(log > 512, "the log was lapped, not truncated: {log} bytes");
+
+        let recovered = SessionRouter::new(recognizer(), ServeConfig::default());
+        let report = recovered
+            .recover(&WalConfig::new(&dir, FsyncPolicy::Sync))
+            .unwrap();
+        assert!(!report.torn, "{report:?}");
+        assert_eq!((report.sessions, report.frames), (1, 0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        recovered
+            .submit(ShardMsg::Resume {
+                conn,
+                session: 13,
+                reply: tx.into(),
+            })
+            .unwrap();
+        assert_eq!(
+            recv_resumed(&rx),
+            ServerFrame::Resumed {
+                session: 13,
+                last_seq: records.len() as u32,
+            }
+        );
+        recovered.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
